@@ -13,6 +13,10 @@ from functools import lru_cache
 from math import factorial, gcd
 
 
+class InconsistencyError(RuntimeError):
+    """A cross-checked quantity failed to agree with its second computation."""
+
+
 def encode(word, base: int) -> int:
     code = 0
     for letter in word:
@@ -206,7 +210,8 @@ def necklace_count(counts) -> int:
         for c in counts:
             m //= factorial(c // d)
         total += euler_phi(d) * m
-    assert total % k == 0
+    if total % k:
+        raise InconsistencyError("necklace count is not an integer")
     return total // k
 
 

@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie, grouppres, johnson, tangent
 from .cyclic import QuotientMode
-
-CACHE_ENV = "JW_CACHE_DIR"
-CACHE_VERSION = 1
-
 
 class UsageError(Exception):
     pass
@@ -108,64 +103,6 @@ def _structure_doc(title, q, provenance):
 
 
 # ---------------------------------------------------------------------------
-# basis cache (versioned JSON of basis words per (n, k))
-
-
-def _cache_path(directory, n, k):
-    return os.path.join(directory, f"lyndon_n{n}_k{k}.json")
-
-
-def save_basis(directory, n, k):
-    os.makedirs(directory, exist_ok=True)
-    words = [list(w) for w in freelie.lyndon_words(n, k)]
-    payload = {"version": CACHE_VERSION, "n": n, "k": k, "words": words}
-    path = _cache_path(directory, n, k)
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-    except OSError as exc:
-        raise OSError(f"cannot write basis cache {path}: {exc}") from exc
-    return path
-
-
-def load_basis(directory, n, k):
-    """Load a cached word list; None on miss or version/shape mismatch."""
-    path = _cache_path(directory, n, k)
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise OSError(f"cannot read basis cache {path}: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != CACHE_VERSION
-        or payload.get("n") != n
-        or payload.get("k") != k
-    ):
-        return None
-    return [tuple(w) for w in payload["words"]]
-
-
-def load_or_build_basis(directory, n, k):
-    if directory:
-        cached = load_basis(directory, n, k)
-        if cached is not None:
-            return cached
-    words = list(freelie.lyndon_words(n, k))
-    if directory:
-        save_basis(directory, n, k)
-    return words
-
-
-def cache_roundtrip(directory, n, k) -> bool:
-    """Save then reload the (n, k) basis; True iff the ordered list survives."""
-    save_basis(directory, n, k)
-    return load_basis(directory, n, k) == list(freelie.lyndon_words(n, k))
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -243,8 +180,10 @@ def _cmd_image(args):
 
 def _cmd_calpha(args):
     if args.alpha:
-        alphas = [tuple(int(x) for x in args.alpha.split(","))]
-        rows_src = [(sum(a), a) for a in alphas]
+        alpha = tuple(int(x) for x in args.alpha.split(","))
+        if sum(alpha) != args.k:
+            raise UsageError(f"--alpha {args.alpha} sums to {sum(alpha)}, not --k {args.k}")
+        rows_src = [(args.k, alpha)]
     else:
         from ._words import partitions
 
@@ -407,24 +346,6 @@ def _prov(args):
     return " ".join(args._argv)
 
 
-def _warm_cache(args):
-    """Persist (and reuse) basis word lists under --cache / JW_CACHE_DIR."""
-    directory = getattr(args, "cache", None)
-    if not directory:
-        return
-    n = getattr(args, "n", None)
-    k = getattr(args, "k", None)
-    try:
-        ns = _parse_range(n) if n is not None else []
-        ks = _parse_range(k) if k is not None else []
-    except (TypeError, ValueError):
-        return
-    for nn in ns:
-        for kk in ks:
-            if nn >= 2 and 1 <= kk <= 12:
-                load_or_build_basis(directory, nn, kk)
-
-
 def _parallel_map(threads, fn, items):
     """Map preserving order; worker pool only when threads > 1."""
     items = list(items)
@@ -448,8 +369,6 @@ def build_parser():
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=["text", "csv", "json"], default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
         return p
 
     p = add("witt", _cmd_witt, help="free Lie algebra ranks")
@@ -472,12 +391,14 @@ def build_parser():
     p = add("calpha", _cmd_calpha, help="trace rank for one content class")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", default=None, help="comma list, e.g. 3,2,2")
+    p.add_argument("--threads", type=int, default=1)
 
     p = add("table7", _cmd_table7, help="degree 1..4 summary table")
     p.add_argument("--n", type=int, required=True)
 
     p = add("table8", _cmd_table8, help="c/r table for repeated-letter contents")
     p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--threads", type=int, default=1)
 
     p = add("n3gap", _cmd_n3gap, help="image vs kernel table for n=3")
     p.add_argument("--kmax", type=int, required=True)
@@ -519,7 +440,6 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         args._argv = [args.command] + [a for a in argv[1:]]
-        _warm_cache(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _words, exactlin
-from ._words import min_rotation, word_content
+from ._words import InconsistencyError, min_rotation, word_content
 from .freelie import TensorElement
 
 
@@ -176,7 +176,8 @@ def cyclic_rank(n: int, k: int, mode=QuotientMode.FULL) -> int:
         total = sum(
             _words.euler_phi(d) * n ** (k // d) for d in _words.divisors(k)
         )
-        assert total % k == 0
+        if total % k:
+            raise InconsistencyError("necklace count is not an integer")
         return total // k
     if mode is QuotientMode.BAR:
         return cyclic_rank(n, k, QuotientMode.FULL) - n

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _words
+from ._words import InconsistencyError
 
 
 class SparseVector:
@@ -457,7 +458,8 @@ def smith_normal_form(rows, ncols=None, transforms=False):
         t += 1
     divisors = [a[i][i] for i in range(t) if a[i][i]]
     for x, y in zip(divisors, divisors[1:]):
-        assert y % x == 0
+        if y % x:
+            raise InconsistencyError("Smith invariant factors do not divide in chain")
     if transforms:
         return divisors, u, v
     return divisors

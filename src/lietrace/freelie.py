@@ -15,6 +15,7 @@ from math import factorial, gcd
 
 from . import _words
 from ._words import (
+    InconsistencyError,
     decode,
     encode,
     is_lyndon,
@@ -29,7 +30,8 @@ def witt_rank(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     total = sum(_words.mobius(d) * n ** (k // d) for d in _words.divisors(k))
-    assert total % k == 0
+    if total % k:
+        raise InconsistencyError("Witt rank is not an integer")
     return total // k
 
 
@@ -58,7 +60,8 @@ def multidegree_rank(n: int, k: int, alpha) -> int:
         for a in nonzero:
             m //= factorial(a // d)
         total += _words.mobius(d) * m
-    assert total % k == 0
+    if total % k:
+        raise InconsistencyError("multidegree rank is not an integer")
     return total // k
 
 
@@ -192,7 +195,8 @@ def iota_enc(n: int, word) -> dict:
                 got[w] = val
             else:
                 del got[w]
-        assert min(got) == encode(word, base) and got[min(got)] == 1
+        if min(got) != encode(word, base) or got[min(got)] != 1:
+            raise InconsistencyError(f"expansion of {word!r} is not unitriangular")
     _IOTA_CACHE[key] = got
     return got
 

@@ -10,14 +10,10 @@ crossed homomorphisms follow f(uv) = f(u) + u.f(v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exactlin
+from ._words import InconsistencyError
 from .exactlin import QuotientStructure
-
-
-class InconsistencyError(RuntimeError):
-    """A cross-checked quantity failed to agree with its second computation."""
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +208,15 @@ def _mat_vec(a, v):
 
 
 def _mat_inv(a):
-    """Inverse of a unimodular integer matrix; raises if not integral."""
+    """Inverse of a unimodular integer matrix: the Hermite form of [A | I] is [I | A^-1]."""
     r = len(a)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(r)]
-        for i, row in enumerate(a)
-    ]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[r:]
-        if any(v.denominator != 1 for v in vals):
-            raise ValueError("matrix is not invertible over the integers")
-        out.append(tuple(int(v) for v in vals))
-    return tuple(out)
+    ident = _identity(r)
+    hnf = exactlin.hermite_row_reduce([(*row, *e) for row, e in zip(a, ident)], 2 * r)
+    if any(not any(row[:r]) for row in hnf):
+        raise ValueError("matrix is singular")
+    if tuple(tuple(row[:r]) for row in hnf) != ident:
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(tuple(row[r:]) for row in hnf)
 
 
 @dataclass(frozen=True)

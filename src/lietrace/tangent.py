@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from . import cyclic, exactlin, freelie
 from ._words import decode, encode, lyndon_by_content, min_rotation, word_content
@@ -344,9 +342,16 @@ def _j_col(mod, a, b, c, d):
 
 
 class _AdBlock:
-    """One (i, content) block of the basis [u, x_i], ready to solve against."""
+    """One (i, content) block of the basis [u, x_i], ready to solve against.
 
-    __slots__ = ("n", "i", "k", "us", "rows", "pivots", "ninv", "den")
+    T = [l, x_i] = l.x_i - x_i.l gives l[w] = T[w.i] + l[rot(w)] for a word w
+    that starts with i, where rot(i.v) = v.i, and l[w] = T[w.i] otherwise; so
+    l is read off T at each Lyndon word u of the block as a sum over the
+    rotation chain of u.  Its coordinates then follow by forward substitution
+    through the unitriangular iota_enc matrix of the block's Lyndon words.
+    """
+
+    __slots__ = ("n", "i", "k", "us", "rows", "reads", "lower")
 
     def __init__(self, n, k, i, content):
         self.n = n
@@ -361,34 +366,34 @@ class _AdBlock:
         for row in self.rows:
             if not span.insert(dict(row)):
                 raise ArithmeticError("ad rows unexpectedly dependent")
-        self.pivots = span.pivot_columns()
-        r = len(self.us)
-        if r:
-            self.ninv, self.den = _invert_to_int(
-                [[row.get(p, 0) for p in self.pivots] for row in self.rows]
-            )
-        else:
-            self.ninv, self.den = [], 1
+        base = n + 1
+        shift = base ** (k - 1)
+        codes = [encode(u, base) for u in us]
+        self.reads = []
+        for w in codes:
+            keys = [w * base + i]
+            while w // shift == i:  # terminates: no block word is i^k
+                w = (w - i * shift) * base + i
+                keys.append(w * base + i)
+            self.reads.append(keys)
+        col_of = {w: col for col, w in enumerate(codes)}
+        self.lower = [[] for _ in codes]
+        for j, u in enumerate(us):
+            for w, m in iota_enc(n, u).items():
+                col = col_of.get(w)
+                if col is not None and col > j:
+                    self.lower[col].append((j, m))
 
     def solve(self, tdict):
         """Integer coordinates c with sum c_u [u, x_i] equal to tdict, verified."""
         if not tdict:
             return {}
-        r = len(self.us)
-        if r == 0:
-            raise ArithmeticError("nonzero component in an empty block")
-        rvec = [tdict.get(p, 0) for p in self.pivots]
-        den = self.den
         coeffs = []
-        for col in range(r):
-            s = 0
-            for j in range(r):
-                nij = self.ninv[j][col]
-                if nij:
-                    s += rvec[j] * nij
-            if s % den:
-                raise ArithmeticError("component is not integral on the basis")
-            coeffs.append(s // den)
+        for keys, lower in zip(self.reads, self.lower):
+            c = sum(tdict.get(w, 0) for w in keys)
+            for j, m in lower:
+                c -= m * coeffs[j]
+            coeffs.append(c)
         # full verification: the solved combination must reproduce the input
         check: dict = {}
         for c, row in zip(coeffs, self.rows):
@@ -403,30 +408,6 @@ class _AdBlock:
         if check != tdict:
             raise ArithmeticError("component is outside the tangential block")
         return {u: c for u, c in zip(self.us, coeffs) if c}
-
-
-def _invert_to_int(square):
-    """Inverse of an integer matrix as (N, den) with inverse = N / den."""
-    r = len(square)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(r)]
-        for i, row in enumerate(square)
-    ]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                a = aug[i][col]
-                aug[i] = [x - a * y for x, y in zip(aug[i], aug[col])]
-    den = 1
-    for row in aug:
-        for v in row[r:]:
-            den = lcm(den, v.denominator)
-    ninv = [[int(v * den) for v in row[r:]] for row in aug]
-    return ninv, den
 
 
 class AdSolver:

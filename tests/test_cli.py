@@ -1,7 +1,7 @@
 import json
 
 from lietrace import cli
-from lietrace.cli import cache_roundtrip, load_basis, main
+from lietrace.cli import main
 
 
 def run_cli(args, capsys):
@@ -113,6 +113,23 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli([], capsys)
     assert code == 1
+    # options exist only on the commands that read them
+    for args in (
+        ["witt", "--n", "3", "--k", "4", "--cache", "somewhere"],
+        ["witt", "--n", "3", "--k", "4", "--threads", "2"],
+        ["n3gap", "--kmax", "2", "--threads", "2"],
+    ):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 1 and out == "", args
+
+
+def test_calpha_alpha_must_sum_to_k(capsys):
+    code, out, err = run_cli(["calpha", "--k", "5", "--alpha", "3,3"], capsys)
+    assert code == 1 and out == ""
+    assert "sums to 6" in err
+    code, out, _ = run_cli(["calpha", "--k", "6", "--alpha", "3,3", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == "6,(3 3),3,0\n"
 
 
 def test_coker_and_abelianize(capsys):
@@ -130,36 +147,6 @@ def test_t0530_command(capsys):
     code, out, _ = run_cli(["t0530", "--n", "3", "--k", "3"], capsys)
     assert code == 0
     assert "skipped" not in out or "True" in out
-
-
-def test_cache_roundtrip(tmp_path):
-    assert cache_roundtrip(str(tmp_path), 3, 6)
-    words = load_basis(str(tmp_path), 3, 6)
-    assert len(words) == 116
-    # version-bumped files are ignored and rebuilt
-    path = cli._cache_path(str(tmp_path), 3, 6)
-    payload = json.loads(open(path).read())
-    payload["version"] = 999
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    assert load_basis(str(tmp_path), 3, 6) is None
-    fresh = cli.load_or_build_basis(str(tmp_path), 3, 6)
-    assert len(fresh) == 116
-    assert load_basis(str(tmp_path), 3, 6) == fresh
-
-
-def test_cache_fresh_directory(tmp_path):
-    target = tmp_path / "sub"
-    words = cli.load_or_build_basis(str(target), 2, 5)
-    assert len(words) == 6
-    assert load_basis(str(target), 2, 5) == words
-
-
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    code, _, _ = run_cli(["witt", "--n", "3", "--k", "4"], capsys)
-    assert code == 0
-    assert load_basis(str(tmp_path), 3, 4) is not None
 
 
 def test_big_integers_serialized_as_strings():

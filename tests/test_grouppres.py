@@ -172,6 +172,9 @@ def test_bad_action_detected():
     bad = LatticeAction(1, {g: ((2,),) for g in p.generators})
     with pytest.raises(ValueError):
         bad.inverse("s1")
+    assert LatticeAction(2, {"a": ((2, 1), (1, 1))}).inverse("a") == ((1, -1), (-1, 2))
+    with pytest.raises(ValueError, match="singular"):
+        LatticeAction(2, {"a": ((1, 2), (2, 4))}).inverse("a")
     bad2 = LatticeAction(1, {g: ((-1,),) for g in p.generators})
     # s_i^2 acts trivially, braid relation too: valid; now break it
     bad2.validate(p)

@@ -95,6 +95,13 @@ def test_tangential_closure_in_basis_coordinates():
         assert from_p_coordinates(n, ka + kb, coords) == br
 
 
+def test_p_coordinates_rejects_non_tangential():
+    # [[x1,x2],x3] at x2 has the block content of [[x2,x3],x1] but is no multiple of it
+    f = Derivation(3, 2, {1: normalize(((1, 2), 3), 3)})
+    with pytest.raises(ArithmeticError):
+        p_coordinates(f)
+
+
 def test_contract_examples():
     n = 3
     d = Derivation(n, 2, {1: normalize(_left_normed((1, 2, 3)), n)})
