@@ -3,7 +3,8 @@
 Words are tuples of generator indices in ``1..n``.  Hot loops elsewhere pack
 words into single integers (most-significant letter first, base ``n + 1``) so
 that lexicographic order on words of equal length coincides with integer
-order.
+order.  The sparse-dict arithmetic every algebra module uses (``add_scaled``
+and the element base ``SparseCombination``) lives here too, below them all.
 """
 
 from __future__ import annotations
@@ -11,10 +12,139 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from math import factorial, gcd
+from numbers import Number
 
 
 class InconsistencyError(RuntimeError):
     """A cross-checked quantity failed to agree with its second computation."""
+
+
+def add_scaled(into: dict, src: dict, c=1) -> dict:
+    """Add c * src to the sparse dict `into` in place and return it.
+
+    Keys whose value cancels are deleted, so zero is never stored.  The values
+    may be numbers or any ring elements whose truth value says "nonzero".
+    """
+    if not c:
+        return into
+    for k, x in src.items():
+        if k in into:
+            x = into[k] + c * x
+            if x:
+                into[k] = x
+            else:
+                del into[k]
+        else:
+            into[k] = c * x
+    return into
+
+
+def exact_int(x) -> int:
+    """x as an int: TypeError for a non-number, ValueError rather than truncation."""
+    if isinstance(x, int):
+        return int(x)
+    if not isinstance(x, Number):
+        raise TypeError(f"{x!r} is not a number")
+    v = int(x)
+    if v != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return v
+
+
+class SparseCombination:
+    """A finite combination sum c * key in one degree of one graded space.
+
+    ``terms`` maps each key to a nonzero coefficient.  Subclasses differ only
+    in the hooks: ``_key`` checks or canonicalises a key, ``_coeff`` coerces a
+    coefficient (by default into the scalar ring ``_scalar``), ``_canonical``
+    normalises a whole coefficient dict, and ``_label``/``_term`` print.  Only
+    combinations of one type, alphabet and degree add; anything else raises.
+    """
+
+    __slots__ = ("n", "degree", "terms")
+    _scalar = staticmethod(exact_int)
+
+    def __init__(self, n: int, degree: int, terms=()):
+        self.n = n
+        self.degree = degree
+        data = terms.items() if isinstance(terms, dict) else terms
+        out = {}
+        for key, coeff in data:
+            key = self._key(key)
+            coeff = self._coeff(coeff)
+            if coeff:  # terms whose keys canonicalise alike add up
+                add_scaled(out, {key: coeff})
+        self.terms = self._canonical(out)
+
+    @classmethod
+    def _unchecked(cls, n, degree, terms):
+        """Wrap a dict whose keys are canonical and whose values are nonzero."""
+        obj = cls.__new__(cls)
+        obj.n = n
+        obj.degree = degree
+        obj.terms = terms
+        return obj
+
+    def _key(self, key):
+        return key
+
+    def _coeff(self, coeff):
+        return self._scalar(coeff)
+
+    def _canonical(self, terms):
+        return terms
+
+    def _label(self, key):
+        return str(key)
+
+    def _term(self, key, coeff):
+        return f"{'+' if coeff > 0 else '-'} {abs(coeff)}*{self._label(key)}"
+
+    def _combine(self, other, c):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n or self.degree != other.degree:
+            raise ValueError("mixed alphabets or degrees")
+        out = add_scaled(dict(self.terms), other.terms, c)
+        return self._unchecked(self.n, self.degree, out)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        # nonzero test used by add_scaled when combinations are coefficients
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._unchecked(self.n, self.degree, {k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, c):
+        c = self._scalar(c)
+        out = {k: c * v for k, v in self.terms.items()} if c else {}
+        return self._unchecked(self.n, self.degree, out)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.degree == other.degree
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.degree, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = [self._term(k, self.terms[k]) for k in sorted(self.terms)]
+        return " ".join(bits).lstrip("+ ")
 
 
 def encode(word, base: int) -> int:
@@ -217,6 +347,8 @@ def necklace_count(counts) -> int:
 
 def compositions(k: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to k."""
+    if parts < 1:
+        raise ValueError(f"compositions need at least one part, got {parts}")
     if parts == 1:
         yield (k,)
         return

@@ -87,7 +87,10 @@ def _parse_range(spec: str):
     spec = str(spec)
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise UsageError(f"empty range {spec}")
+        return list(range(lo, hi + 1))
     return [int(spec)]
 
 
@@ -166,6 +169,8 @@ def _progress(msg):
 
 
 def _cmd_image(args):
+    if args.k < 1:
+        raise UsageError("--k must be >= 1")
     rows = []
     for k in range(1, args.k + 1):
         if k >= 7:
@@ -237,6 +242,8 @@ def _cmd_table8(args):
 
 
 def _cmd_n3gap(args):
+    if args.kmax < 1:
+        raise UsageError("--kmax must be >= 1")
     rows = []
     for k in range(1, args.kmax + 1):
         if k >= 7:
@@ -349,10 +356,20 @@ def _prov(args):
 def _parallel_map(threads, fn, items):
     """Map preserving order; worker pool only when threads > 1."""
     items = list(items)
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
+
+
+def _thread_count(spec):
+    try:
+        value = int(spec)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {spec!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -391,14 +408,14 @@ def build_parser():
     p = add("calpha", _cmd_calpha, help="trace rank for one content class")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", default=None, help="comma list, e.g. 3,2,2")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
 
     p = add("table7", _cmd_table7, help="degree 1..4 summary table")
     p.add_argument("--n", type=int, required=True)
 
     p = add("table8", _cmd_table8, help="c/r table for repeated-letter contents")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
 
     p = add("n3gap", _cmd_n3gap, help="image vs kernel table for n=3")
     p.add_argument("--kmax", type=int, required=True)

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _words, exactlin
-from ._words import InconsistencyError, min_rotation, word_content
+from ._words import (
+    InconsistencyError,
+    SparseCombination,
+    add_scaled,
+    exact_int,
+    min_rotation,
+    word_content,
+)
 from .freelie import TensorElement
 
 
@@ -67,76 +74,17 @@ def necklace_canonicalize(word) -> Necklace:
     return Necklace(min_rotation(word))
 
 
-class CyclicElement:
+class CyclicElement(SparseCombination):
     """Integer combination of length-k necklaces."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, degree: int, terms=()):
-        self.n = n
-        self.degree = degree
-        self.terms = {}
-        data = terms.items() if isinstance(terms, dict) else terms
-        for neck, coeff in data:
-            if not isinstance(neck, Necklace):
-                neck = necklace_canonicalize(neck)
-            if neck.length != degree:
-                raise ValueError("necklace length does not match degree")
-            coeff = int(coeff)
-            if coeff:
-                self.terms[neck] = coeff
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("mixed degrees")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        res = CyclicElement(self.n, self.degree)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = CyclicElement(self.n, self.degree)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        c = int(c)
-        res = CyclicElement(self.n, self.degree)
-        if c:
-            res.terms = {k: c * v for k, v in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicElement)
-            and self.n == other.n
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.degree, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            bits.append(f"{'+' if c > 0 else '-'} {abs(c)}*{k}")
-        return " ".join(bits).lstrip("+ ")
+    def _key(self, neck):
+        if not isinstance(neck, Necklace):
+            neck = necklace_canonicalize(neck)
+        if neck.length != self.degree:
+            raise ValueError("necklace length does not match degree")
+        return neck
 
 
 def project_cyclic(t: TensorElement) -> CyclicElement:
@@ -149,9 +97,7 @@ def project_cyclic(t: TensorElement) -> CyclicElement:
             acc[neck] = v
         else:
             del acc[neck]
-    out = CyclicElement(t.n, t.degree)
-    out.terms = acc
-    return out
+    return CyclicElement._unchecked(t.n, t.degree, acc)
 
 
 def reduce(e: CyclicElement, mode) -> CyclicElement:
@@ -159,12 +105,11 @@ def reduce(e: CyclicElement, mode) -> CyclicElement:
     mode = QuotientMode.coerce(mode)
     if mode is QuotientMode.FULL:
         return e
-    out = CyclicElement(e.n, e.degree)
     if mode is QuotientMode.BAR:
-        out.terms = {k: c for k, c in e.terms.items() if not k.is_power()}
+        terms = {k: c for k, c in e.terms.items() if not k.is_power()}
     else:
-        out.terms = {k: c for k, c in e.terms.items() if k.has_isolated_letter()}
-    return out
+        terms = {k: c for k, c in e.terms.items() if k.has_isolated_letter()}
+    return CyclicElement._unchecked(e.n, e.degree, terms)
 
 
 def cyclic_rank(n: int, k: int, mode=QuotientMode.FULL) -> int:
@@ -233,25 +178,19 @@ class JModule:
         self._pivot_rows = dict(zip(pivots, reduced))
         self.rank = self.size - len(pivots)
 
+    def monomial(self, a, b, c, d) -> dict:
+        """Coordinates {column: +-1} of (x_a ^ x_b)(x_c ^ x_d); empty when it vanishes."""
+        wa, wb = _wedge(a, b), _wedge(c, d)
+        if wa is None or wb is None:
+            return {}
+        (s1, p1), (s2, p2) = wa, wb
+        return {self.pair_index[p1] * len(self.pairs) + self.pair_index[p2]: s1 * s2}
+
     def _relation_row(self, v, w, x, y):
         """Row of the three-term relation (v^w)(x^y) - (x^w)(v^y) - (v^x)(w^y)."""
-        acc: dict = {}
-
-        def add(first, second, sign):
-            if first is None or second is None:
-                return
-            s1, p1 = first
-            s2, p2 = second
-            col = self.pair_index[p1] * len(self.pairs) + self.pair_index[p2]
-            val = acc.get(col, 0) + sign * s1 * s2
-            if val:
-                acc[col] = val
-            else:
-                del acc[col]
-
-        add(_wedge(v, w), _wedge(x, y), 1)
-        add(_wedge(x, w), _wedge(v, y), -1)
-        add(_wedge(v, x), _wedge(w, y), -1)
+        acc = self.monomial(v, w, x, y)
+        add_scaled(acc, self.monomial(x, w, v, y), -1)
+        add_scaled(acc, self.monomial(v, x, w, y), -1)
         return tuple(sorted(acc.items())) if acc else None
 
     @classmethod
@@ -275,12 +214,7 @@ class JModule:
             row = self._pivot_rows.get(col)
             if row is None:
                 continue
-            for c, v in row.items():
-                nv = work.get(c, Fraction(0)) - a * v
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
+            add_scaled(work, row, -a)
         return work
 
     def relation_divisors(self):
@@ -294,68 +228,28 @@ class JModule:
         return self.pairs[col // w], self.pairs[col % w]
 
 
-class JElement:
-    """Element of J in canonical reduced coordinates."""
+class JElement(SparseCombination):
+    """Element of J in canonical reduced coordinates (``coords``, rational)."""
 
-    __slots__ = ("n", "coords")
+    __slots__ = ()
+    _scalar = staticmethod(Fraction)
 
     def __init__(self, n: int, coords=()):
-        self.n = n
-        data = coords.items() if isinstance(coords, dict) else coords
-        raw = {int(c): Fraction(v) for c, v in data if v}
-        self.coords = JModule.get(n).reduce_coords(raw)
+        super().__init__(n, 4, coords)
 
-    def is_zero(self):
-        return not self.coords
+    @property
+    def coords(self) -> dict:
+        return self.terms
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, JElement)
-            and self.n == other.n
-            and self.coords == other.coords
-        )
+    def _key(self, col):
+        return exact_int(col)
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coords.items())))
+    def _canonical(self, terms):
+        return JModule.get(self.n).reduce_coords(terms)
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed alphabets")
-        out = dict(self.coords)
-        for c, v in other.coords.items():
-            nv = out.get(c, Fraction(0)) + v
-            if nv:
-                out[c] = nv
-            else:
-                del out[c]
-        res = JElement(self.n)
-        res.coords = out
-        return res
-
-    def __neg__(self):
-        res = JElement(self.n)
-        res.coords = {c: -v for c, v in self.coords.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        res = JElement(self.n)
-        if c:
-            res.coords = {col: c * v for col, v in self.coords.items()}
-        return res
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        mod = JModule.get(self.n)
-        bits = []
-        for col in sorted(self.coords):
-            (a, b), (c, d) = mod.describe_coord(col)
-            bits.append(f"{self.coords[col]}*(x{a}^x{b})(x{c}^x{d})")
-        return " + ".join(bits)
+    def _label(self, col):
+        (a, b), (c, d) = JModule.get(self.n).describe_coord(col)
+        return f"(x{a}^x{b})(x{c}^x{d})"
 
 
 def j_rank(n: int) -> int:
@@ -365,11 +259,4 @@ def j_rank(n: int) -> int:
 
 def j_project(n: int, a: int, b: int, c: int, d: int) -> JElement:
     """Canonical coordinates of (x_a ^ x_b)(x_c ^ x_d) in J."""
-    mod = JModule.get(n)
-    wa, wb = _wedge(a, b), _wedge(c, d)
-    if wa is None or wb is None:
-        return JElement(n)
-    s1, p1 = wa
-    s2, p2 = wb
-    col = mod.pair_index[p1] * len(mod.pairs) + mod.pair_index[p2]
-    return JElement(n, {col: s1 * s2})
+    return JElement(n, JModule.get(n).monomial(a, b, c, d))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _words
-from ._words import InconsistencyError
+from ._words import InconsistencyError, add_scaled
 
 
 class SparseVector:
@@ -40,15 +40,8 @@ class SparseVector:
     def items(self):
         return self.entries.items()
 
-    def support(self):
-        return sorted(self.entries)
-
     def is_zero(self):
         return not self.entries
-
-    def scaled(self, c):
-        c = Fraction(c)
-        return SparseVector({col: c * v for col, v in self.entries.items()})
 
     def __len__(self):
         return len(self.entries)
@@ -118,12 +111,7 @@ def _rref(rows, ncols):
         for other in work + done:
             a = other.get(col)
             if a:
-                for c, v in piv.items():
-                    nv = other.get(c, Fraction(0)) - a * v
-                    if nv:
-                        other[c] = nv
-                    elif c in other:
-                        del other[c]
+                add_scaled(other, piv, -a)
         work = [r for r in work if r]
         pivots.append(col)
         done.append(piv)

@@ -16,6 +16,8 @@ from math import factorial, gcd
 from . import _words
 from ._words import (
     InconsistencyError,
+    SparseCombination,
+    add_scaled,
     decode,
     encode,
     is_lyndon,
@@ -172,6 +174,11 @@ def _cat(a, b, len_b, base):
     return out
 
 
+def _commutator(a, la, b, lb, base):
+    """Encoded expansion of [a, b] = a(x)b - b(x)a, for a of length la and b of lb."""
+    return add_scaled(_cat(a, b, lb, base), _cat(b, a, la, base), -1)
+
+
 def iota_enc(n: int, word) -> dict:
     """Tensor expansion of the basis monomial of `word`, encoded base n + 1.
 
@@ -187,14 +194,7 @@ def iota_enc(n: int, word) -> dict:
         got = {word[0]: 1}
     else:
         u, v = standard_factorization(word)
-        a, b = iota_enc(n, u), iota_enc(n, v)
-        got = _cat(a, b, len(v), base)
-        for w, c in _cat(b, a, len(u), base).items():
-            val = got.get(w, 0) - c
-            if val:
-                got[w] = val
-            else:
-                del got[w]
+        got = _commutator(iota_enc(n, u), len(u), iota_enc(n, v), len(v), base)
         if min(got) != encode(word, base) or got[min(got)] != 1:
             raise InconsistencyError(f"expansion of {word!r} is not unitriangular")
     _IOTA_CACHE[key] = got
@@ -246,12 +246,7 @@ def project_lyndon_enc(n: int, k: int, tdict: dict, words=None) -> dict:
         if not c:
             continue
         coords[w] = c
-        for ww, cc in iota_enc(n, w).items():
-            val = work.get(ww, 0) - c * cc
-            if val:
-                work[ww] = val
-            else:
-                work.pop(ww, None)
+        add_scaled(work, iota_enc(n, w), -c)
     if work:
         raise ValueError("element is not in the free Lie algebra")
     return coords
@@ -261,174 +256,60 @@ def project_lyndon_enc(n: int, k: int, tdict: dict, words=None) -> dict:
 # public element types
 
 
-class TensorElement:
+class TensorElement(SparseCombination):
     """Integer combination of degree-k tensor words (tuples over 1..n)."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, degree: int, terms=()):
-        self.n = n
-        self.degree = degree
-        self.terms = {}
-        data = terms.items() if isinstance(terms, dict) else terms
-        for word, coeff in data:
-            word = tuple(word)
-            if len(word) != degree:
-                raise ValueError("word length does not match degree")
-            coeff = int(coeff)
-            if coeff:
-                self.terms[word] = coeff
+    def _key(self, word):
+        word = tuple(word)
+        if len(word) != self.degree:
+            raise ValueError("word length does not match degree")
+        return word
+
+    def _label(self, word):
+        return "".join(map(str, word))
 
     @classmethod
     def _from_enc(cls, n, degree, enc_terms):
-        obj = cls(n, degree)
         base = n + 1
-        obj.terms = {decode(w, base, degree): c for w, c in enc_terms.items() if c}
-        return obj
+        terms = {decode(w, base, degree): c for w, c in enc_terms.items() if c}
+        return cls._unchecked(n, degree, terms)
 
     def _enc_terms(self):
         base = self.n + 1
         return {encode(w, base): c for w, c in self.terms.items()}
 
-    def is_zero(self):
-        return not self.terms
 
-    def __add__(self, other):
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("mixed degrees")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                del out[w]
-        return TensorElement(self.n, self.degree, out)
-
-    def __neg__(self):
-        return TensorElement(self.n, self.degree, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        c = int(c)
-        return TensorElement(self.n, self.degree, {w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.n == other.n
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.degree, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            bits.append(f"{'+' if c > 0 else '-'} {abs(c)}*{''.join(map(str, w))}")
-        return " ".join(bits).lstrip("+ ")
-
-
-class LieElement:
+class LieElement(SparseCombination):
     """Integer combination of degree-k basis monomials."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, degree: int, terms=()):
-        self.n = n
-        self.degree = degree
-        self.terms = {}
-        data = terms.items() if isinstance(terms, dict) else terms
-        for mono, coeff in data:
-            if not isinstance(mono, HallMonomial):
-                mono = HallMonomial(n, mono)
-            if mono.degree != degree or mono.n != n:
-                raise ValueError("monomial does not match element degree")
-            coeff = int(coeff)
-            if coeff:
-                self.terms[mono] = coeff
+    def _key(self, mono):
+        if not isinstance(mono, HallMonomial):
+            mono = HallMonomial(self.n, mono)
+        if mono.degree != self.degree or mono.n != self.n:
+            raise ValueError("monomial does not match element degree")
+        return mono
 
     @classmethod
     def generator(cls, n: int, i: int):
         return cls(n, 1, {HallMonomial(n, (i,)): 1})
 
     @classmethod
-    def _from_word_coords(cls, n, degree, coords):
-        obj = cls(n, degree)
-        obj.terms = {HallMonomial(n, w): c for w, c in coords.items() if c}
-        return obj
+    def _from_enc(cls, n, degree, enc):
+        """The element whose tensor expansion is `enc`; ValueError off the Lie subspace."""
+        coords = project_lyndon_enc(n, degree, enc)
+        return cls._unchecked(n, degree, {HallMonomial(n, w): c for w, c in coords.items()})
 
     def word_coords(self) -> dict:
         return {m.word: c for m, c in self.terms.items()}
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("mixed degrees")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        res = LieElement(self.n, self.degree)
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = LieElement(self.n, self.degree)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        c = int(c)
-        res = LieElement(self.n, self.degree)
-        if c:
-            res.terms = {m: c * v for m, v in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.n == other.n
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.degree, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=lambda m: m.word):
-            c = self.terms[m]
-            bits.append(f"{'+' if c > 0 else '-'} {abs(c)}*{m}")
-        return " ".join(bits).lstrip("+ ")
-
     def _enc_tensor(self) -> dict:
         out: dict = {}
         for mono, coeff in self.terms.items():
-            for w, c in iota_enc(self.n, mono.word).items():
-                v = out.get(w, 0) + coeff * c
-                if v:
-                    out[w] = v
-                else:
-                    del out[w]
+            add_scaled(out, iota_enc(self.n, mono.word), coeff)
         return out
 
 
@@ -439,14 +320,7 @@ def embed_tensor(a: LieElement) -> TensorElement:
 
 def lie_from_tensor(t: TensorElement) -> LieElement:
     """Inverse of embed_tensor on its image; ValueError off the image."""
-    coords = project_lyndon_enc(t.n, t.degree, t._enc_terms())
-    return LieElement._from_word_coords(t.n, t.degree, coords)
-
-
-def _tree_degree(tree):
-    if isinstance(tree, int):
-        return 1
-    return _tree_degree(tree[0]) + _tree_degree(tree[1])
+    return LieElement._from_enc(t.n, t.degree, t._enc_terms())
 
 
 def _tree_max_letter(tree):
@@ -456,7 +330,6 @@ def _tree_max_letter(tree):
 
 
 def _tree_enc(tree, n):
-    base = n + 1
     if isinstance(tree, int):
         if not 1 <= tree <= n:
             raise ValueError("generator index out of range")
@@ -465,14 +338,7 @@ def _tree_enc(tree, n):
         raise ValueError("bracket tree nodes must be pairs")
     a, la = _tree_enc(tree[0], n)
     b, lb = _tree_enc(tree[1], n)
-    out = _cat(a, b, lb, base)
-    for w, c in _cat(b, a, la, base).items():
-        v = out.get(w, 0) - c
-        if v:
-            out[w] = v
-        else:
-            del out[w]
-    return out, la + lb
+    return _commutator(a, la, b, lb, n + 1), la + lb
 
 
 def normalize(tree, n: int = None) -> LieElement:
@@ -486,8 +352,7 @@ def normalize(tree, n: int = None) -> LieElement:
     if n is None:
         n = _tree_max_letter(tree)
     enc, degree = _tree_enc(tree, n)
-    coords = project_lyndon_enc(n, degree, enc)
-    return LieElement._from_word_coords(n, degree, coords)
+    return LieElement._from_enc(n, degree, enc)
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -495,15 +360,5 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     if a.n != b.n:
         raise ValueError("mixed alphabets")
     n = a.n
-    base = n + 1
-    ea, eb = a._enc_tensor(), b._enc_tensor()
-    out = _cat(ea, eb, b.degree, base)
-    for w, c in _cat(eb, ea, a.degree, base).items():
-        v = out.get(w, 0) - c
-        if v:
-            out[w] = v
-        else:
-            del out[w]
-    degree = a.degree + b.degree
-    coords = project_lyndon_enc(n, degree, out)
-    return LieElement._from_word_coords(n, degree, coords)
+    out = _commutator(a._enc_tensor(), a.degree, b._enc_tensor(), b.degree, n + 1)
+    return LieElement._from_enc(n, a.degree + b.degree, out)

@@ -16,7 +16,13 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from . import _words, exactlin, freelie, tangent
-from ._words import compositions, lyndon_by_content, necklaces_of_content, partitions
+from ._words import (
+    add_scaled,
+    compositions,
+    lyndon_by_content,
+    necklaces_of_content,
+    partitions,
+)
 from .cyclic import QuotientMode, cyclic_rank
 from .exactlin import IncrementalSpan, QuotientStructure, SparseMatrix
 from .freelie import multidegree_rank
@@ -134,16 +140,7 @@ class _ImageEngine:
         solver = AdSolver.get(n, nxt)
         accepted = []
         for pdict, beta in self.levels[m - 1]:
-            venc: dict = {}
-            for (i, u), c in pdict.items():
-                acc = venc.setdefault(i, {})
-                for w, v in freelie.ad_enc(n, u, i).items():
-                    val = acc.get(w, 0) + c * v
-                    if val:
-                        acc[w] = val
-                    else:
-                        del acc[w]
-            venc = {i: d for i, d in venc.items() if d}
+            venc = tangent.p_expand_enc(n, pdict)
             venc_typed = {i: (d, m + 1) for i, d in venc.items()}
             for a, b in self.gens:
                 comps: dict = {}
@@ -154,14 +151,7 @@ class _ImageEngine:
                 gen_img = {b * base + a: 1, a * base + b: -1}
                 lead = tangent._apply_values_enc(n, venc_typed, gen_img, 2)
                 if lead:
-                    acc = comps.setdefault(a, {})
-                    for w, c in lead.items():
-                        val = acc.get(w, 0) + c
-                        if val:
-                            acc[w] = val
-                        else:
-                            del acc[w]
-                    if not acc:
+                    if not add_scaled(comps.setdefault(a, {}), lead):
                         del comps[a]
                 ucontent = list(beta)
                 ucontent[b - 1] += 1

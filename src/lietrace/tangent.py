@@ -17,7 +17,16 @@ import threading
 from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie
-from ._words import decode, encode, lyndon_by_content, min_rotation, word_content
+from ._words import (
+    SparseCombination,
+    add_scaled,
+    decode,
+    exact_int,
+    encode,
+    lyndon_by_content,
+    min_rotation,
+    word_content,
+)
 from .cyclic import CyclicElement, JElement, QuotientMode
 from .freelie import (
     HallMonomial,
@@ -30,78 +39,39 @@ from .freelie import (
 )
 
 
-class Derivation:
-    """Degree-k derivation, stored sparsely by generator index."""
+class Derivation(SparseCombination):
+    """Degree-k derivation, stored sparsely by generator index.
 
-    __slots__ = ("n", "degree", "values")
+    ``values`` maps i to the nonzero image of x_i, a degree-(k+1) LieElement.
+    """
 
-    def __init__(self, n: int, degree: int, values=()):
-        self.n = n
-        self.degree = degree
-        self.values = {}
-        data = values.items() if isinstance(values, dict) else values
-        for i, elt in data:
-            i = int(i)
-            if not 1 <= i <= n:
-                raise ValueError("generator index out of range")
-            if not isinstance(elt, LieElement):
-                raise TypeError("values must be LieElements")
-            if elt.n != n or elt.degree != degree + 1:
-                raise ValueError("value degree must be derivation degree + 1")
-            if not elt.is_zero():
-                self.values[i] = elt
+    __slots__ = ()
+
+    @property
+    def values(self) -> dict:
+        return self.terms
+
+    def _key(self, i):
+        i = exact_int(i)
+        if not 1 <= i <= self.n:
+            raise ValueError("generator index out of range")
+        return i
+
+    def _coeff(self, elt):
+        if not isinstance(elt, LieElement):
+            raise TypeError("values must be LieElements")
+        if elt.n != self.n or elt.degree != self.degree + 1:
+            raise ValueError("value degree must be derivation degree + 1")
+        return elt
+
+    def _term(self, i, elt):
+        return f"+ x{i}* (x) ({elt})"
 
     def value(self, i: int) -> LieElement:
-        got = self.values.get(i)
+        got = self.terms.get(i)
         if got is None:
             return LieElement(self.n, self.degree + 1)
         return got
-
-    def is_zero(self):
-        return not self.values
-
-    def __add__(self, other):
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("mixed degrees")
-        out = dict(self.values)
-        for i, e in other.values.items():
-            s = out.get(i)
-            s = e if s is None else s + e
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
-        res = Derivation(self.n, self.degree)
-        res.values = out
-        return res
-
-    def __neg__(self):
-        res = Derivation(self.n, self.degree)
-        res.values = {i: -e for i, e in self.values.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        c = int(c)
-        res = Derivation(self.n, self.degree)
-        if c:
-            res.values = {i: c * e for i, e in self.values.items()}
-        return res
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Derivation)
-            and self.n == other.n
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        if not self.values:
-            return "0"
-        return " + ".join(f"x{i}* (x) ({e})" for i, e in sorted(self.values.items()))
 
 
 @dataclass(frozen=True)
@@ -239,8 +209,7 @@ def apply(f: Derivation, a: LieElement) -> LieElement:
     if a.degree < 1:
         raise ValueError("need degree >= 1")
     enc = _apply_values_enc(f.n, _values_enc(f), a._enc_tensor(), a.degree)
-    coords = freelie.project_lyndon_enc(f.n, a.degree + f.degree, enc)
-    return LieElement._from_word_coords(f.n, a.degree + f.degree, coords)
+    return LieElement._from_enc(f.n, a.degree + f.degree, enc)
 
 
 def der_bracket(f: Derivation, g: Derivation) -> Derivation:
@@ -258,20 +227,10 @@ def der_bracket(f: Derivation, g: Derivation) -> Derivation:
             acc = _apply_values_enc(n, fe, hit[0], hit[1])
         hit = fe.get(i)
         if hit is not None:
-            for w, c in _apply_values_enc(n, ge, hit[0], hit[1]).items():
-                val = acc.get(w, 0) - c
-                if val:
-                    acc[w] = val
-                else:
-                    del acc[w]
+            add_scaled(acc, _apply_values_enc(n, ge, hit[0], hit[1]), -1)
         if acc:
-            coords = freelie.project_lyndon_enc(n, degree + 1, acc)
-            elt = LieElement._from_word_coords(n, degree + 1, coords)
-            if not elt.is_zero():
-                values[i] = elt
-    res = Derivation(n, degree)
-    res.values = values
-    return res
+            values[i] = LieElement._from_enc(n, degree + 1, acc)
+    return Derivation._unchecked(n, degree, values)
 
 
 def contract(f: Derivation) -> TensorElement:
@@ -303,38 +262,12 @@ def trace_J(f: Derivation) -> JElement:
     if f.degree != 4:
         raise ValueError("trace_J needs a degree-4 derivation")
     n = f.n
-    phi = contract(f)
     acc: dict = {}
     mod = cyclic.JModule.get(n)
-    w = len(mod.pairs)
-    for (v, ww, x, y), coeff in phi.terms.items():
-        f1 = _j_col(mod, v, x, ww, y)
-        if f1 is not None:
-            col, sgn = f1
-            val = acc.get(col, 0) + coeff * sgn
-            if val:
-                acc[col] = val
-            else:
-                del acc[col]
-        f2 = _j_col(mod, v, y, ww, x)
-        if f2 is not None:
-            col, sgn = f2
-            val = acc.get(col, 0) - 2 * coeff * sgn
-            if val:
-                acc[col] = val
-            else:
-                del acc[col]
+    for (v, w, x, y), coeff in contract(f).terms.items():
+        add_scaled(acc, mod.monomial(v, x, w, y), coeff)
+        add_scaled(acc, mod.monomial(v, y, w, x), -2 * coeff)
     return JElement(n, acc)
-
-
-def _j_col(mod, a, b, c, d):
-    wa = cyclic._wedge(a, b)
-    wb = cyclic._wedge(c, d)
-    if wa is None or wb is None:
-        return None
-    s1, p1 = wa
-    s2, p2 = wb
-    return mod.pair_index[p1] * len(mod.pairs) + mod.pair_index[p2], s1 * s2
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +330,7 @@ class _AdBlock:
         # full verification: the solved combination must reproduce the input
         check: dict = {}
         for c, row in zip(coeffs, self.rows):
-            if not c:
-                continue
-            for w, v in row.items():
-                val = check.get(w, 0) + c * v
-                if val:
-                    check[w] = val
-                else:
-                    del check[w]
+            add_scaled(check, row, c)
         if check != tdict:
             raise ArithmeticError("component is outside the tangential block")
         return {u: c for u, c in zip(self.us, coeffs) if c}
@@ -474,28 +400,20 @@ def p_coordinates(f: Derivation) -> dict:
     return out
 
 
-def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
-    """Inverse of p_coordinates."""
+def p_expand_enc(n: int, coords: dict) -> dict:
+    """Encoded values {i: sum of c [u, x_i]} of p-coordinates {(i, u): c}; no empty value."""
     by_i: dict = {}
     for (i, u), c in coords.items():
-        if not c:
-            continue
-        acc = by_i.setdefault(i, {})
-        for w, v in ad_enc(n, u, i).items():
-            val = acc.get(w, 0) + c * v
-            if val:
-                acc[w] = val
-            else:
-                del acc[w]
-    values = {}
-    for i, enc in by_i.items():
-        coords_w = freelie.project_lyndon_enc(n, k + 1, enc)
-        elt = LieElement._from_word_coords(n, k + 1, coords_w)
-        if not elt.is_zero():
-            values[i] = elt
-    res = Derivation(n, k)
-    res.values = values
-    return res
+        add_scaled(by_i.setdefault(i, {}), ad_enc(n, u, i), c)
+    return {i: enc for i, enc in by_i.items() if enc}
+
+
+def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
+    """Inverse of p_coordinates."""
+    values = {
+        i: LieElement._from_enc(n, k + 1, enc) for i, enc in p_expand_enc(n, coords).items()
+    }
+    return Derivation._unchecked(n, k, values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from lietrace import cli
 from lietrace.cli import main
+
+# exact stdout of a few fast commands in every format; a refactor must leave
+# every byte alone, so change this file only with an intended output change
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 def run_cli(args, capsys):
@@ -121,6 +128,19 @@ def test_usage_errors(capsys):
     ):
         code, out, _ = run_cli(args, capsys)
         assert code == 1 and out == "", args
+    # out-of-range input is refused with a message, never answered as an empty table
+    for args in (
+        ["trace", "--n", "0", "--k", "2"],
+        ["witt", "--n", "5..3", "--k", "2"],
+        ["ranks", "--n", "3", "--k", "3..1"],
+        ["image", "--n", "3", "--k", "0"],
+        ["n3gap", "--kmax", "0"],
+        ["calpha", "--k", "6", "--threads", "-3"],
+        ["calpha", "--k", "6", "--threads", "0"],
+        ["table8", "--kmax", "6", "--threads", "0"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == "" and err.startswith(("usage error:", "error:")), args
 
 
 def test_calpha_alpha_must_sum_to_k(capsys):
@@ -154,3 +174,8 @@ def test_big_integers_serialized_as_strings():
     assert doc.to_json_obj()["rows"][0][0] == str(2**60)
     doc = cli.TableDocument("t", ["v"], [[2**40]], "p")
     assert doc.to_json_obj()["rows"][0][0] == 2**40
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_output_pinned_byte_for_byte(argv, capsys):
+    assert run_cli(argv.split(), capsys) == (0, GOLDEN[argv], "")

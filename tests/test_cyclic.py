@@ -39,6 +39,12 @@ def test_necklace_rejects_noncanonical():
         Necklace((2, 1))
 
 
+def test_rotations_of_one_necklace_add_up():
+    e = CyclicElement(3, 2, {(1, 2): 1, (2, 1): 1})
+    assert e.terms == {Necklace((1, 2)): 2}
+    assert CyclicElement(3, 2, [((1, 2), 1), ((2, 1), -1)]).is_zero()
+
+
 def test_project_examples():
     e = LieElement(2, 2, {hall_basis(2, 2)[0]: 1})
     assert project_cyclic(embed_tensor(e)).is_zero()

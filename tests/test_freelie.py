@@ -129,6 +129,61 @@ def test_lie_from_tensor_rejects_non_lie():
         lie_from_tensor(TensorElement(2, 2, {(1, 2): 1}))
 
 
+def test_coefficients_are_exact_not_truncated():
+    from fractions import Fraction
+
+    from lietrace.freelie import TensorElement
+
+    e = normalize((1, 2), 3)
+    for scalar in (0.5, 2.7, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            scalar * e
+    with pytest.raises(TypeError):
+        "2" * e
+    with pytest.raises(ValueError):
+        TensorElement(3, 2, {(1, 2): 1.7})
+    with pytest.raises(ValueError):
+        LieElement(3, 2, {(1, 2): Fraction(3, 2)})
+    # integral values of other numeric types are exact and accepted
+    assert 2.0 * e == Fraction(4, 2) * e == e + e
+    assert TensorElement(3, 2, {(1, 2): 3.0}).terms == {(1, 2): 3}
+
+
+def test_mixed_element_types_do_not_add():
+    from lietrace.cyclic import CyclicElement
+    from lietrace.freelie import TensorElement
+
+    lie = normalize((1, 2), 3)
+    tensor = TensorElement(3, 2, {(1, 2): 1})
+    cyc = CyclicElement(3, 2, {(1, 2): 1})
+    for a, b in ((lie, tensor), (tensor, lie), (tensor, cyc), (cyc, tensor)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+        assert a != b
+    with pytest.raises(ValueError):
+        lie + normalize((1, 2), 4)  # same type, other alphabet
+    with pytest.raises(ValueError):
+        tensor + TensorElement(3, 3, {(1, 2, 3): 1})  # same type, other degree
+
+
+def test_element_operators_share_one_meaning():
+    from lietrace.cyclic import CyclicElement
+    from lietrace.freelie import TensorElement
+
+    for elt in (
+        normalize(((1, 2), 3), 3),
+        TensorElement(3, 2, {(1, 2): 2, (2, 1): -1}),
+        CyclicElement(3, 3, {(1, 2, 3): 2, (2, 1, 3): -5}),
+    ):
+        assert (elt - elt).is_zero() and not (elt - elt)
+        assert elt + elt == 2 * elt == -(-2 * elt)
+        assert hash(elt + elt) == hash(2 * elt)
+        assert (0 * elt).is_zero() and repr(0 * elt) == "0"
+    assert repr(TensorElement(3, 2, {(2, 1): -2, (1, 2): 1})) == "1*12 - 2*21"
+
+
 small_elt = st.builds(
     lambda coeffs: _random_elt(3, 2, coeffs),
     st.lists(st.integers(-3, 3), min_size=3, max_size=3),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -100,6 +101,33 @@ def test_p_coordinates_rejects_non_tangential():
     f = Derivation(3, 2, {1: normalize(((1, 2), 3), 3)})
     with pytest.raises(ArithmeticError):
         p_coordinates(f)
+
+
+def test_derivation_coefficients_are_exact():
+    n = 3
+    f = tau1_generator(n, 1, 2)
+    with pytest.raises(ValueError):
+        0.5 * f
+    with pytest.raises(ValueError):
+        2.7 * f
+    assert 2.0 * f == f + f
+    assert (f - f).is_zero() and (f - f).values == {}
+    with pytest.raises(TypeError):
+        Derivation(n, 1, {1: 1})  # values must be Lie elements
+    with pytest.raises(TypeError):
+        f + normalize((2, 1), n)
+    assert repr(f - 2 * tau1_generator(n, 2, 1)) == (
+        "x1* (x) (- 1*[x1,x2]) + x2* (x) (- 2*[x1,x2])"
+    )
+
+
+def test_j_elements_keep_rational_coefficients():
+    half = Fraction(1, 2) * j_project(4, 1, 2, 3, 4)
+    assert half + half == j_project(4, 1, 2, 3, 4)
+    assert 0.5 * j_project(4, 1, 2, 3, 4) == half
+    assert set(half.coords.values()) == {Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        half + normalize((1, 2), 4)
 
 
 def test_contract_examples():
