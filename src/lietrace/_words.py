@@ -422,19 +422,3 @@ def euler_phi(m: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def factor(m: int) -> dict:
-    """Prime factorization as {prime: exponent}; trial division is plenty here."""
-    if m < 1:
-        raise ValueError("factor needs m >= 1")
-    out: dict = {}
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out

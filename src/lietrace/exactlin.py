@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import _words
 from ._words import InconsistencyError, add_scaled
 
 
@@ -347,110 +346,38 @@ def _dense_int_rows(rows, ncols=None):
     return dense, ncols
 
 
-def smith_normal_form(rows, ncols=None, transforms=False):
-    """Elementary divisors d1 | d2 | ... of an integer matrix.
+def smith_normal_form(rows, ncols=None):
+    """Elementary divisors d1 | d2 | ... of an integer matrix, all positive.
 
-    Returns the list of nonzero divisors, all positive.  With
-    ``transforms=True`` returns ``(divisors, U, V)`` where ``U @ A @ V`` is the
-    diagonal Smith form (U, V unimodular, as dense lists).
+    Alternates Hermite forms of the matrix and of its transpose until every
+    row has one nonzero entry (Kannan-Bachem); that diagonal is then merged
+    into a divisibility chain.
     """
     a, ncols = _dense_int_rows(rows, ncols)
-    m = len(a)
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else None
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if transforms else None
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        for c in range(ncols):
-            ai[c] -= q * aj[c]
-        if u is not None:
-            ui, uj = u[i], u[j]
-            for c in range(m):
-                ui[c] -= q * uj[c]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in a:
-            r[i] -= q * r[j]
-        if v is not None:
-            for r in v:
-                r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    t = 0
-    limit = min(m, ncols)
-    while t < limit:
-        best = None
-        for i in range(t, m):
-            ai = a[i]
-            for j in range(t, ncols):
-                val = ai[j]
-                if val and (best is None or abs(val) < best[0]):
-                    best = (abs(val), i, j)
-        if best is None:
+    while True:
+        a = _hermite(a, ncols)
+        if all(row.count(0) == ncols - 1 for row in a):
             break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            # clear the pivot column, then the pivot row, with Euclidean steps
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility of the trailing block by the pivot
-            piv = a[t][t]
-            culprit = None
-            for i in range(t + 1, m):
-                ai = a[i]
-                for j in range(t + 1, ncols):
-                    if ai[j] % piv:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            row_op(t, culprit, -1)
-        if a[t][t] < 0:
-            for j in range(ncols):
-                a[t][j] = -a[t][j]
-            if u is not None:
-                for j in range(m):
-                    u[t][j] = -u[t][j]
-        t += 1
-    divisors = [a[i][i] for i in range(t) if a[i][i]]
+        a, ncols = [list(col) for col in zip(*a)], len(a)
+    divisors = _divisor_chain(x for row in a for x in row)
     for x, y in zip(divisors, divisors[1:]):
         if y % x:
             raise InconsistencyError("Smith invariant factors do not divide in chain")
-    if transforms:
-        return divisors, u, v
     return divisors
+
+
+def _divisor_chain(diagonal):
+    """Invariant-factor chain of a diagonal: Z/a + Z/b = Z/gcd + Z/lcm pairwise."""
+    d = [abs(int(x)) for x in diagonal if x]
+    for i, di in enumerate(d):
+        if di == 1:
+            continue
+        for j in range(i + 1, len(d)):
+            g = gcd(di, d[j])
+            d[j] = di // g * d[j]
+            di = g
+        d[i] = di
+    return d
 
 
 def quotient_structure(ambient_dim: int, subgroup_gens) -> QuotientStructure:
@@ -468,21 +395,7 @@ def quotient_structure(ambient_dim: int, subgroup_gens) -> QuotientStructure:
 
 def invariant_factors_from_parts(parts) -> tuple:
     """Invariant-factor chain of a direct sum of cyclic groups Z/d."""
-    by_prime: dict = {}
-    for d in parts:
-        d = int(d)
-        if d <= 1:
-            continue
-        for p, e in _words.factor(d).items():
-            by_prime.setdefault(p, []).append(e)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    chain = [1] * depth
-    for p, exps in by_prime.items():
-        exps.sort()
-        for slot, e in enumerate(exps):
-            # largest exponents land in the last invariant factor
-            chain[depth - len(exps) + slot] *= p**e
-    return tuple(chain)
+    return tuple(d for d in _divisor_chain(parts) if d > 1)
 
 
 def hermite_row_reduce(rows, ncols):
@@ -491,7 +404,12 @@ def hermite_row_reduce(rows, ncols):
     Returns dense rows with positive pivots, entries above each pivot reduced
     to the range [0, pivot).  Zero rows are dropped.
     """
-    a, ncols = _dense_int_rows(rows, ncols)
+    return _hermite(*_dense_int_rows(rows, ncols))
+
+
+def _hermite(a, ncols):
+    """Hermite form of the dense int rows a, reduced in place; see hermite_row_reduce."""
+    a = [row for row in a if any(row)]
     m = len(a)
     r = 0
     for c in range(ncols):
@@ -506,7 +424,6 @@ def hermite_row_reduce(rows, ncols):
                 ai, ab = a[i], a[base]
                 for j in range(ncols):
                     ai[j] -= q * ab[j]
-        live = [i for i in range(r, m) if a[i][c]]
         if not live:
             continue
         i = live[0]
@@ -521,7 +438,7 @@ def hermite_row_reduce(rows, ncols):
                 for j in range(ncols):
                     ai[j] -= q * ar[j]
         r += 1
-    return [row for row in a[:r] if any(row)]
+    return a[:r]
 
 
 def integer_kernel_basis(rows, ncols):
@@ -537,10 +454,4 @@ def integer_kernel_basis(rows, ncols):
         row = [a[i][j] for i in range(m)] + [0] * ncols_a
         row[m + j] = 1
         stacked.append(row)
-    reduced = hermite_row_reduce(stacked, m + ncols_a)
-    kernel = []
-    for row in reduced:
-        if any(row[:m]):
-            continue
-        kernel.append(row[m:])
-    return kernel
+    return [row[m:] for row in _hermite(stacked, m + ncols_a) if not any(row[:m])]

@@ -369,13 +369,7 @@ def z1_basis(p: Presentation, action: LatticeAction):
     relator conditions; saturated, so quotients by coboundaries are exact."""
     action.validate(p)
     rows, ncols = cocycle_condition_matrix(p, action)
-    dense = []
-    for row in rows:
-        out = [0] * ncols
-        for c, v in row.items():
-            out[c] = v
-        dense.append(out)
-    return exactlin.integer_kernel_basis(dense, ncols), ncols
+    return exactlin.integer_kernel_basis(rows, ncols), ncols
 
 
 def _express_in_rows(basis_rows, target):
