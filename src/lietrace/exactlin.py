@@ -311,6 +311,8 @@ class QuotientStructure:
 
 
 def _as_int(v):
+    if type(v) is int:  # the common case; skips the slower Fraction ABC check
+        return v
     if isinstance(v, Fraction):
         if v.denominator != 1:
             raise ValueError(f"entry {v} is not an integer")

@@ -303,9 +303,6 @@ class LieElement(SparseCombination):
         coords = project_lyndon_enc(n, degree, enc)
         return cls._unchecked(n, degree, {HallMonomial(n, w): c for w, c in coords.items()})
 
-    def word_coords(self) -> dict:
-        return {m.word: c for m, c in self.terms.items()}
-
     def _enc_tensor(self) -> dict:
         out: dict = {}
         for mono, coeff in self.terms.items():

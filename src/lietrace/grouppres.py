@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactlin
-from ._words import InconsistencyError
+from ._words import InconsistencyError, add_scaled
 from .exactlin import QuotientStructure
 
 
@@ -235,18 +235,9 @@ class LatticeAction:
     def inverse(self, g):
         return _mat_inv(self.matrix(g))
 
-    def word_matrix(self, word):
-        m = _identity(self.rank)
-        for g, e in word:
-            m = _mat_mul(m, self.matrix(g) if e == 1 else self.inverse(g))
-        return m
-
     def validate(self, p: Presentation):
         """Every relator must act as the identity for the action to be defined."""
-        ident = _identity(self.rank)
-        for rel in p.relators:
-            if self.word_matrix(rel) != ident:
-                raise InconsistencyError(f"relator {rel!r} does not act trivially")
+        cocycle_condition_matrix(p, self)
 
 
 def _transposition_matrix(n, p):
@@ -329,82 +320,65 @@ def cocycle_condition_matrix(p: Presentation, action: LatticeAction):
     """Rows of the linear system cutting out the cocycles inside Z^(gens*rank).
 
     Unknown layout: generator g_j occupies columns j*rank .. j*rank + rank - 1.
+    Raises InconsistencyError when a relator does not act as the identity,
+    since then the action does not define a module over the group.
     """
     r = action.rank
+    ident = _identity(r)
     gidx = {g: j for j, g in enumerate(p.generators)}
+    inverses = {}
     rows = []
     for rel in p.relators:
-        # coefficient of f(g) accumulated along the word
-        coeff = {}
-        prefix = _identity(r)
+        # row t: coefficients of the t-th entry of f(rel) in terms of the f(g)
+        rel_rows = [{} for _ in range(r)]
+        prefix = ident
         for g, e in rel:
             if e == 1:
                 block = prefix
                 prefix = _mat_mul(prefix, action.matrix(g))
             else:
-                prefix = _mat_mul(prefix, action.inverse(g))
-                block = tuple(tuple(-x for x in row) for row in prefix)
-            old = coeff.get(g)
-            coeff[g] = (
-                block
-                if old is None
-                else tuple(
-                    tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(old, block)
-                )
-            )
-        for out_row in range(r):
-            row = {}
-            for g, block in coeff.items():
-                base = gidx[g] * r
-                for col in range(r):
-                    val = block[out_row][col]
-                    if val:
-                        row[base + col] = val
-            rows.append(row)
+                inv = inverses.get(g)
+                if inv is None:
+                    inv = inverses[g] = action.inverse(g)
+                prefix = block = _mat_mul(prefix, inv)
+            base = gidx[g] * r
+            for row, brow in zip(rel_rows, block):
+                add_scaled(row, {base + col: v for col, v in enumerate(brow) if v}, e)
+        if prefix != ident:
+            raise InconsistencyError(f"relator {rel!r} does not act trivially")
+        rows.extend(rel_rows)
     return rows, len(p.generators) * r
 
 
 def z1_basis(p: Presentation, action: LatticeAction):
     """Basis of the lattice of cocycles, from the integer kernel of the
     relator conditions; saturated, so quotients by coboundaries are exact."""
-    action.validate(p)
     rows, ncols = cocycle_condition_matrix(p, action)
     return exactlin.integer_kernel_basis(rows, ncols), ncols
 
 
-def _express_in_rows(basis_rows, target):
-    """Integer coordinates of target in a Hermite-form row basis."""
-    coeffs = [0] * len(basis_rows)
-    work = list(target)
-    lead = [next(j for j, v in enumerate(row) if v) for row in basis_rows]
-    for idx, row in enumerate(basis_rows):
-        piv = lead[idx]
-        if work[piv] == 0:
-            continue
-        if work[piv] % row[piv]:
-            raise InconsistencyError("vector outside the cocycle lattice")
-        q = work[piv] // row[piv]
-        coeffs[idx] = q
-        work = [a - q * b for a, b in zip(work, row)]
-    if any(work):
-        raise InconsistencyError("vector outside the cocycle lattice")
-    return coeffs
-
-
 def h1_twisted(p: Presentation, action: LatticeAction) -> QuotientStructure:
-    """First cohomology with coefficients in the lattice action: Z1/B1."""
+    """First cohomology with coefficients in the lattice action: Z1/B1.
+
+    Z1 is saturated in the ambient Z^N, so Z^N/Z1 is free and
+    Z^N/B1 = Z1/B1 + Z^N/Z1: one Smith form of the coboundaries in ambient
+    coordinates gives the torsion, and the free rank is rank Z1 - rank B1.
+    """
     kernel, ncols = z1_basis(p, action)
-    basis = exactlin.hermite_row_reduce(kernel, ncols)
+    z1 = exactlin.IncrementalSpan(ncols)
+    for row in kernel:
+        z1.insert(row)
     r = action.rank
-    principal_rows = []
+    coboundaries = []
     for t in range(r):
-        v = tuple(int(i == t) for i in range(r))
-        f = principal_cocycle(action, p, v)
-        vec = []
-        for g in p.generators:
-            vec.extend(f.value(g))
-        principal_rows.append(_express_in_rows(basis, vec))
-    return exactlin.quotient_structure(len(basis), principal_rows)
+        f = principal_cocycle(action, p, tuple(int(i == t) for i in range(r)))
+        vec = [x for g in p.generators for x in f.value(g)]
+        # membership over Q suffices: Z1 is saturated
+        if not z1.contains(vec):
+            raise InconsistencyError("coboundary outside the cocycle lattice")
+        coboundaries.append(vec)
+    divisors = exactlin.smith_normal_form(coboundaries, ncols)
+    return QuotientStructure(len(kernel) - len(divisors), tuple(d for d in divisors if d > 1))
 
 
 def abelianization(p: Presentation) -> QuotientStructure:
@@ -412,9 +386,9 @@ def abelianization(p: Presentation) -> QuotientStructure:
     gidx = {g: j for j, g in enumerate(p.generators)}
     rows = []
     for rel in p.relators:
-        row = [0] * len(p.generators)
+        row: dict = {}
         for g, e in rel:
-            row[gidx[g]] += e
+            add_scaled(row, {gidx[g]: e})
         rows.append(row)
     return exactlin.quotient_structure(len(p.generators), rows)
 

@@ -17,7 +17,6 @@ from math import factorial, lcm
 
 from . import _words, exactlin, freelie, tangent
 from ._words import (
-    add_scaled,
     compositions,
     lyndon_by_content,
     necklaces_of_content,
@@ -140,19 +139,11 @@ class _ImageEngine:
         solver = AdSolver.get(n, nxt)
         accepted = []
         for pdict, beta in self.levels[m - 1]:
-            venc = tangent.p_expand_enc(n, pdict)
-            venc_typed = {i: (d, m + 1) for i, d in venc.items()}
+            venc = {i: (d, m + 1) for i, d in tangent.p_expand_enc(n, pdict).items()}
             for a, b in self.gens:
-                comps: dict = {}
-                for t, tdict in venc.items():
-                    hit = tangent._apply_gen_enc(n, a, b, tdict, m + 1)
-                    if hit:
-                        comps[t] = {w: -c for w, c in hit.items()}
-                gen_img = {b * base + a: 1, a * base + b: -1}
-                lead = tangent._apply_values_enc(n, venc_typed, gen_img, 2)
-                if lead:
-                    if not add_scaled(comps.setdefault(a, {}), lead):
-                        del comps[a]
+                # [v, D_ab] with D_ab: x_a -> [x_b, x_a]
+                gen = {a: ({b * base + a: 1, a * base + b: -1}, 2)}
+                comps = tangent._bracket_enc(n, venc, gen)
                 ucontent = list(beta)
                 ucontent[b - 1] += 1
                 ucontent = tuple(ucontent)

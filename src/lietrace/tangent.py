@@ -175,33 +175,6 @@ def _apply_values_enc(n, values_enc, tdict, length):
     return out
 
 
-def _apply_gen_enc(n, a, b, tdict, length):
-    """Fast path for a degree-1 tangential generator: x_a -> [x_b, x_a]."""
-    base = n + 1
-    out: dict = {}
-    for word, coeff in tdict.items():
-        rest = word
-        for pos in range(length - 1, -1, -1):
-            rest, letter = divmod(rest, base)
-            if letter != a:
-                continue
-            lowlen = length - 1 - pos
-            lowmod = base**lowlen
-            low = word % lowmod
-            high = word // (lowmod * base)
-            hshift = base * base * lowmod
-            ba = (b * base + a) * lowmod
-            ab = (a * base + b) * lowmod
-            headed = high * hshift
-            for key, sgn in ((headed + ba + low, coeff), (headed + ab + low, -coeff)):
-                val = out.get(key, 0) + sgn
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-    return out
-
-
 def apply(f: Derivation, a: LieElement) -> LieElement:
     """Leibniz extension of f; output degree is deg(a) + deg(f)."""
     if f.n != a.n:
@@ -212,13 +185,12 @@ def apply(f: Derivation, a: LieElement) -> LieElement:
     return LieElement._from_enc(f.n, a.degree + f.degree, enc)
 
 
-def der_bracket(f: Derivation, g: Derivation) -> Derivation:
-    """Commutator bracket [f, g] = f o g - g o f on generator images."""
-    if f.n != g.n:
-        raise ValueError("mixed alphabets")
-    n = f.n
-    fe, ge = _values_enc(f), _values_enc(g)
-    degree = f.degree + g.degree
+def _bracket_enc(n, fe, ge) -> dict:
+    """Encoded values {i: tensor dict} of [f, g] = f o g - g o f; no empty value.
+
+    fe and ge map a generator index to (encoded image, image degree), as
+    _values_enc returns them.
+    """
     values = {}
     for i in range(1, n + 1):
         acc: dict = {}
@@ -229,7 +201,20 @@ def der_bracket(f: Derivation, g: Derivation) -> Derivation:
         if hit is not None:
             add_scaled(acc, _apply_values_enc(n, ge, hit[0], hit[1]), -1)
         if acc:
-            values[i] = LieElement._from_enc(n, degree + 1, acc)
+            values[i] = acc
+    return values
+
+
+def der_bracket(f: Derivation, g: Derivation) -> Derivation:
+    """Commutator bracket [f, g] = f o g - g o f on generator images."""
+    if f.n != g.n:
+        raise ValueError("mixed alphabets")
+    n = f.n
+    degree = f.degree + g.degree
+    values = {
+        i: LieElement._from_enc(n, degree + 1, acc)
+        for i, acc in _bracket_enc(n, _values_enc(f), _values_enc(g)).items()
+    }
     return Derivation._unchecked(n, degree, values)
 
 

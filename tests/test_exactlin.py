@@ -182,6 +182,16 @@ def test_smith_matches_minor_gcd_oracle(rows):
         assert b % a == 0
 
 
+def test_normal_forms_reject_non_integer_entries():
+    for bad in (True, 0.5, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            hermite_row_reduce([[bad, 1]], 2)
+        with pytest.raises(ValueError):
+            smith_normal_form([{0: bad}], 2)
+    assert hermite_row_reduce([[Fraction(4, 2), 0]], 2) == [[2, 0]]
+    assert smith_normal_form([{1: Fraction(4, 2)}], 2) == [2]
+
+
 def test_quotient_examples():
     q = quotient_structure(2, [[2, 0]])
     assert q == QuotientStructure(1, (2,))

@@ -151,6 +151,12 @@ def test_h1_trivial_coefficients():
     p = builtin("mccool", 3)
     q = h1_twisted(p, trivial_action(p))
     assert q == QuotientStructure(6)
+    # H^1(G; Z) = Hom(G^ab, Z), read off the abelianization instead
+    kinds = ("bp", "braid", "symmetric", "mccool")
+    presentations = [builtin(kind, n) for kind in kinds for n in (3, 4, 5)]
+    presentations.append(parse_presentation("a b c\na b a^-1 b^-1\nb^2 c^4\nc^6 a^3\n"))
+    for p in presentations:
+        assert h1_twisted(p, trivial_action(p)) == QuotientStructure(abelianization(p).free_rank), p
 
 
 def test_abelianizations():
@@ -167,7 +173,7 @@ def test_h2_values_and_consistency():
     assert h2_psigma_rank(5) == 150
 
 
-def test_bad_action_detected():
+def test_bad_action_detected(monkeypatch):
     p = builtin("symmetric", 3)
     bad = LatticeAction(1, {g: ((2,),) for g in p.generators})
     with pytest.raises(ValueError):
@@ -181,6 +187,17 @@ def test_bad_action_detected():
     p2 = Presentation(("a",), ((("a", 1),),))
     with pytest.raises(InconsistencyError):
         LatticeAction(1, {"a": ((-1,),)}).validate(p2)
+    with pytest.raises(InconsistencyError):
+        z1_basis(p2, LatticeAction(1, {"a": ((-1,),)}))
+    with pytest.raises(InconsistencyError):
+        h1_twisted(p2, LatticeAction(1, {"a": ((-1,),)}))
+    # a cocycle lattice that misses the coboundaries is caught, not quotiented
+    from lietrace import grouppres
+
+    empty_z1 = lambda p, action: ([], len(p.generators) * action.rank)
+    monkeypatch.setattr(grouppres, "z1_basis", empty_z1)
+    with pytest.raises(InconsistencyError, match="outside the cocycle lattice"):
+        h1_twisted(builtin("symmetric", 3), standard_action("symmetric", 3))
 
 
 def test_presentation_text_roundtrip():
