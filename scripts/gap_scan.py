@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Scan the gap between the degree-1 generated span and the trace kernel.
 
-The degree-8 step at n=3 takes a few minutes; lower --kmax for a quick look.
+The degree-8 step at n=3 takes about 15 s on a 2-vCPU VM with Python 3.11;
+lower --kmax for a quick look.
 """
 
 import argparse

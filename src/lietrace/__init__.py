@@ -20,7 +20,6 @@ from .exactlin import (
     quotient_structure,
     rank,
     smith_normal_form,
-    span_insert,
 )
 from .freelie import (
     HallMonomial,

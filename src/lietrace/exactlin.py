@@ -266,6 +266,38 @@ class IncrementalSpan:
     def contains(self, vec) -> bool:
         return not self._reduce(_to_int_vec(vec, self.ncols))
 
+    def kernel(self, cols):
+        """Primitive integer basis of the right kernel of the stored rows on cols.
+
+        One vector per column of cols that holds no pivot, found by
+        fraction-free back substitution in decreasing pivot order.  Over Q the
+        stored rows span exactly the vectors on cols orthogonal to the result.
+        """
+        cols = set(cols)
+        rows = self._rows
+        if any(not cols.issuperset(row) for _, row in rows.values()):
+            raise ValueError("a stored row has a column outside cols")
+        order = sorted(rows, reverse=True)
+        basis = []
+        for free in sorted(cols.difference(rows)):
+            x = {free: 1}
+            for c in order:
+                p, row = rows[c]
+                s = _dot(row, x)
+                if s:
+                    g = gcd(s, p)
+                    if p != g:
+                        for cc in x:
+                            x[cc] *= p // g
+                    x[c] = -(s // g)
+            _make_primitive(x)
+            basis.append(x)
+        if len(basis) != len(cols) - self.dim or any(
+            _dot(row, x) for _, row in rows.values() for x in basis
+        ):
+            raise InconsistencyError("span kernel is not orthogonal to the span")
+        return basis
+
     @property
     def reduced_rows(self):
         out = []
@@ -275,9 +307,42 @@ class IncrementalSpan:
         return out
 
 
-def span_insert(s: IncrementalSpan, v):
-    """Insert v into s; returns (s, independent flag)."""
-    return s, s.insert(v)
+def _dot(a, b):
+    """Dot product of two sparse {col: value} vectors."""
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(v * b[c] for c, v in a.items() if c in b)
+
+
+def incremental_rank(rows, ncols) -> int:
+    """Rank over Q of sparse integer rows, inserted sparsest first.
+
+    Stops once the span fills every column the rows touch.  After more
+    consecutive dependent rows than the span's codimension, a verified kernel
+    K of the span (``IncrementalSpan.kernel``) certifies every later row
+    orthogonal to K as dependent, so it is skipped unreduced; a row not
+    orthogonal to K is independent: it is inserted and K is dropped.
+    """
+    rows = sorted((r for r in rows if r), key=len)
+    cols = set().union(*rows)
+    span = IncrementalSpan(ncols)
+    kernel, rejected = None, 0
+    for row in rows:
+        if span.dim == len(cols):
+            break
+        if kernel is not None:
+            if not any(_dot(row, x) for x in kernel):
+                continue
+            kernel, rejected = None, 0
+            if not span.insert(row):
+                raise InconsistencyError("row off the span kernel reduced to zero")
+        elif span.insert(row):
+            rejected = 0
+        else:
+            rejected += 1
+            if rejected > len(cols) - span.dim:
+                kernel = span.kernel(cols)
+    return span.dim
 
 
 @dataclass(frozen=True)
@@ -452,8 +517,8 @@ def integer_kernel_basis(rows, ncols):
     a, ncols_a = _dense_int_rows(rows, ncols)
     m = len(a)
     stacked = []
-    for j in range(ncols_a):
-        row = [a[i][j] for i in range(m)] + [0] * ncols_a
+    for j, col in enumerate(zip(*a) if m else [()] * ncols_a):
+        row = list(col) + [0] * ncols_a
         row[m + j] = 1
         stacked.append(row)
     return [row[m:] for row in _hermite(stacked, m + ncols_a) if not any(row[:m])]

@@ -207,17 +207,11 @@ def _block_rows(n, k, content):
 
 @lru_cache(maxsize=None)
 def _block_trace_rank(n, k, content, mode_value):
-    """Rank of the trace matrix of one block, with early stop at full width."""
-    mode = QuotientMode(mode_value)
-    width = _mode_width(content, mode)
-    if width == 0:
+    """Rank of the trace matrix of one block (see exactlin.incremental_rank)."""
+    if _mode_width(content, QuotientMode(mode_value)) == 0:
         return 0
-    span = IncrementalSpan((n + 1) ** k)
-    for _, row in _block_rows(n, k, content):
-        if row and span.insert(dict(row)):
-            if span.dim == width:
-                break
-    return span.dim
+    rows = (row for _, row in _block_rows(n, k, content))
+    return exactlin.incremental_rank(rows, (n + 1) ** k)
 
 
 def trace_rank(n: int, k: int, mode=QuotientMode.BAR) -> int:

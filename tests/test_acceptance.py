@@ -7,7 +7,6 @@ faster.
 """
 
 import itertools
-import os
 import time
 from fractions import Fraction
 from math import comb
@@ -180,10 +179,6 @@ def test_criterion_3_cr_tables_k9():
     _report(3, "c/r tables k=9", started, 1800, failures)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("LIETRACE_EXTENDED"),
-    reason="extended degree-11 spot check; set LIETRACE_EXTENDED=1",
-)
 def test_criterion_3_extended_k11():
     started = time.perf_counter()
     failures = []

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lietrace import cli
+from lietrace import cli, johnson
 from lietrace.cli import main
 
 # exact stdout of a few fast commands in every format; a refactor must leave
@@ -96,9 +96,13 @@ def test_rerun_byte_identical(capsys):
 
 
 def test_threads_do_not_change_output(capsys):
-    base = run_cli(["table8", "--kmax", "6", "--format", "csv"], capsys)
+    # clear the block-rank cache so that the threaded run computes its blocks
+    # (the rank-deficient (2,2,2,2) block included) on the pool
+    johnson._block_trace_rank.cache_clear()
+    base = run_cli(["table8", "--kmax", "8", "--format", "csv"], capsys)
+    johnson._block_trace_rank.cache_clear()
     threaded = run_cli(
-        ["table8", "--kmax", "6", "--format", "csv", "--threads", "4"], capsys
+        ["table8", "--kmax", "8", "--format", "csv", "--threads", "4"], capsys
     )
     assert base[1] == threaded[1]
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +12,13 @@ from lietrace.exactlin import (
     SparseMatrix,
     SparseVector,
     hermite_row_reduce,
+    incremental_rank,
     integer_kernel_basis,
     invariant_factors_from_parts,
     kernel_basis,
     quotient_structure,
     rank,
     smith_normal_form,
-    span_insert,
 )
 
 small_matrix = st.lists(
@@ -72,10 +73,9 @@ def test_kernel_vectors_annihilate(rows):
 
 def test_span_insert_examples():
     s = IncrementalSpan(2)
-    s, indep = span_insert(s, {0: 1})
-    assert indep
-    s, indep = span_insert(s, {0: 1})
-    assert not indep
+    assert s.insert({0: 1})
+    assert not s.insert({0: 1})
+    assert s.dim == 1
     s = IncrementalSpan(2)
     assert s.insert({0: 1, 1: 1})
     assert s.insert({0: 1, 1: -1})
@@ -135,6 +135,75 @@ def test_span_accepts_fractions():
     s = IncrementalSpan(2)
     assert s.insert(SparseVector({0: Fraction(1, 2), 1: Fraction(1, 3)}))
     assert s.contains({0: 3, 1: 2})
+
+
+def _dot(a, b):
+    return sum(v * b.get(c, 0) for c, v in a.items())
+
+
+def test_span_kernel_certificate():
+    rows = [{0: 2, 1: 4, 3: 6}, {1: 3, 2: -1, 5: 2}, {0: 1, 2: 5, 5: 1}]
+    s = IncrementalSpan(7)
+    for r in rows:
+        s.insert(r)
+    cols = {0, 1, 2, 3, 5, 6}
+    ker = s.kernel(cols)
+    assert len(ker) == len(cols) - s.dim == 3
+    for x in ker:
+        assert set(x) <= cols
+        assert gcd(*x.values()) == 1
+        assert all(_dot(r, x) == 0 for r in rows)
+    assert rank(SparseMatrix(7, ker)) == len(ker)
+    assert IncrementalSpan(3).kernel([2, 0]) == [{0: 1}, {2: 1}]
+
+
+def test_span_kernel_rejects_rows_outside_cols():
+    s = IncrementalSpan(4)
+    s.insert({0: 1, 3: 2})
+    with pytest.raises(ValueError):
+        s.kernel({0, 1, 2})
+
+
+@st.composite
+def low_rank_rows(draw):
+    """Rows of B*C with a small inner dimension, plus duplicated and scaled rows."""
+    ncols = draw(st.integers(1, 7))
+    inner = draw(st.integers(1, 3))
+    entries = st.integers(-3, 3)
+    c = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                      min_size=inner, max_size=inner))
+    b = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                      min_size=1, max_size=10))
+    rows = [[sum(x * ct[j] for x, ct in zip(brow, c)) for j in range(ncols)] for brow in b]
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                     st.sampled_from([1, -1, 2, -3])), max_size=10))
+    rows += [[f * v for v in rows[i]] for i, f in copies]
+    return ncols, [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+@given(low_rank_rows())
+def test_incremental_rank_matches_rational_rank(case):
+    ncols, rows = case
+    assert incremental_rank(rows, ncols) == rank(SparseMatrix(ncols, rows))
+
+
+def test_incremental_rank_certificate_path(monkeypatch):
+    calls = []
+    kernel = IncrementalSpan.kernel
+
+    def spy(self, cols):
+        calls.append(self.dim)
+        return kernel(self, cols)
+
+    monkeypatch.setattr(IncrementalSpan, "kernel", spy)
+    # two arithmetic progressions span every progression; four dependent rows
+    # (more than the codimension 2) bring in the kernel, and the last row,
+    # not a progression, must still be found independent
+    rows = [(1, 1, 1, 1), (1, 2, 3, 4), (2, 3, 4, 5), (3, 4, 5, 6),
+            (4, 5, 6, 7), (5, 7, 9, 11), (6, 9, 12, 15), (1, 2, 3, 5)]
+    rows = [dict(enumerate(r)) for r in rows]
+    assert incremental_rank(rows, 4) == 3
+    assert calls == [2]
 
 
 def test_smith_examples():
@@ -253,3 +322,6 @@ def test_hermite_and_integer_kernel():
     # saturation: kernel of (2, -2) over Z is generated by (1, 1), not (2, 2)
     kern = integer_kernel_basis([[2, -2]], 2)
     assert sorted(map(abs, kern[0])) == [1, 1]
+    # no rows: the kernel is all of Z^ncols
+    assert integer_kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert integer_kernel_basis([[0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
