@@ -14,8 +14,6 @@ from .cyclic import (
 from .exactlin import (
     IncrementalSpan,
     QuotientStructure,
-    SparseMatrix,
-    SparseVector,
     kernel_basis,
     quotient_structure,
     rank,

@@ -172,8 +172,7 @@ class JModule:
                         if row:
                             rows.add(row)
         self._relations = sorted(rows)
-        matrix = exactlin.SparseMatrix(self.size, [dict(r) for r in self._relations])
-        pivots, reduced = exactlin.rref(matrix)
+        pivots, reduced = exactlin.rref([dict(r) for r in self._relations], self.size)
         self._pivots = pivots
         self._pivot_rows = dict(zip(pivots, reduced))
         self.rank = self.size - len(pivots)

@@ -4,6 +4,12 @@ Ranks, kernels, incremental row spans, Smith and Hermite normal forms, and
 structures of finitely generated abelian quotients.  All arithmetic is
 arbitrary precision (``int`` / ``fractions.Fraction``); no floating point is
 used anywhere, so every reported number is exact.
+
+Every entry point takes plain rows: {col: value} dicts or dense lists.  They
+are checked in one place, ``_to_int_vec``: columns must be ``int`` in
+0..ncols-1 and values ``int`` or ``Fraction``, so floats and bools raise
+``ValueError``.  The rational routines (``rref``, ``rank``, ``kernel_basis``,
+``IncrementalSpan``) clear denominators; the integer normal forms refuse them.
 """
 
 from __future__ import annotations
@@ -16,86 +22,17 @@ from math import gcd, lcm
 from ._words import InconsistencyError, add_scaled
 
 
-class SparseVector:
-    """Sparse rational vector; zero entries are never stored."""
+def rref(rows, ncols):
+    """Reduced row echelon form over Q: (pivot columns, reduced rows).
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=()):
-        data = entries.items() if isinstance(entries, dict) else entries
-        self.entries = {}
-        for col, val in data:
-            f = val if isinstance(val, Fraction) else Fraction(val)
-            if f:
-                self.entries[int(col)] = f
-
-    @classmethod
-    def from_dense(cls, values):
-        return cls({i: v for i, v in enumerate(values)})
-
-    def get(self, col, default=Fraction(0)):
-        return self.entries.get(col, default)
-
-    def items(self):
-        return self.entries.items()
-
-    def is_zero(self):
-        return not self.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        if isinstance(other, SparseVector):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
-
-    def __repr__(self):
-        inner = ", ".join(f"{c}: {v}" for c, v in sorted(self.entries.items()))
-        return f"SparseVector({{{inner}}})"
-
-
-class SparseMatrix:
-    """A list of sparse rows with a fixed column count."""
-
-    __slots__ = ("ncols", "rows")
-
-    def __init__(self, ncols: int, rows=()):
-        self.ncols = int(ncols)
-        self.rows = []
-        for row in rows:
-            if not isinstance(row, SparseVector):
-                row = SparseVector(row)
-            if row.entries and (max(row.entries) >= self.ncols or min(row.entries) < 0):
-                raise ValueError("row has entries outside 0..ncols-1")
-            self.rows.append(row)
-
-    @classmethod
-    def from_dense(cls, rows):
-        rows = list(rows)
-        ncols = max((len(r) for r in rows), default=0)
-        return cls(ncols, [SparseVector.from_dense(r) for r in rows])
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols})"
-
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over Q.
-
-    Returns (pivot columns, reduced rows); pivot rows are normalized to pivot
-    entry 1 and fully reduced against each other.  Pivot rows are chosen by
-    sparsity (fewest stored entries), ties broken by leading column and then
-    input order, which makes the output deterministic.
+    Each row is checked and cleared of denominators by ``_to_int_vec``, so
+    elimination runs over ``Fraction`` whatever the input; scaling a row keeps
+    its row space, and the RREF of a row space is unique.  The reduced rows are
+    {col: Fraction} dicts with pivot entry 1, fully reduced against each other.
+    Pivot rows are chosen by sparsity (fewest stored entries), ties broken by
+    leading column and then input order.
     """
-    work = [dict(r.entries) if isinstance(r, SparseVector) else dict(r) for r in rows]
+    work = [{c: Fraction(v) for c, v in _to_int_vec(r, ncols).items()} for r in rows]
     work = [r for r in work if r]
     pivots, done = [], []
     for col in range(ncols):
@@ -117,62 +54,53 @@ def _rref(rows, ncols):
     return pivots, done
 
 
-def rref(m: SparseMatrix):
-    """Canonical RREF of m: (pivot columns, rows as SparseVectors)."""
-    pivots, rows = _rref(m.rows, m.ncols)
-    return pivots, [SparseVector(r) for r in rows]
-
-
-def rank(m: SparseMatrix) -> int:
+def rank(rows, ncols) -> int:
     """Rank over Q, by exact rational elimination."""
-    pivots, _ = _rref(m.rows, m.ncols)
-    return len(pivots)
+    return len(rref(rows, ncols)[0])
 
 
-def kernel_basis(m: SparseMatrix):
-    """Basis of the right null space over Q; one vector per free column."""
-    pivots, rows = _rref(m.rows, m.ncols)
-    pivot_row = dict(zip(pivots, rows))
+def kernel_basis(rows, ncols):
+    """Basis of the right null space over Q as {col: Fraction} dicts; one
+    vector per free column."""
+    pivots, reduced = rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.ncols):
+    for free in range(ncols):
         if free in pivot_set:
             continue
         vec = {free: Fraction(1)}
-        for p in pivots:
-            a = pivot_row[p].get(free)
+        for p, row in zip(pivots, reduced):
+            a = row.get(free)
             if a:
                 vec[p] = -a
-        basis.append(SparseVector(vec))
+        basis.append(vec)
     return basis
 
 
-def _to_int_vec(vec, ncols):
-    """Clear denominators and drop zeros; returns a plain {col: int} dict."""
-    if isinstance(vec, SparseVector):
-        items = vec.entries.items()
-    elif isinstance(vec, dict):
-        items = vec.items()
-    else:
-        items = enumerate(vec)
+def _to_int_vec(vec, ncols, integral=False):
+    """Check a {col: value} dict or dense list; return a plain {col: int} dict.
+
+    Every column must be an ``int`` in 0..ncols-1 and every value an ``int``
+    or a ``Fraction``; floats and bools raise ``ValueError``.  Zeros are dropped
+    and denominators cleared, unless ``integral`` is set: then a value that is
+    not an integer raises instead.
+    """
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     pairs = []
     den = 1
     for col, val in items:
-        if not val:
-            continue
-        col = int(col)
-        if col < 0 or col >= ncols:
-            raise ValueError(f"index {col} out of range 0..{ncols - 1}")
-        if isinstance(val, Fraction):
-            den = lcm(den, val.denominator)
-        pairs.append((col, val))
-    out = {}
-    for col, val in pairs:
-        if isinstance(val, Fraction):
-            out[col] = int(val * den)
-        else:
-            out[col] = int(val) * den
-    return out
+        if type(val) is not int:
+            if isinstance(val, Fraction) and val.denominator != 1 and not integral:
+                den = lcm(den, val.denominator)
+            else:
+                val = _as_int(val)
+        if type(col) is not int or col < 0 or col >= ncols:
+            raise ValueError(f"index {col!r} out of range 0..{ncols - 1}")
+        if val:
+            pairs.append((col, val))
+    if den == 1:
+        return dict(pairs)
+    return {col: int(val * den) for col, val in pairs}
 
 
 def _make_primitive(v):
@@ -191,8 +119,7 @@ class IncrementalSpan:
 
     Rows are held internally as primitive integer vectors in row echelon form,
     one per pivot column; insertion order never changes the row space or the
-    final dimension.  ``reduced_rows`` exposes the pivot-normalized (pivot
-    entry 1) rational view.
+    final dimension.
     """
 
     __slots__ = ("ncols", "_rows")
@@ -298,14 +225,6 @@ class IncrementalSpan:
             raise InconsistencyError("span kernel is not orthogonal to the span")
         return basis
 
-    @property
-    def reduced_rows(self):
-        out = []
-        for lead in sorted(self._rows):
-            p, row = self._rows[lead]
-            out.append(SparseVector({c: Fraction(val, p) for c, val in row.items()}))
-        return out
-
 
 def _dot(a, b):
     """Dot product of two sparse {col: value} vectors."""
@@ -388,28 +307,22 @@ def _as_int(v):
 
 
 def _dense_int_rows(rows, ncols=None):
-    out = []
-    width = 0
-    for row in rows:
-        if isinstance(row, SparseVector):
-            row = {c: _as_int(v) for c, v in row.entries.items()}
-        if isinstance(row, dict):
-            if row and min(row) < 0:
-                raise ValueError("negative column index")
-            width = max(width, max(row, default=-1) + 1)
-            out.append({c: _as_int(v) for c, v in row.items()})
-        else:
-            row = [_as_int(v) for v in row]
-            width = max(width, len(row))
-            out.append({i: v for i, v in enumerate(row) if v})
+    """Dense int rows of {col: value} dicts or dense lists, checked by _to_int_vec.
+
+    Without ncols the width is the widest row.
+    """
+    rows = list(rows)
     if ncols is None:
-        ncols = width
-    elif width > ncols:
-        raise ValueError("row wider than ncols")
-    dense = [[0] * ncols for _ in out]
-    for i, row in enumerate(out):
-        for c, v in row.items():
-            dense[i][c] = int(v)
+        ncols = max(
+            (max(r, default=-1) + 1 if isinstance(r, dict) else len(r) for r in rows),
+            default=0,
+        )
+    dense = []
+    for row in rows:
+        out = [0] * ncols
+        for c, v in _to_int_vec(row, ncols, integral=True).items():
+            out[c] = v
+        dense.append(out)
     return dense, ncols
 
 

@@ -46,8 +46,12 @@ class Presentation:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
+        gens = set()
+        for g in self.generators:
+            if g in gens:
+                raise ValueError(f"repeated generator name {g!r}")
+            gens.add(g)
         rels = []
-        gens = set(self.generators)
         for rel in self.relators:
             rel = tuple((g, int(e)) for g, e in rel)
             for g, e in rel:

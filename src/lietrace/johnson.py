@@ -23,7 +23,7 @@ from ._words import (
     partitions,
 )
 from .cyclic import QuotientMode, cyclic_rank
-from .exactlin import IncrementalSpan, QuotientStructure, SparseMatrix
+from .exactlin import IncrementalSpan, QuotientStructure
 from .freelie import multidegree_rank
 from .tangent import AdSolver, p_rank, trace_row_enc
 
@@ -286,7 +286,7 @@ def trace_image_dim_direct(n: int, k: int) -> int:
         rows = []
         for _, row in _block_rows(n, k, content):
             rows.append({cols[w]: c for w, c in row.items()})
-        total += exactlin.rank(SparseMatrix(width, rows))
+        total += exactlin.rank(rows, width)
     return total
 
 
@@ -339,13 +339,13 @@ def _block_kernel_pcoords(n, k, content):
         for w, c in row.items():
             cols.setdefault(w, {})[j] = c
     neck_rows = [cols[w] for w in sorted(cols)]
-    kernel = exactlin.kernel_basis(SparseMatrix(len(keys), neck_rows))
+    kernel = exactlin.kernel_basis(neck_rows, len(keys))
     out = []
     for vec in kernel:
         den = 1
-        for v in vec.entries.values():
+        for v in vec.values():
             den = lcm(den, v.denominator)
-        out.append({keys[j]: int(v * den) for j, v in vec.entries.items()})
+        out.append({keys[j]: int(v * den) for j, v in vec.items()})
     return out
 
 
@@ -464,13 +464,3 @@ def n3gap_rows(kmax: int):
     for k in range(1, kmax + 1):
         rows.append([k, johnson_image(3, k).dim, trace_kernel_dim(3, k)])
     return rows
-
-
-def tables(selector: str, **params):
-    if selector == "section7":
-        return section7_rows(int(params["n"]))
-    if selector == "section8":
-        return section8_rows(int(params["kmax"]))
-    if selector == "n3gap":
-        return n3gap_rows(int(params["kmax"]))
-    raise ValueError(f"unknown table selector {selector!r}")

@@ -117,7 +117,7 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(path.read_text())["rows"] == [[2, 2, 1]]
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 1
     code, _, err = run_cli(["witt", "--n", "2"], capsys)
@@ -145,6 +145,16 @@ def test_usage_errors(capsys):
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and err.startswith(("usage error:", "error:")), args
+    # a presentation file that repeats a generator name is refused, not
+    # answered for a group with one more generator
+    path = tmp_path / "dup.txt"
+    path.write_text("a a\na a\n")
+    for args in (
+        ["abelianize", "--group", "file", "--file", str(path)],
+        ["h1", "--group", "file", "--file", str(path), "--rep", "trivial"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == "" and "repeated generator" in err, args
 
 
 def test_calpha_alpha_must_sum_to_k(capsys):

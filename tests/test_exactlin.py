@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 from lietrace.exactlin import (
     IncrementalSpan,
     QuotientStructure,
-    SparseMatrix,
-    SparseVector,
     hermite_row_reduce,
     incremental_rank,
     integer_kernel_basis,
@@ -18,6 +16,7 @@ from lietrace.exactlin import (
     kernel_basis,
     quotient_structure,
     rank,
+    rref,
     smith_normal_form,
 )
 
@@ -42,33 +41,57 @@ zero_led_matrix = st.one_of(
 
 
 def test_rank_examples():
-    assert rank(SparseMatrix.from_dense([[1, 0], [0, 1]])) == 2
-    assert rank(SparseMatrix.from_dense([[0, 0], [0, 0]])) == 0
-    assert rank(SparseMatrix.from_dense([[1, 2], [2, 4], [0, 1]])) == 2
+    assert rank([[1, 0], [0, 1]], 2) == 2
+    assert rank([[0, 0], [0, 0]], 2) == 0
+    assert rank([[1, 2], [2, 4], [0, 1]], 2) == 2
+    assert rank([{0: 1, 3: 2}, {3: 4, 0: 2}], 4) == 1
 
 
 def test_kernel_examples():
-    kb = kernel_basis(SparseMatrix.from_dense([[1, -1]]))
+    kb = kernel_basis([[1, -1]], 2)
     assert len(kb) == 1
     assert kb[0].get(0) == kb[0].get(1) != 0
-    assert kernel_basis(SparseMatrix.from_dense([[1, 0], [0, 1]])) == []
-    kb = kernel_basis(SparseMatrix.from_dense([[2, 4]]))
+    assert kernel_basis([[1, 0], [0, 1]], 2) == []
+    kb = kernel_basis([[2, 4]], 2)
     assert len(kb) == 1
     assert kb[0].get(0) / kb[0].get(1) == Fraction(-2, 1)
 
 
+def _exact(rows):
+    return all(type(v) in (int, Fraction) for row in rows for v in row.values())
+
+
+def test_rational_reference_is_exact():
+    # non-unit pivots: a float reciprocal would still pass the equalities
+    # (2.0 == 2), so _exact pins the value types
+    pivots, reduced = rref([[2, 4]], 2)
+    assert pivots == [0] and reduced == [{0: 1, 1: 2}] and _exact(reduced)
+    kb = kernel_basis([[2, 4]], 2)
+    assert kb == [{1: 1, 0: -2}] and _exact(kb)
+    pivots, reduced = rref([[3, 1], [1, 2]], 2)
+    assert pivots == [0, 1] and reduced == [{0: 1}, {1: 1}] and _exact(reduced)
+    pivots, reduced = rref([{0: 3, 2: 1}, {1: 5, 2: 2}], 3)
+    assert reduced == [{0: 1, 2: Fraction(1, 3)}, {1: 1, 2: Fraction(2, 5)}]
+    assert _exact(reduced)
+    kb = kernel_basis([{0: 3, 2: 1}, {1: 5, 2: 2}], 3)
+    assert kb == [{2: 1, 0: Fraction(-1, 3), 1: Fraction(-2, 5)}] and _exact(kb)
+    assert type(rank([[3, 1], [1, 2]], 2)) is int
+    # rows given with fractions have the same row space as their integer multiples
+    assert rref([{0: Fraction(1, 2), 1: 1}], 2) == rref([[1, 2]], 2)
+
+
 @given(small_matrix)
 def test_rank_plus_nullity(rows):
-    m = SparseMatrix.from_dense(rows)
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
+    ncols = len(rows[0])
+    assert rank(rows, ncols) + len(kernel_basis(rows, ncols)) == ncols
 
 
 @given(small_matrix)
 def test_kernel_vectors_annihilate(rows):
-    m = SparseMatrix.from_dense(rows)
-    for vec in kernel_basis(m):
-        for row in m.rows:
-            assert sum(row.get(c) * v for c, v in vec.items()) == 0
+    for vec in kernel_basis(rows, len(rows[0])):
+        assert _exact([vec])
+        for row in rows:
+            assert sum(row[c] * v for c, v in vec.items()) == 0
 
 
 def test_span_insert_examples():
@@ -86,6 +109,13 @@ def test_span_rejects_out_of_range():
     s = IncrementalSpan(2)
     with pytest.raises(ValueError):
         s.insert({5: 1})
+    # a float or bool column is refused, not truncated to a valid one
+    for col in (1.5, 1.0, True):
+        with pytest.raises(ValueError):
+            s.insert({col: 1})
+        with pytest.raises(ValueError):
+            rank([{col: 1}], 2)
+    assert s.dim == 0
 
 
 def test_span_sums_never_increase_dim():
@@ -121,20 +151,11 @@ def test_span_order_independence(rows, rnd):
         assert s2.contains({i: v for i, v in enumerate(r)})
 
 
-def test_span_reduced_rows_pivot_one():
-    s = IncrementalSpan(3)
-    s.insert({0: 2, 1: 4})
-    s.insert({1: 3, 2: 9})
-    rows = s.reduced_rows
-    assert [min(r.entries) for r in rows] == [0, 1]
-    for r in rows:
-        assert r.get(min(r.entries)) == 1
-
-
 def test_span_accepts_fractions():
     s = IncrementalSpan(2)
-    assert s.insert(SparseVector({0: Fraction(1, 2), 1: Fraction(1, 3)}))
+    assert s.insert({0: Fraction(1, 2), 1: Fraction(1, 3)})
     assert s.contains({0: 3, 1: 2})
+    assert s.contains([Fraction(3, 4), Fraction(1, 2)])
 
 
 def _dot(a, b):
@@ -153,7 +174,7 @@ def test_span_kernel_certificate():
         assert set(x) <= cols
         assert gcd(*x.values()) == 1
         assert all(_dot(r, x) == 0 for r in rows)
-    assert rank(SparseMatrix(7, ker)) == len(ker)
+    assert rank(ker, 7) == len(ker)
     assert IncrementalSpan(3).kernel([2, 0]) == [{0: 1}, {2: 1}]
 
 
@@ -184,7 +205,7 @@ def low_rank_rows(draw):
 @given(low_rank_rows())
 def test_incremental_rank_matches_rational_rank(case):
     ncols, rows = case
-    assert incremental_rank(rows, ncols) == rank(SparseMatrix(ncols, rows))
+    assert incremental_rank(rows, ncols) == rank(rows, ncols)
 
 
 def test_incremental_rank_certificate_path(monkeypatch):
@@ -259,6 +280,24 @@ def test_normal_forms_reject_non_integer_entries():
             smith_normal_form([{0: bad}], 2)
     assert hermite_row_reduce([[Fraction(4, 2), 0]], 2) == [[2, 0]]
     assert smith_normal_form([{1: Fraction(4, 2)}], 2) == [2]
+    # the span and the rational reference accept fractions, but never
+    # truncate a float or read a bool as 1
+    for bad in (True, False, 0.5, 2.7, 0.0):
+        s = IncrementalSpan(2)
+        with pytest.raises(ValueError):
+            s.insert({0: bad})
+        with pytest.raises(ValueError):
+            s.contains({1: bad})
+        with pytest.raises(ValueError):
+            rank([[bad, 1]], 2)
+        with pytest.raises(ValueError):
+            kernel_basis([{0: 1, 1: bad}], 2)
+        with pytest.raises(ValueError):
+            rref([{0: bad}], 2)
+    s = IncrementalSpan(2)
+    assert s.insert({0: Fraction(1, 2)}) and s.contains({0: 3})
+    assert rank([[Fraction(1, 2), 1]], 2) == 1
+    assert kernel_basis([[Fraction(1, 2), 1]], 2) == [{1: 1, 0: -2}]
 
 
 def test_quotient_examples():
@@ -298,18 +337,16 @@ def test_parallel_ranks_match_serial():
 
     rng = random.Random(19)
     mats = [
-        SparseMatrix.from_dense(
-            [[rng.randint(-5, 5) for _ in range(6)] for _ in range(5)]
-        )
+        [[rng.randint(-5, 5) for _ in range(6)] for _ in range(5)]
         for _ in range(12)
     ]
-    serial = [rank(m) for m in mats]
+    serial = [rank(m, 6) for m in mats]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(rank, mats))
+        threaded = list(pool.map(rank, mats, [6] * len(mats)))
     assert serial == threaded
-    serial_k = [kernel_basis(m) for m in mats]
+    serial_k = [kernel_basis(m, 6) for m in mats]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded_k = list(pool.map(kernel_basis, mats))
+        threaded_k = list(pool.map(kernel_basis, mats, [6] * len(mats)))
     assert serial_k == threaded_k
 
 

@@ -43,6 +43,11 @@ def test_bp_generator_count():
 def test_presentation_validates_generators():
     with pytest.raises(ValueError):
         Presentation(("a",), ((("b", 1),),))
+    # a repeated name would silently add a free generator: "a a / a a" is Z/2
+    with pytest.raises(ValueError, match="repeated generator"):
+        Presentation(("a", "a"), ((("a", 1), ("a", 1)),))
+    with pytest.raises(ValueError, match="repeated generator"):
+        parse_presentation("a b a\na a\n")
 
 
 @pytest.mark.parametrize("kind", ["bp", "braid", "symmetric"])

@@ -240,13 +240,6 @@ def test_n3gap_rows_small():
     assert rows == [[1, 6, 6], [2, 6, 6], [3, 16, 16], [4, 36, 36], [5, 96, 96]]
 
 
-def test_tables_dispatch():
-    assert johnson.tables("section7", n=3) == section7_rows(3)
-    assert johnson.tables("n3gap", kmax=3) == n3gap_rows(3)
-    with pytest.raises(ValueError):
-        johnson.tables("nope")
-
-
 def test_degree7_gap_localizes_to_one_content_orbit():
     """The 6-dimensional kernel/span gap at (3, 7) sits entirely in the three
     compositions with letter counts {3, 2, 2}, two dimensions each."""
