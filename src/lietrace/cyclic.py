@@ -45,7 +45,7 @@ class Necklace:
     word: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(c) for c in self.word))
+        object.__setattr__(self, "word", tuple(exact_int(c) for c in self.word))
         if not self.word:
             raise ValueError("empty necklace")
         if self.word != min_rotation(self.word):
@@ -112,6 +112,20 @@ def reduce(e: CyclicElement, mode) -> CyclicElement:
     return CyclicElement._unchecked(e.n, e.degree, terms)
 
 
+def mode_width(content, mode) -> int:
+    """Number of necklaces of one content class that survive the mode's quotient.
+
+    Each quotient keeps or kills a content class whole: bar kills the class of
+    a power x_i^k, and tilde every class in which no letter occurs once.
+    """
+    mode = QuotientMode.coerce(mode)
+    if mode is QuotientMode.BAR and sum(1 for c in content if c) == 1:
+        return 0
+    if mode is QuotientMode.TILDE and 1 not in content:
+        return 0
+    return _words.necklace_count(content)
+
+
 def cyclic_rank(n: int, k: int, mode=QuotientMode.FULL) -> int:
     """Rank of the degree-k cyclic space or of its bar/tilde quotient."""
     if n < 1 or k < 1:
@@ -126,11 +140,7 @@ def cyclic_rank(n: int, k: int, mode=QuotientMode.FULL) -> int:
         return total // k
     if mode is QuotientMode.BAR:
         return cyclic_rank(n, k, QuotientMode.FULL) - n
-    total = 0
-    for content in _words.compositions(k, n):
-        if 1 in content:
-            total += _words.necklace_count(content)
-    return total
+    return sum(mode_width(c, mode) for c in _words.compositions(k, n))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._words import InconsistencyError, add_scaled
+from ._words import InconsistencyError, add_scaled, exact_int
 
 
 def rref(rows, ncols):
@@ -272,7 +272,8 @@ class QuotientStructure:
     torsion: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "free_rank", exact_int(self.free_rank))
+        object.__setattr__(self, "torsion", tuple(exact_int(d) for d in self.torsion))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         for a, b in zip(self.torsion, self.torsion[1:]):

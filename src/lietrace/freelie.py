@@ -20,6 +20,7 @@ from ._words import (
     add_scaled,
     decode,
     encode,
+    exact_int,
     is_lyndon,
     lyndon_words,
     standard_factorization,
@@ -72,7 +73,7 @@ class Multidegree:
     counts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(exact_int(c) for c in self.counts))
         if any(c < 0 for c in self.counts):
             raise ValueError("negative count")
 
@@ -114,7 +115,7 @@ class HallMonomial:
     word: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(c) for c in self.word))
+        object.__setattr__(self, "word", tuple(exact_int(c) for c in self.word))
         if not self.word or min(self.word) < 1 or max(self.word) > self.n:
             raise ValueError("letters out of range")
         if not is_lyndon(self.word):

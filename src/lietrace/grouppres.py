@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactlin
-from ._words import InconsistencyError, add_scaled
+from ._words import InconsistencyError, add_scaled, exact_int
 from .exactlin import QuotientStructure
 
 
@@ -53,7 +53,7 @@ class Presentation:
             gens.add(g)
         rels = []
         for rel in self.relators:
-            rel = tuple((g, int(e)) for g, e in rel)
+            rel = tuple((g, exact_int(e)) for g, e in rel)
             for g, e in rel:
                 if g not in gens:
                     raise ValueError(f"relator uses undeclared generator {g!r}")
@@ -312,7 +312,7 @@ def evaluate_cocycle(f: CrossedHom, action: LatticeAction, word) -> tuple:
 
 def principal_cocycle(action: LatticeAction, p: Presentation, v) -> CrossedHom:
     """The coboundary g -> g.v - v."""
-    v = tuple(int(x) for x in v)
+    v = tuple(exact_int(x) for x in v)
     images = {
         g: tuple(a - b for a, b in zip(_mat_vec(action.matrix(g), v), v))
         for g in p.generators

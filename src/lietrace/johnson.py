@@ -6,6 +6,11 @@ generators indexed by letters b_1..b_k lives in the multidegree
 e_{b_1}+...+e_{b_k} block, and trace matrices never mix content classes.  The
 global spans still live over the full ordered basis of the degree, so sparse
 insertion automatically stays block-local.
+
+One builder, ``_trace_block``, makes the trace matrix of a content block on
+block-local necklace columns; the block rank, the rational second route, the
+integral cokernel and the kernel checks all read it.  The bar/tilde quotient
+only decides which blocks count (``cyclic.mode_width``).
 """
 
 from __future__ import annotations
@@ -15,14 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm
 
-from . import _words, exactlin, freelie, tangent
-from ._words import (
-    compositions,
-    lyndon_by_content,
-    necklaces_of_content,
-    partitions,
-)
-from .cyclic import QuotientMode, cyclic_rank
+from . import exactlin, freelie, tangent
+from ._words import compositions, exact_int, lyndon_by_content, partitions
+from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
 from .freelie import multidegree_rank
 from .tangent import AdSolver, p_rank, trace_row_enc
@@ -172,55 +172,45 @@ def johnson_image(n: int, k: int) -> ImageBasis:
 # trace matrices by content block
 
 
-def _mode_width(content, mode: QuotientMode):
-    """Number of surviving necklace columns for one content class."""
-    support = sum(1 for c in content if c)
-    if support == 0:
-        return 0
-    if mode is QuotientMode.TILDE and 1 not in content:
-        return 0
-    count = _words.necklace_count(content)
-    if mode is QuotientMode.BAR and support == 1:
-        return 0
-    return count
+def _trace_block(n, k, content):
+    """Trace matrix of one content block: (keys, rows, ncols).
 
-
-def _block_keys(n, k, content):
-    """Basis labels (i, u) of one content block, in global basis order."""
+    keys are the basis labels (i, u) of the block in global basis order, and
+    rows[j] is the full trace of keys[j] on block-local necklace columns,
+    numbered 0..ncols-1 in first-seen order.  Above degree 1 the row of a
+    letter i absent from u is zero, so it is not computed.  The necklace-code
+    memo lives for this one block: every closed word has the block's content.
+    """
     words = lyndon_by_content(n, k).get(content, ())
-    out = []
+    necks: dict = {}
+    cols: dict = {}
+    keys, rows = [], []
     for i in range(1, n + 1):
         for u in words:
             if k == 1 and u == (i,):
                 continue
-            out.append((i, u))
-    return out
-
-
-def _block_rows(n, k, content):
-    """(key, encoded trace row) pairs; rows of letters absent from u are zero."""
-    rows = []
-    for (i, u) in _block_keys(n, k, content):
-        rows.append(((i, u), trace_row_enc(n, k, u, i) if content[i - 1] else {}))
-    return rows
+            row = trace_row_enc(n, k, u, i, necks) if content[i - 1] or k == 1 else {}
+            keys.append((i, u))
+            rows.append({cols.setdefault(w, len(cols)): c for w, c in row.items()})
+    return keys, rows, len(cols)
 
 
 @lru_cache(maxsize=None)
-def _block_trace_rank(n, k, content, mode_value):
-    """Rank of the trace matrix of one block (see exactlin.incremental_rank)."""
-    if _mode_width(content, QuotientMode(mode_value)) == 0:
-        return 0
-    rows = (row for _, row in _block_rows(n, k, content))
-    return exactlin.incremental_rank(rows, (n + 1) ** k)
+def _block_trace_rank(n, k, content):
+    """Rank of the trace matrix of one block (see exactlin.incremental_rank).
+
+    It does not depend on the mode: a quotient keeps or kills a content block
+    whole, so the mode only decides which blocks count (cyclic.mode_width).
+    """
+    _, rows, ncols = _trace_block(n, k, content)
+    return exactlin.incremental_rank(rows, ncols)
 
 
 def trace_rank(n: int, k: int, mode=QuotientMode.BAR) -> int:
     """Rank of the mode trace matrix over the full degree-k tangential basis."""
     mode = QuotientMode.coerce(mode)
-    total = 0
-    for content in compositions(k, n):
-        total += _block_trace_rank(n, k, content, mode.value)
-    return total
+    blocks = (c for c in compositions(k, n) if mode_width(c, mode))
+    return sum(_block_trace_rank(n, k, c) for c in blocks)
 
 
 def c_alpha(k: int, alpha) -> AlphaReport:
@@ -229,14 +219,14 @@ def c_alpha(k: int, alpha) -> AlphaReport:
     The value does not depend on the ambient number of generators once it
     covers the support of alpha, so it is computed with exactly that many.
     """
-    alpha = tuple(sorted((int(a) for a in alpha), reverse=True))
+    alpha = tuple(sorted((exact_int(a) for a in alpha), reverse=True))
     if not alpha or alpha[-1] < 1:
         raise ValueError("alpha parts must be >= 1")
-    k = int(k)
+    k = exact_int(k)
     if sum(alpha) != k:
         raise ValueError("alpha must sum to k")
     n = len(alpha)
-    c = _block_trace_rank(n, k, alpha, QuotientMode.BAR.value)
+    c = _block_trace_rank(n, k, alpha)
     return AlphaReport(alpha, c, c - multidegree_rank(n, k, alpha))
 
 
@@ -279,48 +269,30 @@ def trace_image_dim_direct(n: int, k: int) -> int:
     """Independent route: exact rational rank of every content block."""
     total = 0
     for content in compositions(k, n):
-        width = _mode_width(content, QuotientMode.BAR)
-        if width == 0:
-            continue
-        cols = {w: j for j, w in enumerate(_necklace_cols(n, k, content, "bar"))}
-        rows = []
-        for _, row in _block_rows(n, k, content):
-            rows.append({cols[w]: c for w, c in row.items()})
-        total += exactlin.rank(rows, width)
+        if mode_width(content, QuotientMode.BAR):
+            _, rows, ncols = _trace_block(n, k, content)
+            total += exactlin.rank(rows, ncols)
     return total
 
 
-def _necklace_cols(n, k, content, mode_value):
-    mode = QuotientMode(mode_value)
-    base = n + 1
-    out = []
-    for w in necklaces_of_content(content):
-        if mode is QuotientMode.BAR and len(set(w)) == 1:
-            continue
-        if mode is QuotientMode.TILDE and not any(w.count(c) == 1 for c in set(w)):
-            continue
-        out.append(_words.encode(w, base))
-    return tuple(sorted(out))
-
-
 def coker_structure(n: int, k: int) -> QuotientStructure:
-    """Structure of the bar quotient modulo the integer trace image."""
+    """Structure of the bar quotient modulo the integer trace image.
+
+    The Smith form of each block runs over the columns its rows touch; each of
+    the block's other bar necklaces is a free summand Z of its own.
+    """
     if n < 2 or k < 2:
         raise ValueError("need n >= 2, k >= 2")
     free = 0
     torsion_parts = []
     for content in compositions(k, n):
-        cols = _necklace_cols(n, k, content, "bar")
-        if not cols:
+        width = mode_width(content, QuotientMode.BAR)
+        if not width:
             continue
-        colidx = {w: j for j, w in enumerate(cols)}
-        rows = [
-            {colidx[w]: c for w, c in row.items()}
-            for _, row in _block_rows(n, k, content)
-            if row
-        ]
-        divisors = exactlin.smith_normal_form(rows, ncols=len(cols)) if rows else []
-        free += len(cols) - len(divisors)
+        _, rows, ncols = _trace_block(n, k, content)
+        rows = [row for row in rows if row]
+        divisors = exactlin.smith_normal_form(rows, ncols=ncols) if rows else []
+        free += width - len(divisors)
         torsion_parts.extend(d for d in divisors if d > 1)
     return QuotientStructure(free, exactlin.invariant_factors_from_parts(torsion_parts))
 
@@ -331,15 +303,13 @@ def coker_structure(n: int, k: int) -> QuotientStructure:
 
 def _block_kernel_pcoords(n, k, content):
     """Kernel of the bar trace on one block, as integer p-coordinate dicts."""
-    keys = _block_keys(n, k, content)
-    rows = _block_rows(n, k, content)
+    keys, rows, _ = _trace_block(n, k, content)
     cols: dict = {}
-    mat_cols: dict = {}
-    for j, (_, row) in enumerate(rows):
-        for w, c in row.items():
-            cols.setdefault(w, {})[j] = c
-    neck_rows = [cols[w] for w in sorted(cols)]
-    kernel = exactlin.kernel_basis(neck_rows, len(keys))
+    if mode_width(content, QuotientMode.BAR):
+        for j, row in enumerate(rows):
+            for col, c in row.items():
+                cols.setdefault(col, {})[j] = c
+    kernel = exactlin.kernel_basis(list(cols.values()), len(keys))
     out = []
     for vec in kernel:
         den = 1

@@ -82,7 +82,7 @@ class TangentialGenerator:
     word: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(c) for c in self.word))
+        object.__setattr__(self, "word", tuple(exact_int(c) for c in self.word))
         if not self.word:
             raise ValueError("empty word")
 
@@ -405,33 +405,25 @@ def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
 # trace rows of basis elements, used by every rank computation downstream
 
 
-_NECK_CACHE: dict = {}
-
-
-def _necklace_enc(n, k, w):
-    cache = _NECK_CACHE.setdefault((n, k), {})
-    got = cache.get(w)
-    if got is None:
-        base = n + 1
-        got = encode(min_rotation(decode(w, base, k)), base)
-        cache[w] = got
-    return got
-
-
-def trace_row_enc(n: int, k: int, u, i: int) -> dict:
+def trace_row_enc(n: int, k: int, u, i: int, necks: dict) -> dict:
     """Encoded necklace coordinates of the trace of x_i* (x) [u, x_i].
 
     Strips the leading letter i from the expansion of u and closes the cycle
-    with a trailing x_i; the bracket part of the contraction dies under the
-    cyclic projection, so this is the whole trace.
+    with a trailing x_i.  The bracket part -x_i u of the contraction dies
+    under the cyclic projection, except in degree 1, where it leaves -(u).
+    ``necks`` memoizes the necklace code of each closed word for the caller,
+    which decides how long it lives.
     """
     base = n + 1
     shift = base ** (k - 1)
-    out: dict = {}
+    out: dict = {u[0]: -1} if k == 1 else {}
     for w, c in iota_enc(n, u).items():
         if w // shift != i:
             continue
-        neck = _necklace_enc(n, k, (w - i * shift) * base + i)
+        w = (w - i * shift) * base + i
+        neck = necks.get(w)
+        if neck is None:
+            neck = necks[w] = encode(min_rotation(decode(w, base, k)), base)
         val = out.get(neck, 0) + c
         if val:
             out[neck] = val

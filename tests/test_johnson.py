@@ -4,10 +4,11 @@ from collections import Counter
 import pytest
 
 from lietrace import johnson
-from lietrace._words import compositions
-from lietrace.cyclic import cyclic_rank
+from lietrace._words import compositions, decode
+from lietrace.cyclic import Necklace, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure
-from lietrace.freelie import multidegree_rank
+from lietrace.freelie import HallMonomial, Multidegree, multidegree_rank
+from lietrace.grouppres import Presentation, builtin, principal_cocycle, trivial_action
 from lietrace.johnson import (
     _block_trace_rank,
     _p_index,
@@ -27,9 +28,13 @@ from lietrace.johnson import (
 from lietrace.tangent import (
     TangentialGenerator,
     der_bracket,
+    from_p_coordinates,
+    p_basis,
     p_coordinates,
     tangential,
     tau1_generator,
+    trace,
+    trace_row_enc,
 )
 
 
@@ -75,7 +80,7 @@ def test_part_one_contents_are_full_rank():
     # computed directly, these match the closed multidegree rank
     for k, alpha in [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 2, 1)), (6, (3, 2, 1))]:
         n = len(alpha)
-        direct = _block_trace_rank(n, k, alpha, "bar")
+        direct = _block_trace_rank(n, k, alpha)
         assert direct == multidegree_rank(n, k, alpha), (k, alpha)
 
 
@@ -83,6 +88,106 @@ def test_part_one_contents_are_full_rank():
 def test_orbit_sum_matches_direct_rank(n, kmax):
     for k in range(2, kmax + 1):
         assert trace_image_dim(n, k) == trace_image_dim_direct(n, k), (n, k)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3), (4, 4)]
+)
+def test_trace_rows_match_public_trace(n, k):
+    # second route: the public contract -> project_cyclic trace of each basis
+    # element, against trace_row_enc and against the block builder's rows
+    expected = {
+        (b.i, b.monomial.word): trace(
+            from_p_coordinates(n, k, {(b.i, b.monomial.word): 1}), "full"
+        ).terms
+        for b in p_basis(n, k)
+    }
+    necks = {}
+    for (i, u), terms in expected.items():
+        row = trace_row_enc(n, k, u, i, necks)
+        assert {Necklace(decode(w, n + 1, k)): c for w, c in row.items()} == terms, (i, u)
+    # the builder's block matrix is the same up to a permutation of columns
+    order = {key: j for j, key in enumerate(expected)}
+    seen = []
+    for content in compositions(k, n):
+        keys, rows, ncols = johnson._trace_block(n, k, content)
+        got, want = {}, {}
+        for key, row in zip(keys, rows):
+            for col, c in row.items():
+                got.setdefault(col, set()).add((key, c))
+            for neck, c in expected[key].items():
+                want.setdefault(neck, set()).add((key, c))
+        assert sorted(got) == list(range(ncols))
+        assert sorted(map(sorted, got.values())) == sorted(map(sorted, want.values()))
+        assert keys == sorted(keys, key=order.get)  # global basis order
+        seen += keys
+    assert sorted(seen) == sorted(expected)
+
+
+@pytest.mark.parametrize("n,kmax", [(3, 7), (4, 5), (5, 4)])
+def test_coker_free_rank_is_bar_width_minus_image(n, kmax):
+    # block widths minus Smith divisors against the rational trace rank
+    for k in range(2, kmax + 1):
+        free = cyclic_rank(n, k, "bar") - trace_image_dim(n, k)
+        assert coker_structure(n, k).free_rank == free, (n, k)
+
+
+def test_untouched_bar_necklaces_are_free(monkeypatch):
+    # within the sizes above every bar necklace meets some trace row, so zero
+    # every row: then each one is an untouched column and a free summand
+    monkeypatch.setattr(johnson, "trace_row_enc", lambda n, k, u, i, necks: {})
+    for n, k in [(3, 3), (4, 4)]:
+        assert coker_structure(n, k) == QuotientStructure(cyclic_rank(n, k, "bar"))
+
+
+def test_full_trace_rank():
+    for n in (2, 3, 4):
+        # degree 1: x_i* (x) [x_j, x_i] traces to the power necklace -(j)
+        assert trace_rank(n, 1, "full") == trace_rank(n, 1, "tilde") == n
+        assert trace_rank(n, 1, "bar") == 0
+        # above it the trace never meets a power necklace
+        for k in range(2, 6):
+            assert trace_rank(n, k, "full") == trace_rank(n, k, "bar"), (n, k)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: c_alpha(4, (2.7, 2.2)),
+        lambda: c_alpha(4.9, (2, 2)),
+        lambda: HallMonomial(3, (1.5, 2)),
+        lambda: Multidegree((1.5, 2)),
+        lambda: Necklace((1.9, 2)),
+        lambda: TangentialGenerator(1, (2.5,)),
+        lambda: QuotientStructure(1, (2.5,)),
+        lambda: QuotientStructure(1.5),
+        lambda: Presentation(("a",), ((("a", 1.5),),)),
+        lambda: principal_cocycle(
+            trivial_action(builtin("bp", 2)), builtin("bp", 2), (0.5,)
+        ),
+    ],
+    ids=[
+        "c_alpha-parts",
+        "c_alpha-k",
+        "HallMonomial",
+        "Multidegree",
+        "Necklace",
+        "TangentialGenerator",
+        "QuotientStructure-torsion",
+        "QuotientStructure-free",
+        "Presentation-exponent",
+        "principal_cocycle",
+    ],
+)
+def test_non_integral_inputs_raise(build):
+    with pytest.raises(ValueError, match="not an integer"):
+        build()
+
+
+def test_integral_valued_inputs_still_accepted():
+    assert c_alpha(4.0, (2.0, 2)) == c_alpha(4, (2, 2))
+    assert QuotientStructure(1.0, (2.0,)) == QuotientStructure(1, (2,))
+    assert str(Necklace((1.0, 2))) == "(1,2)"
 
 
 def test_orbit_sum_matches_direct_rank_n4_k6():
@@ -147,7 +252,7 @@ def test_coker_n3_k7_second_route():
     assert coker_structure(3, 7) == QuotientStructure(0, (2,) * 18 + (16,) * 6)
     # the same group from the raw trace blocks, without exactlin
     blocks = [
-        [row for _, row in johnson._block_rows(3, 7, content) if row]
+        [row for row in johnson._trace_block(3, 7, content)[1] if row]
         for content in compositions(7, 3)
     ]
     width = cyclic_rank(3, 7, "bar")
@@ -165,6 +270,8 @@ def test_t0530_small():
     assert rep.ok
     checked_contents = {c for c, _ in rep.checked}
     assert all(1 in c for c in checked_contents)
+    # the bar trace vanishes in degree 1: each block's kernel is all n - 1 keys
+    assert [d for _, d in check_T0530(3, 1).checked] == [2, 2, 2]
     rep4 = check_T0530(3, 4)
     assert rep4.ok
     assert rep4.skipped  # e.g. content (2, 2, 0) has no isolated letter
@@ -244,7 +351,7 @@ def test_degree7_gap_localizes_to_one_content_orbit():
     """The 6-dimensional kernel/span gap at (3, 7) sits entirely in the three
     compositions with letter counts {3, 2, 2}, two dimensions each."""
     from lietrace._words import compositions, lyndon_by_content, word_content
-    from lietrace.johnson import _block_keys
+    from lietrace.johnson import _trace_block
 
     n, k = 3, 7
     image = johnson_image(n, k)
@@ -259,8 +366,8 @@ def test_degree7_gap_localizes_to_one_content_orbit():
     for content in compositions(k, n):
         if not lyndon_by_content(n, k).get(content):
             continue
-        block_p = len(_block_keys(n, k, content))
-        kernel = block_p - _block_trace_rank(n, k, content, "bar")
+        block_p = len(_trace_block(n, k, content)[0])
+        kernel = block_p - _block_trace_rank(n, k, content)
         gap = kernel - per_block_image.get(content, 0)
         if gap:
             gaps[content] = gap
