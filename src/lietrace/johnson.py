@@ -10,22 +10,26 @@ insertion automatically stays block-local.
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 block-local necklace columns; the block rank, the rational second route, the
 integral cokernel and the kernel checks all read it.  The bar/tilde quotient
-only decides which blocks count (``cyclic.mode_width``).
+only decides which blocks count (``cyclic.mode_width``).  Relabelling letters
+permutes the blocks without changing their ranks or Smith divisors, so
+``trace_rank`` and ``coker_structure`` compute one block per S_n orbit
+(``_orbits``); the rational second route and the kernel checks visit every
+composition.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, lcm
 
-from . import exactlin, freelie, tangent
+from . import exactlin, tangent
 from ._words import compositions, exact_int, lyndon_by_content, partitions
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
 from .freelie import multidegree_rank
-from .tangent import AdSolver, p_rank, trace_row_enc
+from .tangent import AdSolver, p_basis, p_rank, trace_row_enc
 
 
 @dataclass
@@ -75,21 +79,10 @@ class EGeneratorReport:
         return self.total == self.expected == self.span_dim == self.image_dim
 
 
-_PINDEX_CACHE: dict = {}
-
-
+@cache
 def _p_index(n, k):
-    key = (n, k)
-    got = _PINDEX_CACHE.get(key)
-    if got is None:
-        forward = {}
-        for i in range(1, n + 1):
-            for w in freelie.lyndon_words(n, k):
-                if k == 1 and w == (i,):
-                    continue
-                forward[(i, w)] = len(forward)
-        _PINDEX_CACHE[key] = got = forward
-    return got
+    """Position of each basis label (i, u) in p_basis(n, k)."""
+    return {(b.i, b.monomial.word): j for j, b in enumerate(p_basis(n, k))}
 
 
 class _ImageEngine:
@@ -206,18 +199,39 @@ def _block_trace_rank(n, k, content):
     return exactlin.incremental_rank(rows, ncols)
 
 
+def _orbits(n, k, mode):
+    """(rep, orbit, width) for each S_n orbit of content blocks the mode keeps.
+
+    rep is a partition of k padded with zeros to length n, orbit the number of
+    compositions it stands for and width its necklace count under the mode.
+    Relabelling the letters maps a block's tangential Z-lattice onto that of
+    the relabelled block by a unimodular matrix (the Lyndon basis is a
+    Z-basis), permutes the necklaces and commutes with the trace; so a block's
+    rank and Smith divisors depend only on its sorted content.
+    """
+    for alpha in partitions(k, max_parts=n):
+        rep = alpha + (0,) * (n - len(alpha))
+        width = mode_width(rep, mode)
+        if width:
+            orbit = factorial(n)
+            for v in set(rep):
+                orbit //= factorial(rep.count(v))
+            yield rep, orbit, width
+
+
 def trace_rank(n: int, k: int, mode=QuotientMode.BAR) -> int:
     """Rank of the mode trace matrix over the full degree-k tangential basis."""
-    mode = QuotientMode.coerce(mode)
-    blocks = (c for c in compositions(k, n) if mode_width(c, mode))
-    return sum(_block_trace_rank(n, k, c) for c in blocks)
+    return sum(
+        orbit * _block_trace_rank(n, k, rep) for rep, orbit, _ in _orbits(n, k, mode)
+    )
 
 
 def c_alpha(k: int, alpha) -> AlphaReport:
     """Trace rank of the generators with word content alpha.
 
     The value does not depend on the ambient number of generators once it
-    covers the support of alpha, so it is computed with exactly that many.
+    covers the support of alpha and is at least 2 (one letter has no degree-1
+    basis; above degree 1 an absent letter adds zero rows only).
     """
     alpha = tuple(sorted((exact_int(a) for a in alpha), reverse=True))
     if not alpha or alpha[-1] < 1:
@@ -225,40 +239,17 @@ def c_alpha(k: int, alpha) -> AlphaReport:
     k = exact_int(k)
     if sum(alpha) != k:
         raise ValueError("alpha must sum to k")
-    n = len(alpha)
-    c = _block_trace_rank(n, k, alpha)
-    return AlphaReport(alpha, c, c - multidegree_rank(n, k, alpha))
-
-
-def _orbit_size(alpha, n):
-    """Number of distinct compositions of length n refining the partition."""
-    padded = list(alpha) + [0] * (n - len(alpha))
-    size = factorial(n)
-    for v in set(padded):
-        size //= factorial(padded.count(v))
-    return size
+    n = max(len(alpha), 2)
+    content = alpha + (0,) * (n - len(alpha))
+    c = _block_trace_rank(n, k, content)
+    return AlphaReport(alpha, c, c - multidegree_rank(n, k, content))
 
 
 def trace_image_dim(n: int, k: int) -> int:
-    """Dimension of the bar-trace image over the degree-k tangential basis.
-
-    Sums one block rank per symmetry orbit of content classes.  Blocks whose
-    content has a letter of multiplicity one are full (the tilde quotient is
-    surjective and keeps exactly those blocks), so their rank is the
-    multidegree rank; every other block is computed.
-    """
+    """Dimension of the bar-trace image over the degree-k tangential basis."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2, k >= 1")
-    if k == 1:
-        return 0
-    total = 0
-    for alpha in partitions(k, max_parts=n):
-        if 1 in alpha:
-            c = multidegree_rank(len(alpha), k, alpha)
-        else:
-            c = c_alpha(k, alpha).c_alpha
-        total += _orbit_size(alpha, n) * c
-    return total
+    return trace_rank(n, k, QuotientMode.BAR)
 
 
 def trace_kernel_dim(n: int, k: int) -> int:
@@ -266,7 +257,7 @@ def trace_kernel_dim(n: int, k: int) -> int:
 
 
 def trace_image_dim_direct(n: int, k: int) -> int:
-    """Independent route: exact rational rank of every content block."""
+    """Independent route: exact rational rank of every content block (no orbits)."""
     total = 0
     for content in compositions(k, n):
         if mode_width(content, QuotientMode.BAR):
@@ -278,22 +269,20 @@ def trace_image_dim_direct(n: int, k: int) -> int:
 def coker_structure(n: int, k: int) -> QuotientStructure:
     """Structure of the bar quotient modulo the integer trace image.
 
-    The Smith form of each block runs over the columns its rows touch; each of
-    the block's other bar necklaces is a free summand Z of its own.
+    One Smith form per S_n orbit of blocks (see _orbits), over the columns the
+    block's rows touch; each of the block's other bar necklaces is a free
+    summand Z of its own.
     """
     if n < 2 or k < 2:
         raise ValueError("need n >= 2, k >= 2")
     free = 0
     torsion_parts = []
-    for content in compositions(k, n):
-        width = mode_width(content, QuotientMode.BAR)
-        if not width:
-            continue
-        _, rows, ncols = _trace_block(n, k, content)
+    for rep, orbit, width in _orbits(n, k, QuotientMode.BAR):
+        _, rows, ncols = _trace_block(n, k, rep)
         rows = [row for row in rows if row]
         divisors = exactlin.smith_normal_form(rows, ncols=ncols) if rows else []
-        free += width - len(divisors)
-        torsion_parts.extend(d for d in divisors if d > 1)
+        free += orbit * (width - len(divisors))
+        torsion_parts.extend(d for d in divisors if d > 1 for _ in range(orbit))
     return QuotientStructure(free, exactlin.invariant_factors_from_parts(torsion_parts))
 
 

@@ -6,7 +6,7 @@ import pytest
 from lietrace import johnson
 from lietrace._words import compositions, decode
 from lietrace.cyclic import Necklace, cyclic_rank
-from lietrace.exactlin import IncrementalSpan, QuotientStructure
+from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
 from lietrace.freelie import HallMonomial, Multidegree, multidegree_rank
 from lietrace.grouppres import Presentation, builtin, principal_cocycle, trivial_action
 from lietrace.johnson import (
@@ -66,6 +66,9 @@ def test_c_alpha_rows_through_k6():
     assert (c_alpha(6, (4, 2)).c_alpha, c_alpha(6, (4, 2)).r_alpha) == (2, 0)
     assert (c_alpha(6, (3, 3)).c_alpha, c_alpha(6, (3, 3)).r_alpha) == (3, 0)
     assert (c_alpha(6, (2, 2, 2)).c_alpha, c_alpha(6, (2, 2, 2)).r_alpha) == (15, 1)
+    # built on two letters (one has no degree-1 basis): the value at every
+    # n >= 2, where trace_rank(n, 1, "full") == n
+    assert c_alpha(1, (1,)) == johnson.AlphaReport((1,), 1, 0)
 
 
 def test_c_alpha_order_insensitive_and_validated():
@@ -248,21 +251,60 @@ def _local_smith_valuations(rows, p, e):
     return vals
 
 
-def test_coker_n3_k7_second_route():
-    assert coker_structure(3, 7) == QuotientStructure(0, (2,) * 18 + (16,) * 6)
-    # the same group from the raw trace blocks, without exactlin
+@pytest.mark.parametrize(
+    "k,structure,local",
+    [
+        (
+            7,
+            QuotientStructure(0, (2,) * 18 + (16,) * 6),
+            {(2, 6): {0: 288, 1: 18, 4: 6}, (3, 1): {0: 312}, (5, 1): {0: 312},
+             (7, 1): {0: 312}},
+        ),
+        (
+            8,
+            QuotientStructure(36, (2,) * 15 + (6,) * 3 + (12,) * 9),
+            {(2, 6): {0: 768, 1: 18, 2: 9}, (3, 4): {0: 783, 1: 12}, (5, 1): {0: 795},
+             (7, 1): {0: 795}},
+        ),
+    ],
+    ids=["7", "8"],
+)
+def test_coker_n3_second_route(k, structure, local):
+    assert coker_structure(3, k) == structure
+    # the same group from the raw trace blocks of every composition, without
+    # exactlin and without the orbit rule
     blocks = [
-        [row for row in johnson._trace_block(3, 7, content)[1] if row]
-        for content in compositions(7, 3)
+        [row for row in johnson._trace_block(3, k, content)[1] if row]
+        for content in compositions(k, 3)
     ]
-    width = cyclic_rank(3, 7, "bar")
-    assert width == 312
-    # full rank mod 3, 5 and 7: free rank 0 and no 3-, 5- or 7-torsion
-    for p in (3, 5, 7):
-        assert sum(len(_local_smith_valuations(rows, p, 1)) for rows in blocks) == width
-    # over Z/2^6 all 312 divisors are seen, so the 2-part is exact
-    vals = Counter(v for rows in blocks for v in _local_smith_valuations(rows, 2, 6))
-    assert vals == {0: 288, 1: 18, 4: 6}
+    width = cyclic_rank(3, k, "bar")
+    assert width == {7: 312, 8: 831}[k]
+    # Smith valuations over Z/p^e: at e = 1 the count is the rank mod p (so
+    # no p-torsion), and where it reaches width - free rank every divisor is
+    # seen, so the p-part is exact (864 = 2^5 * 3^3 needs p = 2 and p = 3)
+    for (p, e), want in local.items():
+        vals = Counter(v for rows in blocks for v in _local_smith_valuations(rows, p, e))
+        assert vals == want, (p, e)
+        assert sum(vals.values()) == width - structure.free_rank, (p, e)
+
+
+def test_orbit_rule_matches_every_composition():
+    # reference for the S_n orbit rule of trace_rank and coker_structure: each
+    # block's rank and Smith divisors equal those of its sorted representative
+    def divisors(n, k, content):
+        _, rows, ncols = johnson._trace_block(n, k, content)
+        rows = [row for row in rows if row]
+        return smith_normal_form(rows, ncols=ncols) if rows else []
+
+    blocks = 0
+    for n, kmax in [(3, 7), (4, 6), (5, 5)]:
+        for k in range(2, kmax + 1):
+            for c in compositions(k, n):
+                rep = tuple(sorted(c, reverse=True))
+                assert _block_trace_rank(n, k, c) == _block_trace_rank(n, k, rep), c
+                assert divisors(n, k, c) == divisors(n, k, rep), c
+                blocks += 1
+    assert blocks == 567
 
 
 def test_t0530_small():
