@@ -227,26 +227,6 @@ def lyndon_count(n: int, k: int) -> int:
     return count
 
 
-_BY_CONTENT_CACHE: dict = {}
-
-
-def lyndon_by_content(n: int, k: int) -> dict:
-    """Lyndon words of length k grouped by content vector."""
-    key = (n, k)
-    got = _BY_CONTENT_CACHE.get(key)
-    if got is None:
-        words = lyndon_words(n, k)  # outside the lock; it locks internally
-        with _LYNDON_LOCK:
-            got = _BY_CONTENT_CACHE.get(key)
-            if got is None:
-                grouped: dict = {}
-                for w in words:
-                    grouped.setdefault(word_content(w, n), []).append(w)
-                got = {c: tuple(ws) for c, ws in grouped.items()}
-                _BY_CONTENT_CACHE[key] = got
-    return got
-
-
 @lru_cache(maxsize=None)
 def standard_factorization(word) -> tuple:
     """Split a Lyndon word w = uv at its lexicographically least proper suffix.
@@ -315,6 +295,11 @@ def multiset_permutations(counts):
                 counts[j] = c
 
     yield from rec(0)
+
+
+def lyndon_words_of_content(counts) -> tuple:
+    """Lyndon words with the given letter counts, in lexicographic order."""
+    return tuple(w for w in multiset_permutations(counts) if is_lyndon(w))
 
 
 def necklaces_of_content(counts) -> tuple:

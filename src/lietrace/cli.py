@@ -297,12 +297,16 @@ def _cmd_egens(args):
     return 0 if rep.ok else 2
 
 
+def _file_presentation(args):
+    if not args.file:
+        raise UsageError("--group file needs --file PATH")
+    with open(args.file) as fh:
+        return grouppres.parse_presentation(fh.read())
+
+
 def _cmd_h1(args):
     if args.group == "file":
-        if not args.file:
-            raise UsageError("--group file needs --file PATH")
-        with open(args.file) as fh:
-            pres = grouppres.parse_presentation(fh.read())
+        pres = _file_presentation(args)
         if args.rep != "trivial":
             raise UsageError("file presentations support --rep trivial only")
         action = grouppres.trivial_action(pres)
@@ -335,10 +339,7 @@ def _cmd_h2(args):
 
 def _cmd_abelianize(args):
     if args.group == "file":
-        if not args.file:
-            raise UsageError("--group file needs --file PATH")
-        with open(args.file) as fh:
-            pres = grouppres.parse_presentation(fh.read())
+        pres = _file_presentation(args)
     else:
         pres = grouppres.builtin(args.group, args.n)
     q = grouppres.abelianization(pres)

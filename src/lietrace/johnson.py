@@ -8,13 +8,14 @@ global spans still live over the full ordered basis of the degree, so sparse
 insertion automatically stays block-local.
 
 One builder, ``_trace_block``, makes the trace matrix of a content block on
-block-local necklace columns; the block rank, the rational second route, the
-integral cokernel and the kernel checks all read it.  The bar/tilde quotient
-only decides which blocks count (``cyclic.mode_width``).  Relabelling letters
-permutes the blocks without changing their ranks or Smith divisors, so
-``trace_rank`` and ``coker_structure`` compute one block per S_n orbit
-(``_orbits``); the rational second route and the kernel checks visit every
-composition.
+the block's own letters and on block-local necklace columns; the block rank,
+the rational second route, the integral cokernel and the kernel checks all
+read it.  The bar/tilde quotient only decides which blocks count
+(``cyclic.mode_width``).  Relabelling letters permutes the blocks without
+changing their ranks or Smith divisors, so ``trace_rank`` and
+``coker_structure`` compute one block per S_n orbit (``_orbits``), keyed by
+its partition alone: n only counts the copies.  The rational second route and
+the kernel checks visit every composition on n letters.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache, lru_cache
 from math import factorial, lcm
 
 from . import exactlin, tangent
-from ._words import compositions, exact_int, lyndon_by_content, partitions
+from ._words import compositions, exact_int, lyndon_words_of_content, partitions
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
 from .freelie import multidegree_rank
@@ -165,16 +166,20 @@ def johnson_image(n: int, k: int) -> ImageBasis:
 # trace matrices by content block
 
 
-def _trace_block(n, k, content):
-    """Trace matrix of one content block: (keys, rows, ncols).
+def _trace_block(k, content):
+    """Trace matrix of one content block on its own letters: (keys, rows, ncols).
 
+    The block's letters are 1..len(content), at least two (one letter has no
+    degree-1 basis); a zero entry is a letter the block's words do not use.
     keys are the basis labels (i, u) of the block in global basis order, and
     rows[j] is the full trace of keys[j] on block-local necklace columns,
     numbered 0..ncols-1 in first-seen order.  Above degree 1 the row of a
     letter i absent from u is zero, so it is not computed.  The necklace-code
     memo lives for this one block: every closed word has the block's content.
     """
-    words = lyndon_by_content(n, k).get(content, ())
+    n = max(len(content), 2)
+    content = content + (0,) * (n - len(content))
+    words = lyndon_words_of_content(content)
     necks: dict = {}
     cols: dict = {}
     keys, rows = [], []
@@ -189,49 +194,55 @@ def _trace_block(n, k, content):
 
 
 @lru_cache(maxsize=None)
-def _block_trace_rank(n, k, content):
+def _block_trace_rank(k, alpha):
     """Rank of the trace matrix of one block (see exactlin.incremental_rank).
 
-    It does not depend on the mode: a quotient keeps or kills a content block
-    whole, so the mode only decides which blocks count (cyclic.mode_width).
+    The block is built on its own letters (_trace_block), so one entry serves
+    every n.  It does not depend on the mode: a quotient keeps or kills a
+    content block whole, so the mode only decides which blocks count
+    (cyclic.mode_width).
     """
-    _, rows, ncols = _trace_block(n, k, content)
+    _, rows, ncols = _trace_block(k, alpha)
     return exactlin.incremental_rank(rows, ncols)
 
 
 def _orbits(n, k, mode):
-    """(rep, orbit, width) for each S_n orbit of content blocks the mode keeps.
+    """(alpha, orbit, width) for each S_n orbit of content blocks the mode keeps.
 
-    rep is a partition of k padded with zeros to length n, orbit the number of
-    compositions it stands for and width its necklace count under the mode.
-    Relabelling the letters maps a block's tangential Z-lattice onto that of
-    the relabelled block by a unimodular matrix (the Lyndon basis is a
-    Z-basis), permutes the necklaces and commutes with the trace; so a block's
-    rank and Smith divisors depend only on its sorted content.
+    alpha is a partition of k into at most n parts, orbit the number of
+    compositions it stands for, n!/((n - len(alpha))! prod mult!), and width
+    its necklace count under the mode.  Relabelling the letters maps a block's
+    tangential Z-lattice onto that of the relabelled block by a unimodular
+    matrix (the Lyndon basis is a Z-basis), permutes the necklaces and
+    commutes with the trace; so a block's rank and Smith divisors depend only
+    on its sorted content.  Zero-padding alpha to n letters adds only zero rows
+    above degree 1 and changes only the word code, so the block of alpha on
+    its own letters has the same nonzero rows.  Those letters, at least two,
+    must fit in n: at n = 1 the tangential basis is empty.
     """
+    if n < 2:
+        return
     for alpha in partitions(k, max_parts=n):
-        rep = alpha + (0,) * (n - len(alpha))
-        width = mode_width(rep, mode)
+        width = mode_width(alpha, mode)
         if width:
-            orbit = factorial(n)
-            for v in set(rep):
-                orbit //= factorial(rep.count(v))
-            yield rep, orbit, width
+            orbit = factorial(n) // factorial(n - len(alpha))
+            for v in set(alpha):
+                orbit //= factorial(alpha.count(v))
+            yield alpha, orbit, width
 
 
 def trace_rank(n: int, k: int, mode=QuotientMode.BAR) -> int:
     """Rank of the mode trace matrix over the full degree-k tangential basis."""
-    return sum(
-        orbit * _block_trace_rank(n, k, rep) for rep, orbit, _ in _orbits(n, k, mode)
-    )
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    return sum(orbit * _block_trace_rank(k, alpha) for alpha, orbit, _ in _orbits(n, k, mode))
 
 
 def c_alpha(k: int, alpha) -> AlphaReport:
     """Trace rank of the generators with word content alpha.
 
-    The value does not depend on the ambient number of generators once it
-    covers the support of alpha and is at least 2 (one letter has no degree-1
-    basis; above degree 1 an absent letter adds zero rows only).
+    The block is built on its own letters (at least two), which gives the
+    value at every number of generators that covers the support of alpha.
     """
     alpha = tuple(sorted((exact_int(a) for a in alpha), reverse=True))
     if not alpha or alpha[-1] < 1:
@@ -239,10 +250,8 @@ def c_alpha(k: int, alpha) -> AlphaReport:
     k = exact_int(k)
     if sum(alpha) != k:
         raise ValueError("alpha must sum to k")
-    n = max(len(alpha), 2)
-    content = alpha + (0,) * (n - len(alpha))
-    c = _block_trace_rank(n, k, content)
-    return AlphaReport(alpha, c, c - multidegree_rank(n, k, content))
+    c = _block_trace_rank(k, alpha)
+    return AlphaReport(alpha, c, c - multidegree_rank(len(alpha), k, alpha))
 
 
 def trace_image_dim(n: int, k: int) -> int:
@@ -261,7 +270,7 @@ def trace_image_dim_direct(n: int, k: int) -> int:
     total = 0
     for content in compositions(k, n):
         if mode_width(content, QuotientMode.BAR):
-            _, rows, ncols = _trace_block(n, k, content)
+            _, rows, ncols = _trace_block(k, content)
             total += exactlin.rank(rows, ncols)
     return total
 
@@ -277,8 +286,8 @@ def coker_structure(n: int, k: int) -> QuotientStructure:
         raise ValueError("need n >= 2, k >= 2")
     free = 0
     torsion_parts = []
-    for rep, orbit, width in _orbits(n, k, QuotientMode.BAR):
-        _, rows, ncols = _trace_block(n, k, rep)
+    for alpha, orbit, width in _orbits(n, k, QuotientMode.BAR):
+        _, rows, ncols = _trace_block(k, alpha)
         rows = [row for row in rows if row]
         divisors = exactlin.smith_normal_form(rows, ncols=ncols) if rows else []
         free += orbit * (width - len(divisors))
@@ -290,9 +299,9 @@ def coker_structure(n: int, k: int) -> QuotientStructure:
 # kernel-versus-image checks
 
 
-def _block_kernel_pcoords(n, k, content):
+def _block_kernel_pcoords(k, content):
     """Kernel of the bar trace on one block, as integer p-coordinate dicts."""
-    keys, rows, _ = _trace_block(n, k, content)
+    keys, rows, _ = _trace_block(k, content)
     cols: dict = {}
     if mode_width(content, QuotientMode.BAR):
         for j, row in enumerate(rows):
@@ -317,13 +326,12 @@ def check_T0530(n: int, k: int) -> T0530Report:
     pidx = _p_index(n, k)
     checked, skipped, violations = [], [], []
     for content in compositions(k, n):
-        words = lyndon_by_content(n, k).get(content, ())
-        if not words:
+        if not lyndon_words_of_content(content):
             continue
         if 1 not in content:
             skipped.append(content)
             continue
-        kernel = _block_kernel_pcoords(n, k, content)
+        kernel = _block_kernel_pcoords(k, content)
         checked.append((content, len(kernel)))
         for vec in kernel:
             gvec = {pidx[key]: c for key, c in vec.items()}
@@ -402,24 +410,4 @@ def section7_rows(n: int):
                 label,
             ]
         )
-    return rows
-
-
-def section8_rows(kmax: int, kmin: int = 5):
-    """c and r values for every content class with all letters repeated."""
-    rows = []
-    for k in range(kmin, kmax + 1):
-        for alpha in partitions(k, min_part=2):
-            if len(alpha) < 2:
-                continue  # single-letter contents die in the bar quotient
-            rep = c_alpha(k, alpha)
-            rows.append([k, rep.alpha, rep.c_alpha, rep.r_alpha])
-    return rows
-
-
-def n3gap_rows(kmax: int):
-    """Degree-1 generated dimension versus trace kernel for n = 3."""
-    rows = []
-    for k in range(1, kmax + 1):
-        rows.append([k, johnson_image(3, k).dim, trace_kernel_dim(3, k)])
     return rows

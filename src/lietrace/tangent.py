@@ -23,7 +23,7 @@ from ._words import (
     decode,
     exact_int,
     encode,
-    lyndon_by_content,
+    lyndon_words_of_content,
     min_rotation,
     word_content,
 )
@@ -275,7 +275,7 @@ class _AdBlock:
         self.n = n
         self.i = i
         self.k = k
-        us = lyndon_by_content(n, k).get(content, ())
+        us = lyndon_words_of_content(content)
         if k == 1:
             us = tuple(u for u in us if u != (i,))  # [x_i, x_i] = 0
         self.us = us

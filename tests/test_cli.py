@@ -145,6 +145,9 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and err.startswith(("usage error:", "error:")), args
+    # a negative n is refused by name, not as a failed factorial
+    code, out, err = run_cli(["trace", "--n", "-1", "--k", "2"], capsys)
+    assert (code, out, err) == (1, "", "error: need n >= 1 and k >= 1\n")
     # a presentation file that repeats a generator name is refused, not
     # answered for a group with one more generator
     path = tmp_path / "dup.txt"

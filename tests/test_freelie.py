@@ -57,12 +57,16 @@ def test_multidegree_sums_to_witt(n):
 
 @pytest.mark.parametrize("n,kmax", [(2, 7), (3, 6)])
 def test_multidegree_three_way_oracle(n, kmax):
-    """Closed form == Lyndon word count == rank of embedded basis vectors."""
-    by_content = _words.lyndon_by_content
+    """Closed form == Lyndon word count == rank of embedded basis vectors.
+
+    The words of each content are also Duval's list of the degree, filtered by
+    content, word for word and in order.
+    """
     for k in range(1, kmax + 1):
-        grouped = by_content(n, k)
+        duval = _words.lyndon_words(n, k)
         for alpha in _words.compositions(k, n):
-            words = grouped.get(alpha, ())
+            words = _words.lyndon_words_of_content(alpha)
+            assert words == tuple(w for w in duval if _words.word_content(w, n) == alpha)
             expected = multidegree_rank(n, k, alpha)
             assert len(words) == expected
             span = IncrementalSpan((n + 1) ** k)

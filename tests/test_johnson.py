@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from lietrace import johnson
-from lietrace._words import compositions, decode
+from lietrace._words import compositions, decode, partitions
+from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
 from lietrace.freelie import HallMonomial, Multidegree, multidegree_rank
@@ -16,9 +17,7 @@ from lietrace.johnson import (
     check_T0530,
     coker_structure,
     johnson_image,
-    n3gap_rows,
     section7_rows,
-    section8_rows,
     trace_image_dim,
     trace_image_dim_direct,
     trace_kernel_dim,
@@ -82,9 +81,8 @@ def test_c_alpha_order_insensitive_and_validated():
 def test_part_one_contents_are_full_rank():
     # computed directly, these match the closed multidegree rank
     for k, alpha in [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 2, 1)), (6, (3, 2, 1))]:
-        n = len(alpha)
-        direct = _block_trace_rank(n, k, alpha)
-        assert direct == multidegree_rank(n, k, alpha), (k, alpha)
+        direct = _block_trace_rank(k, alpha)
+        assert direct == multidegree_rank(len(alpha), k, alpha), (k, alpha)
 
 
 @pytest.mark.parametrize("n,kmax", [(3, 6), (4, 5)])
@@ -113,7 +111,7 @@ def test_trace_rows_match_public_trace(n, k):
     order = {key: j for j, key in enumerate(expected)}
     seen = []
     for content in compositions(k, n):
-        keys, rows, ncols = johnson._trace_block(n, k, content)
+        keys, rows, ncols = johnson._trace_block(k, content)
         got, want = {}, {}
         for key, row in zip(keys, rows):
             for col, c in row.items():
@@ -151,6 +149,10 @@ def test_full_trace_rank():
         # above it the trace never meets a power necklace
         for k in range(2, 6):
             assert trace_rank(n, k, "full") == trace_rank(n, k, "bar"), (n, k)
+    # one letter has no tangential basis in any degree
+    for k in range(1, 6):
+        for mode in ("full", "bar", "tilde"):
+            assert trace_rank(1, k, mode) == 0, (k, mode)
 
 
 @pytest.mark.parametrize(
@@ -274,7 +276,7 @@ def test_coker_n3_second_route(k, structure, local):
     # the same group from the raw trace blocks of every composition, without
     # exactlin and without the orbit rule
     blocks = [
-        [row for row in johnson._trace_block(3, k, content)[1] if row]
+        [row for row in johnson._trace_block(k, content)[1] if row]
         for content in compositions(k, 3)
     ]
     width = cyclic_rank(3, k, "bar")
@@ -290,21 +292,28 @@ def test_coker_n3_second_route(k, structure, local):
 
 def test_orbit_rule_matches_every_composition():
     # reference for the S_n orbit rule of trace_rank and coker_structure: each
-    # block's rank and Smith divisors equal those of its sorted representative
-    def divisors(n, k, content):
-        _, rows, ncols = johnson._trace_block(n, k, content)
+    # block's rank and Smith divisors equal those of its sorted representative,
+    # and the representative zero-padded to n letters equals its block on its
+    # own letters, so one block serves every n
+    def divisors(k, content):
+        _, rows, ncols = johnson._trace_block(k, content)
         rows = [row for row in rows if row]
         return smith_normal_form(rows, ncols=ncols) if rows else []
 
-    blocks = 0
+    blocks = reps = 0
     for n, kmax in [(3, 7), (4, 6), (5, 5)]:
         for k in range(2, kmax + 1):
             for c in compositions(k, n):
                 rep = tuple(sorted(c, reverse=True))
-                assert _block_trace_rank(n, k, c) == _block_trace_rank(n, k, rep), c
-                assert divisors(n, k, c) == divisors(n, k, rep), c
+                assert _block_trace_rank(k, c) == _block_trace_rank(k, rep), c
+                assert divisors(k, c) == divisors(k, rep), c
                 blocks += 1
-    assert blocks == 567
+            for alpha in partitions(k, max_parts=n):
+                padded = alpha + (0,) * (n - len(alpha))
+                assert _block_trace_rank(k, padded) == _block_trace_rank(k, alpha), padded
+                assert divisors(k, padded) == divisors(k, alpha), padded
+                reps += 1
+    assert (blocks, reps) == (567, 71)
 
 
 def test_t0530_small():
@@ -370,29 +379,24 @@ def test_section7_rows():
     assert [r[4] for r in rows] == ["0", "0", "0", "3"]
 
 
-def test_section8_rows_through_k7():
-    rows = section8_rows(7)
+def test_section8_rows_through_k7(capsys):
+    assert main(["table8", "--kmax", "7", "--format", "csv"]) == 0
     expect = [
-        [5, (3, 2), 2, 0],
-        [6, (4, 2), 2, 0],
-        [6, (3, 3), 3, 0],
-        [6, (2, 2, 2), 15, 1],
-        [7, (5, 2), 3, 0],
-        [7, (4, 3), 5, 0],
-        [7, (3, 2, 2), 30, 0],
+        "5,(3 2),2,0",
+        "6,(4 2),2,0",
+        "6,(3 3),3,0",
+        "6,(2 2 2),15,1",
+        "7,(5 2),3,0",
+        "7,(4 3),5,0",
+        "7,(3 2 2),30,0",
     ]
-    assert rows == expect
-
-
-def test_n3gap_rows_small():
-    rows = n3gap_rows(5)
-    assert rows == [[1, 6, 6], [2, 6, 6], [3, 16, 16], [4, 36, 36], [5, 96, 96]]
+    assert capsys.readouterr().out.splitlines() == expect
 
 
 def test_degree7_gap_localizes_to_one_content_orbit():
     """The 6-dimensional kernel/span gap at (3, 7) sits entirely in the three
     compositions with letter counts {3, 2, 2}, two dimensions each."""
-    from lietrace._words import compositions, lyndon_by_content, word_content
+    from lietrace._words import lyndon_words_of_content, word_content
     from lietrace.johnson import _trace_block
 
     n, k = 3, 7
@@ -406,10 +410,10 @@ def test_degree7_gap_localizes_to_one_content_orbit():
         per_block_image[c] = per_block_image.get(c, 0) + 1
     gaps = {}
     for content in compositions(k, n):
-        if not lyndon_by_content(n, k).get(content):
+        if not lyndon_words_of_content(content):
             continue
-        block_p = len(_trace_block(n, k, content)[0])
-        kernel = block_p - _block_trace_rank(n, k, content)
+        block_p = len(_trace_block(k, content)[0])
+        kernel = block_p - _block_trace_rank(k, content)
         gap = kernel - per_block_image.get(content, 0)
         if gap:
             gaps[content] = gap
