@@ -3,13 +3,18 @@
 Words are tuples of generator indices in ``1..n``.  Hot loops elsewhere pack
 words into single integers (most-significant letter first, base ``n + 1``) so
 that lexicographic order on words of equal length coincides with integer
-order.  The sparse-dict arithmetic every algebra module uses (``add_scaled``
-and the element base ``SparseCombination``) lives here too, below them all.
+order.  Each word rule is written once, by its definition: Lyndon words of a
+degree come from one Duval generator (listed by ``lyndon_words``, counted by
+``lyndon_count``), a necklace is the least rotation of its words, and the
+necklace and Lyndon-word counts of a content are one divisor sum,
+``content_divisor_sum``, under Euler's phi and Moebius's mu.  Nothing here
+caches a word list.  The sparse-dict arithmetic every algebra module uses
+(``add_scaled`` and the element base ``SparseCombination``) lives here too,
+below them all.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from math import factorial, gcd
 from numbers import Number
@@ -179,44 +184,14 @@ def is_lyndon(word) -> bool:
     return True
 
 
-_LYNDON_CACHE: dict = {}
-_LYNDON_LOCK = threading.Lock()
-
-
-def lyndon_words(n: int, k: int) -> tuple:
-    """All Lyndon words of length k over 1..n, in lexicographic order (Duval)."""
-    key = (n, k)
-    got = _LYNDON_CACHE.get(key)
-    if got is not None:
-        return got
-    with _LYNDON_LOCK:
-        got = _LYNDON_CACHE.get(key)
-        if got is not None:
-            return got
-        out = []
-        w = [1]
-        while w:
-            if len(w) == k:
-                out.append(tuple(w))
-            m = len(w)
-            while len(w) < k:
-                w.append(w[len(w) % m])
-            while w and w[-1] == n:
-                w.pop()
-            if w:
-                w[-1] += 1
-        got = tuple(out)
-        _LYNDON_CACHE[key] = got
-        return got
-
-
-def lyndon_count(n: int, k: int) -> int:
-    """Number of Lyndon words of length k, counted without caching the list."""
-    count = 0
+def _duval(n: int, k: int):
+    """Lyndon words of length k over 1..n in lexicographic order (Duval's algorithm)."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     w = [1]
     while w:
         if len(w) == k:
-            count += 1
+            yield tuple(w)
         m = len(w)
         while len(w) < k:
             w.append(w[len(w) % m])
@@ -224,7 +199,16 @@ def lyndon_count(n: int, k: int) -> int:
             w.pop()
         if w:
             w[-1] += 1
-    return count
+
+
+def lyndon_words(n: int, k: int) -> tuple:
+    """All Lyndon words of length k over 1..n, in lexicographic order."""
+    return tuple(_duval(n, k))
+
+
+def lyndon_count(n: int, k: int) -> int:
+    """Number of Lyndon words of length k, counted without building the list."""
+    return sum(1 for _ in _duval(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -248,28 +232,13 @@ def standard_factorization(word) -> tuple:
 
 
 def min_rotation(word) -> tuple:
-    """Lexicographically minimal rotation, via Booth's algorithm."""
+    """Lexicographically least rotation of a nonempty word."""
     s = tuple(word)
-    n = len(s)
-    if n == 0:
+    k = len(s)
+    if k == 0:
         raise ValueError("empty word")
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j % n]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[(k + i + 1) % n]:
-            if sj < s[(k + i + 1) % n]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[(k + i + 1) % n]:
-            if sj < s[k % n]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    k %= n
-    return s[k:] + s[:k]
+    s += s
+    return min(s[i : i + k] for i in range(k))
 
 
 def rotations(word):
@@ -312,21 +281,29 @@ def necklaces_of_content(counts) -> tuple:
 
 def necklace_count(counts) -> int:
     """Number of necklaces with the given content, by Burnside over rotations."""
+    return content_divisor_sum(counts, euler_phi)
+
+
+def content_divisor_sum(counts, weight) -> int:
+    """(1/k) sum over d | gcd(counts) of weight(d) (k/d)! / prod (c/d)!, k = sum(counts).
+
+    Zero counts are dropped, and the empty content gives 0.  With weight
+    ``euler_phi`` this counts the necklaces of the content (Burnside over the
+    rotations); with ``mobius`` it counts the aperiodic ones, which are its
+    Lyndon words.
+    """
     counts = [c for c in counts if c]
     k = sum(counts)
     if k == 0:
         return 0
-    g = 0
-    for c in counts:
-        g = gcd(g, c)
     total = 0
-    for d in divisors(g):
+    for d in divisors(gcd(*counts)):
         m = factorial(k // d)
         for c in counts:
             m //= factorial(c // d)
-        total += euler_phi(d) * m
+        total += weight(d) * m
     if total % k:
-        raise InconsistencyError("necklace count is not an integer")
+        raise InconsistencyError(f"divisor sum over content {tuple(counts)} is not an integer")
     return total // k
 
 

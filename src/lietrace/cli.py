@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie, grouppres, johnson, tangent
+from ._words import partitions
 from .cyclic import QuotientMode
 
 class UsageError(Exception):
@@ -183,29 +184,28 @@ def _cmd_image(args):
     return 0
 
 
+def _content_rows(args, ks, alpha=None):
+    """[k, alpha, c, r] rows for the one content alpha, or else for every
+    partition of each k into at least two parts, none of them 1."""
+    if alpha:
+        keys = [(k, alpha) for k in ks]
+    else:
+        keys = [(k, a) for k in ks for a in partitions(k, min_part=2) if len(a) >= 2]
+    reports = _parallel_map(args.threads, lambda ka: johnson.c_alpha(*ka), keys)
+    return [[k, list(rep.alpha), rep.c_alpha, rep.r_alpha] for (k, _), rep in zip(keys, reports)]
+
+
 def _cmd_calpha(args):
+    if args.k < 1:
+        raise UsageError("--k must be >= 1")
+    alpha = None
     if args.alpha:
         alpha = tuple(int(x) for x in args.alpha.split(","))
         if sum(alpha) != args.k:
             raise UsageError(f"--alpha {args.alpha} sums to {sum(alpha)}, not --k {args.k}")
-        rows_src = [(args.k, alpha)]
-    else:
-        from ._words import partitions
-
-        rows_src = [
-            (args.k, alpha)
-            for alpha in partitions(args.k, min_part=2)
-            if len(alpha) >= 2
-        ]
-    reports = _parallel_map(
-        args.threads, lambda ka: johnson.c_alpha(ka[0], ka[1]), rows_src
-    )
-    rows = [
-        [k, list(rep.alpha), rep.c_alpha, rep.r_alpha]
-        for (k, _), rep in zip(rows_src, reports)
-    ]
     doc = TableDocument(
-        "trace ranks by content", ["k", "alpha", "c", "r"], rows, _prov(args)
+        "trace ranks by content", ["k", "alpha", "c", "r"],
+        _content_rows(args, [args.k], alpha), _prov(args),
     )
     _emit(args, doc)
     return 0
@@ -224,18 +224,11 @@ def _cmd_table7(args):
 
 
 def _cmd_table8(args):
-    from ._words import partitions
-
-    keys = [
-        (k, alpha)
-        for k in range(5, args.kmax + 1)
-        for alpha in partitions(k, min_part=2)
-        if len(alpha) >= 2
-    ]
-    reports = _parallel_map(args.threads, lambda ka: johnson.c_alpha(*ka), keys)
-    rows = [[k, list(rep.alpha), rep.c_alpha, rep.r_alpha] for (k, _), rep in zip(keys, reports)]
+    if args.kmax < 5:
+        raise UsageError(f"--kmax must be >= 5, the table's first degree, got {args.kmax}")
     doc = TableDocument(
-        "trace ranks for repeated-letter contents", ["k", "alpha", "c", "r"], rows, _prov(args)
+        "trace ranks for repeated-letter contents", ["k", "alpha", "c", "r"],
+        _content_rows(args, range(5, args.kmax + 1)), _prov(args),
     )
     _emit(args, doc)
     return 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import factorial, gcd
 
 from . import _words
 from ._words import (
@@ -53,19 +52,7 @@ def multidegree_rank(n: int, k: int, alpha) -> int:
         raise ValueError("alpha must sum to k")
     if k < 1:
         raise ValueError("need k >= 1")
-    nonzero = [a for a in counts if a]
-    g = 0
-    for a in nonzero:
-        g = gcd(g, a)
-    total = 0
-    for d in _words.divisors(g):
-        m = factorial(k // d)
-        for a in nonzero:
-            m //= factorial(a // d)
-        total += _words.mobius(d) * m
-    if total % k:
-        raise InconsistencyError("multidegree rank is not an integer")
-    return total // k
+    return _words.content_divisor_sum(counts, _words.mobius)
 
 
 @dataclass(frozen=True)
@@ -229,27 +216,25 @@ def ad_enc(n: int, word, i: int) -> dict:
     return out
 
 
-def project_lyndon_enc(n: int, k: int, tdict: dict, words=None) -> dict:
+def project_lyndon_enc(n: int, k: int, tdict: dict) -> dict:
     """Coordinates of an encoded degree-k tensor element on the Lyndon basis.
 
-    Eliminates candidate leading words in increasing order; raises ValueError
-    if a remainder survives, i.e. the element was not in the Lie subspace.
+    Each step removes the least remaining word.  The expansion of a Lyndon
+    word starts at that word with coefficient 1, so the element lies in the
+    Lie subspace exactly when every such least word is a Lyndon word of
+    degree k over 1..n, its coordinate being the word's coefficient; any
+    other least word raises ValueError.
     """
-    if not tdict:
-        return {}
     base = n + 1
-    work = dict(tdict)
-    if words is None:
-        words = lyndon_words(n, k)
+    work = {w: c for w, c in tdict.items() if c}  # so each step removes its lead
     coords = {}
-    for w in words:
-        c = work.get(encode(w, base))
-        if not c:
-            continue
-        coords[w] = c
+    while work:
+        lead = min(work)
+        w = decode(lead, base, k)
+        if 0 in w or encode(w, base) != lead or not is_lyndon(w):
+            raise ValueError("element is not in the free Lie algebra")
+        c = coords[w] = work[lead]
         add_scaled(work, iota_enc(n, w), -c)
-    if work:
-        raise ValueError("element is not in the free Lie algebra")
     return coords
 
 

@@ -139,6 +139,11 @@ def test_usage_errors(capsys, tmp_path):
         ["ranks", "--n", "3", "--k", "3..1"],
         ["image", "--n", "3", "--k", "0"],
         ["n3gap", "--kmax", "0"],
+        ["calpha", "--k", "0"],
+        ["calpha", "--k", "-3"],
+        ["table8", "--kmax", "0"],
+        ["table8", "--kmax", "-2"],
+        ["table8", "--kmax", "4"],  # the table starts at degree 5
         ["calpha", "--k", "6", "--threads", "-3"],
         ["calpha", "--k", "6", "--threads", "0"],
         ["table8", "--kmax", "6", "--threads", "0"],

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lietrace import _words
 from lietrace.exactlin import IncrementalSpan
@@ -10,9 +10,11 @@ from lietrace.freelie import (
     bracket,
     embed_tensor,
     hall_basis,
+    iota_enc,
     lie_from_tensor,
     multidegree_rank,
     normalize,
+    project_lyndon_enc,
     witt_rank,
 )
 
@@ -37,6 +39,14 @@ def test_hall_basis_size_matches_witt(n):
     # full sweep up to degree 10; counted without caching the big word lists
     for k in range(1, 11):
         assert _words.lyndon_count(n, k) == witt_rank(n, k), (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(0, 1), (0, 3), (-1, 2), (2, 0)])
+def test_lyndon_words_refuse_n_or_k_below_one(n, k):
+    # Duval's loop never ends over no letters, so it must refuse at once
+    for f in (_words.lyndon_words, _words.lyndon_count, hall_basis):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            f(n, k)
 
 
 def test_multidegree_examples():
@@ -75,6 +85,33 @@ def test_multidegree_three_way_oracle(n, kmax):
                 elt = LieElement(n, k, {mono: 1})
                 assert span.insert(embed_tensor(elt)._enc_terms())
             assert span.dim == expected
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_project_lyndon_enc_reads_back_coordinates(data):
+    """A combination of Lyndon expansions projects back to its coefficients;
+    one extra word of degree >= 2, or a key that is no word, makes it non-Lie."""
+    n = data.draw(st.integers(1, 4), label="n")
+    k = data.draw(st.integers(1, 7), label="k")
+    base = n + 1
+    words = _words.lyndon_words(n, k)
+    coeff = st.integers(-5, 5).filter(bool)
+    coords = data.draw(st.dictionaries(st.sampled_from(words), coeff, max_size=6)) if words else {}
+    enc: dict = {}
+    for w, c in coords.items():
+        _words.add_scaled(enc, iota_enc(n, w), c)
+    assert project_lyndon_enc(n, k, enc) == coords
+    if k >= 2:
+        # every Lie element of degree >= 2 has coefficient sum 0 on each content
+        word = data.draw(st.tuples(*[st.integers(1, n)] * k), label="word")
+        extra = {_words.encode(word, base): data.draw(coeff, label="c")}
+        with pytest.raises(ValueError):
+            project_lyndon_enc(n, k, _words.add_scaled(dict(enc), extra))
+    # codes of no word over 1..n whose k low digits may still spell a Lyndon word
+    for bad in (-1, _words.encode((0,) + (n,) * (k - 1), base), base**k + n):
+        with pytest.raises(ValueError):
+            project_lyndon_enc(n, k, _words.add_scaled(dict(enc), {bad: 1}))
 
 
 def test_embedded_basis_independent():
