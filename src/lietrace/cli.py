@@ -203,6 +203,11 @@ def _cmd_calpha(args):
         alpha = tuple(int(x) for x in args.alpha.split(","))
         if sum(alpha) != args.k:
             raise UsageError(f"--alpha {args.alpha} sums to {sum(alpha)}, not --k {args.k}")
+    elif args.k < 4:
+        raise UsageError(
+            f"--k must be >= 4 without --alpha, got {args.k}: no partition of k < 4 has"
+            " two parts of at least 2; give --alpha for one content"
+        )
     doc = TableDocument(
         "trace ranks by content", ["k", "alpha", "c", "r"],
         _content_rows(args, [args.k], alpha), _prov(args),

@@ -7,6 +7,10 @@ e_{b_1}+...+e_{b_k} block, and trace matrices never mix content classes.  The
 global spans still live over the full ordered basis of the degree, so sparse
 insertion automatically stays block-local.
 
+The image engine (``_ImageEngine``) builds degree k + 1 from the accepted
+vectors of degree k alone, bracketing each basis element with each generator
+once per level and combining the results linearly.
+
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
 the rational second route, the integral cokernel and the kernel checks all
@@ -26,10 +30,17 @@ from functools import cache, lru_cache
 from math import factorial, lcm
 
 from . import exactlin, tangent
-from ._words import compositions, exact_int, lyndon_words_of_content, partitions
+from ._words import (
+    add_scaled,
+    compositions,
+    exact_int,
+    lyndon_words_of_content,
+    partitions,
+    word_content,
+)
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
-from .freelie import multidegree_rank
+from .freelie import ad_enc, multidegree_rank
 from .tangent import AdSolver, p_basis, p_rank, trace_row_enc
 
 
@@ -87,7 +98,17 @@ def _p_index(n, k):
 
 
 class _ImageEngine:
-    """Incremental degree-by-degree span of the degree-1 generated subalgebra."""
+    """Incremental degree-by-degree span of the degree-1 generated subalgebra.
+
+    Level k is spanned by the brackets [v, D_ab] of the accepted vectors v of
+    level k - 1 with the generators D_ab: x_a -> [x_b, x_a].  The bracket is
+    linear in v, so each level brackets every basis element (i, u) occurring
+    in its top vectors with each D_ab once, solves the result on the p-basis
+    and forms [v, D_ab] as the integer combination of those images.  Only the
+    top level's accepted vectors are kept (p-coordinates keyed by basis
+    position); every level's span is kept, since johnson_image reads any of
+    them.
+    """
 
     _cache: dict = {}
     _lock = threading.Lock()
@@ -97,13 +118,11 @@ class _ImageEngine:
         self.gens = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
         pidx = _p_index(n, 1)
         span = IncrementalSpan(len(pidx))
-        vecs = []
+        self.top = []
         for a, b in self.gens:
-            content = tuple(int(t == b) for t in range(1, n + 1))
-            pdict = {(a, (b,)): 1}
-            span.insert({pidx[(a, (b,))]: 1})
-            vecs.append((pdict, content))
-        self.levels = [vecs]
+            vec = {pidx[(a, (b,))]: 1}
+            span.insert(vec)
+            self.top.append(vec)
         self.spans = [span]
         self._advance_lock = threading.Lock()
 
@@ -120,36 +139,42 @@ class _ImageEngine:
 
     def extend(self, k: int):
         with self._advance_lock:
-            while len(self.levels) < k:
+            while len(self.spans) < k:
                 self._advance()
 
     def _advance(self):
         n = self.n
-        base = n + 1
-        m = len(self.levels)  # degree of the current top level
-        nxt = m + 1
-        pidx = _p_index(n, nxt)
+        m = len(self.spans)  # degree of the current top level
+        labels = tuple(_p_index(n, m))
+        pidx = _p_index(n, m + 1)
         span = IncrementalSpan(len(pidx))
-        solver = AdSolver.get(n, nxt)
-        accepted = []
-        for pdict, beta in self.levels[m - 1]:
-            venc = {i: (d, m + 1) for i, d in tangent.p_expand_enc(n, pdict).items()}
+        solver = AdSolver.get(n, m + 1)
+        images: dict = {}  # (j, a, b) -> p-coordinates of [basis element j, D_ab]
+
+        def image(j, a, b):
+            i, u = labels[j]
+            # D_ab: x_a -> [x_b, x_a]
+            gen = {a: ({b * (n + 1) + a: 1, a * (n + 1) + b: -1}, 2)}
+            comps = tangent._bracket_enc(n, {i: (ad_enc(n, u, i), m + 1)}, gen)
+            ucontent = word_content(u + (b,), n)  # every component's u-content
+            out = {}
+            for t, tdict in comps.items():
+                for w, c in solver.block(t, ucontent).solve(tdict).items():
+                    out[pidx[(t, w)]] = c
+            return out
+
+        top = []
+        for vec in self.top:
             for a, b in self.gens:
-                # [v, D_ab] with D_ab: x_a -> [x_b, x_a]
-                gen = {a: ({b * base + a: 1, a * base + b: -1}, 2)}
-                comps = tangent._bracket_enc(n, venc, gen)
-                ucontent = list(beta)
-                ucontent[b - 1] += 1
-                ucontent = tuple(ucontent)
-                new_pdict: dict = {}
-                pvec: dict = {}
-                for t, tdict in comps.items():
-                    for u, c in solver.block(t, ucontent).solve(tdict).items():
-                        new_pdict[(t, u)] = c
-                        pvec[pidx[(t, u)]] = c
-                if span.insert(pvec):
-                    accepted.append((new_pdict, ucontent))
-        self.levels.append(accepted)
+                cand: dict = {}
+                for j, c in vec.items():
+                    img = images.get((j, a, b))
+                    if img is None:
+                        img = images[(j, a, b)] = image(j, a, b)
+                    add_scaled(cand, img, c)
+                if span.insert(cand):
+                    top.append(cand)
+        self.top = top
         self.spans.append(span)
 
 

@@ -385,19 +385,12 @@ def p_coordinates(f: Derivation) -> dict:
     return out
 
 
-def p_expand_enc(n: int, coords: dict) -> dict:
-    """Encoded values {i: sum of c [u, x_i]} of p-coordinates {(i, u): c}; no empty value."""
+def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
+    """Inverse of p_coordinates: the values sum c [u, x_i] over {(i, u): c}."""
     by_i: dict = {}
     for (i, u), c in coords.items():
         add_scaled(by_i.setdefault(i, {}), ad_enc(n, u, i), c)
-    return {i: enc for i, enc in by_i.items() if enc}
-
-
-def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
-    """Inverse of p_coordinates."""
-    values = {
-        i: LieElement._from_enc(n, k + 1, enc) for i, enc in p_expand_enc(n, coords).items()
-    }
+    values = {i: LieElement._from_enc(n, k + 1, enc) for i, enc in by_i.items() if enc}
     return Derivation._unchecked(n, k, values)
 
 

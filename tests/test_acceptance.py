@@ -230,6 +230,20 @@ def test_criterion_4_n3_table_k8():
     _report(4, "n=3 table k=8", started, 1200, failures)
 
 
+def test_criterion_4_n3_table_k9():
+    started = time.perf_counter()
+    failures = []
+    im, ker = johnson_image(3, 9).dim, trace_kernel_dim(3, 9)
+    ranks = (p_rank(3, 9), trace_image_dim(3, 9))
+    if ranks != (6552, 2186):
+        failures.append(("trace", ranks))
+    if (im, ker) != (4276, 4366):
+        failures.append((im, ker))
+    if ker - im != 90:
+        failures.append(("gap", ker - im))
+    _report(4, "n=3 table k=9", started, 1200, failures)
+
+
 def test_criterion_5_trace_image_closed_forms():
     started = time.perf_counter()
     failures = []

@@ -141,6 +141,9 @@ def test_usage_errors(capsys, tmp_path):
         ["n3gap", "--kmax", "0"],
         ["calpha", "--k", "0"],
         ["calpha", "--k", "-3"],
+        ["calpha", "--k", "1"],  # without --alpha the table starts at degree 4
+        ["calpha", "--k", "2"],
+        ["calpha", "--k", "3"],
         ["table8", "--kmax", "0"],
         ["table8", "--kmax", "-2"],
         ["table8", "--kmax", "4"],  # the table starts at degree 5
@@ -150,6 +153,9 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and err.startswith(("usage error:", "error:")), args
+    # calpha names the empty range and the way to ask for one small content
+    code, out, err = run_cli(["calpha", "--k", "3"], capsys)
+    assert code == 1 and "k < 4" in err and "--alpha" in err
     # a negative n is refused by name, not as a failed factorial
     code, out, err = run_cli(["trace", "--n", "-1", "--k", "2"], capsys)
     assert (code, out, err) == (1, "", "error: need n >= 1 and k >= 1\n")

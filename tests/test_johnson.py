@@ -445,3 +445,21 @@ def test_image_dim_independent_of_bracketing_order():
             coords = p_coordinates(f)
             span.insert({pidx[key]: c for key, c in coords.items()})
         assert span.dim == johnson_image(n, k).dim, k
+
+
+@pytest.mark.parametrize("n,kmax", [(3, 6), (4, 5)])
+def test_image_span_second_route(n, kmax):
+    # level by level from the public bracket: a basis of the previous level,
+    # bracketed with every degree-1 generator, must span the engine's level
+    gens = [tau1_generator(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    basis = gens
+    for k in range(1, kmax + 1):
+        if k > 1:
+            basis = [der_bracket(f, g) for f in basis for g in gens]
+        pos = {(b.i, b.monomial.word): j for j, b in enumerate(p_basis(n, k))}
+        vecs = [{pos[key]: c for key, c in p_coordinates(f).items()} for f in basis]
+        span = IncrementalSpan(len(pos))
+        basis = [f for f, vec in zip(basis, vecs) if span.insert(vec)]
+        image = johnson_image(n, k)
+        assert span.dim == image.dim, (n, k)
+        assert all(image.span.contains(vec) for vec in vecs), (n, k)
