@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie, grouppres, johnson, tangent
@@ -356,6 +355,8 @@ def _parallel_map(threads, fn, items):
     """Map preserving order; worker pool only when threads > 1."""
     items = list(items)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only pools pay its import
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

@@ -8,8 +8,11 @@ global spans still live over the full ordered basis of the degree, so sparse
 insertion automatically stays block-local.
 
 The image engine (``_ImageEngine``) builds degree k + 1 from the accepted
-vectors of degree k alone, bracketing each basis element with each generator
-once per level and combining the results linearly.
+vectors of degree k alone, bracketing each basis label (i, u) with each
+generator D_ab once per level and combining the results linearly.  A label's
+bracket is a closed form by the Jacobi identity (``_label_bracket``): it needs
+D_ab(u), one Leibniz pass in degree m, and [u, x_b], whose Lyndon coordinates
+(one verified ad-block solve each) every label (i, u) of the level shares.
 
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
@@ -40,7 +43,7 @@ from ._words import (
 )
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
-from .freelie import ad_enc, multidegree_rank
+from .freelie import _commutator, ad_enc, iota_enc, multidegree_rank
 from .tangent import AdSolver, p_basis, p_rank, trace_row_enc
 
 
@@ -97,17 +100,59 @@ def _p_index(n, k):
     return {(b.i, b.monomial.word): j for j, b in enumerate(p_basis(n, k))}
 
 
+def _lie_coordinates(solver, enc, content):
+    """Lyndon coordinates of a Lie element L of degree solver.k, given encoded.
+
+    Solves [L, x_1] = L x_1 - x_1 L on the (1, content) block, content being
+    L's own.  ad x_1 is injective above degree 1 (the centralizer of x_1 is
+    Z x_1), so the solve's re-multiply check on [L, x_1] certifies L itself.
+    """
+    if not enc:
+        return {}
+    tdict = _commutator(enc, solver.k, {1: 1}, 1, solver.n + 1)
+    return solver.block(1, content).solve(tdict)
+
+
+def _label_bracket(n, label, a, b, memo):
+    """p-coordinates {(t, w): c} of [f, D_ab] for the basis label (i, u).
+
+    f: x_i -> [u, x_i] and D_ab: x_a -> [x_b, x_a].  By the Jacobi identity
+    [f, D_ab] sends x_t -> [L_t, x_t], with L_i = -D_ab(u) and, when i is a
+    or b, L_a gaining -[u, x_b] (i = a) or [u, x_b] (i = b).  So the
+    degree-(m+1) tensor of [u, x_i] is never formed: D_ab(u) is one Leibniz
+    pass over the length-m expansion of u.  The Lyndon coordinates of D_ab(u)
+    and of [u, x_b] are memoized in memo under (u, a, b) and (u, b), which
+    every label (i, u) shares; the caller decides how long memo lives.
+    """
+    i, u = label
+    solver = AdSolver.get(n, len(u) + 1)
+    content = word_content(u + (b,), n)  # the content of D_ab(u) and [u, x_b]
+    du = memo.get((u, a, b))
+    if du is None:
+        gen = {a: ({b * (n + 1) + a: 1, a * (n + 1) + b: -1}, 2)}
+        enc = tangent._apply_values_enc(n, gen, iota_enc(n, u), len(u))
+        du = memo[(u, a, b)] = _lie_coordinates(solver, enc, content)
+    out = {(i, w): -c for w, c in du.items()}
+    if i == a or i == b:
+        ub = memo.get((u, b))
+        if ub is None:
+            ub = memo[(u, b)] = _lie_coordinates(solver, ad_enc(n, u, b), content)
+        add_scaled(out, {(a, w): c for w, c in ub.items()}, 1 if i == b else -1)
+    return out
+
+
 class _ImageEngine:
     """Incremental degree-by-degree span of the degree-1 generated subalgebra.
 
     Level k is spanned by the brackets [v, D_ab] of the accepted vectors v of
     level k - 1 with the generators D_ab: x_a -> [x_b, x_a].  The bracket is
-    linear in v, so each level brackets every basis element (i, u) occurring
-    in its top vectors with each D_ab once, solves the result on the p-basis
-    and forms [v, D_ab] as the integer combination of those images.  Only the
-    top level's accepted vectors are kept (p-coordinates keyed by basis
-    position); every level's span is kept, since johnson_image reads any of
-    them.
+    linear in v, so each level brackets every basis label (i, u) occurring in
+    its top vectors with each D_ab once (_label_bracket, by the Jacobi
+    identity) and forms [v, D_ab] as the integer combination of those images.
+    Each (u, D_ab) costs one Leibniz pass and one verified solve, shared by
+    the n labels (i, u).  Only the top level's accepted vectors are kept
+    (p-coordinates keyed by basis position); every level's span is kept,
+    since johnson_image reads any of them.
     """
 
     _cache: dict = {}
@@ -148,21 +193,8 @@ class _ImageEngine:
         labels = tuple(_p_index(n, m))
         pidx = _p_index(n, m + 1)
         span = IncrementalSpan(len(pidx))
-        solver = AdSolver.get(n, m + 1)
+        memo: dict = {}  # shared by the labels of this level, see _label_bracket
         images: dict = {}  # (j, a, b) -> p-coordinates of [basis element j, D_ab]
-
-        def image(j, a, b):
-            i, u = labels[j]
-            # D_ab: x_a -> [x_b, x_a]
-            gen = {a: ({b * (n + 1) + a: 1, a * (n + 1) + b: -1}, 2)}
-            comps = tangent._bracket_enc(n, {i: (ad_enc(n, u, i), m + 1)}, gen)
-            ucontent = word_content(u + (b,), n)  # every component's u-content
-            out = {}
-            for t, tdict in comps.items():
-                for w, c in solver.block(t, ucontent).solve(tdict).items():
-                    out[pidx[(t, w)]] = c
-            return out
-
         top = []
         for vec in self.top:
             for a, b in self.gens:
@@ -170,7 +202,8 @@ class _ImageEngine:
                 for j, c in vec.items():
                     img = images.get((j, a, b))
                     if img is None:
-                        img = images[(j, a, b)] = image(j, a, b)
+                        got = _label_bracket(n, labels[j], a, b, memo)
+                        img = images[(j, a, b)] = {pidx[key]: v for key, v in got.items()}
                     add_scaled(cand, img, c)
                 if span.insert(cand):
                     top.append(cand)

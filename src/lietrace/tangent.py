@@ -185,12 +185,13 @@ def apply(f: Derivation, a: LieElement) -> LieElement:
     return LieElement._from_enc(f.n, a.degree + f.degree, enc)
 
 
-def _bracket_enc(n, fe, ge) -> dict:
-    """Encoded values {i: tensor dict} of [f, g] = f o g - g o f; no empty value.
-
-    fe and ge map a generator index to (encoded image, image degree), as
-    _values_enc returns them.
-    """
+def der_bracket(f: Derivation, g: Derivation) -> Derivation:
+    """Commutator bracket [f, g] = f o g - g o f on generator images."""
+    if f.n != g.n:
+        raise ValueError("mixed alphabets")
+    n = f.n
+    degree = f.degree + g.degree
+    fe, ge = _values_enc(f), _values_enc(g)
     values = {}
     for i in range(1, n + 1):
         acc: dict = {}
@@ -201,20 +202,7 @@ def _bracket_enc(n, fe, ge) -> dict:
         if hit is not None:
             add_scaled(acc, _apply_values_enc(n, ge, hit[0], hit[1]), -1)
         if acc:
-            values[i] = acc
-    return values
-
-
-def der_bracket(f: Derivation, g: Derivation) -> Derivation:
-    """Commutator bracket [f, g] = f o g - g o f on generator images."""
-    if f.n != g.n:
-        raise ValueError("mixed alphabets")
-    n = f.n
-    degree = f.degree + g.degree
-    values = {
-        i: LieElement._from_enc(n, degree + 1, acc)
-        for i, acc in _bracket_enc(n, _values_enc(f), _values_enc(g)).items()
-    }
+            values[i] = LieElement._from_enc(n, degree + 1, acc)
     return Derivation._unchecked(n, degree, values)
 
 

@@ -463,3 +463,23 @@ def test_image_span_second_route(n, kmax):
         image = johnson_image(n, k)
         assert span.dim == image.dim, (n, k)
         assert all(image.span.contains(vec) for vec in vecs), (n, k)
+
+
+@pytest.mark.parametrize("n,mmax", [(2, 4), (3, 4), (4, 3)])
+def test_label_bracket_matches_der_bracket(n, mmax):
+    # the engine's Jacobi closed form against the public tensor route, for
+    # every basis label (i, u) of degree m <= mmax and every generator D_ab;
+    # one memo per degree, shared by every label as in the engine
+    cases = Counter()
+    for m in range(1, mmax + 1):
+        memo: dict = {}
+        for label in ((b.i, b.monomial.word) for b in p_basis(n, m)):
+            f = from_p_coordinates(n, m, {label: 1})
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    if a == b:
+                        continue
+                    want = p_coordinates(der_bracket(f, tau1_generator(n, a, b)))
+                    assert johnson._label_bracket(n, label, a, b, memo) == want, (label, a, b)
+                    cases["i = a" if label[0] == a else "i = b" if label[0] == b else "other"] += 1
+    assert set(cases) == ({"i = a", "i = b", "other"} if n > 2 else {"i = a", "i = b"})
