@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification mismatch.  Output
 formats: text (pretty), csv (data rows only), json (schema-stable documents
-with title/columns/rows/provenance).  Integers beyond 53 bits are serialized
-as strings in JSON so downstream tools cannot silently round them.
+with title/columns/rows/provenance; coker, h1 and abelianize emit
+{free_rank, torsion}).  Integers beyond 53 bits are serialized as strings in
+JSON so downstream tools cannot silently round them.
 """
 
 from __future__ import annotations

@@ -73,19 +73,11 @@ class Multidegree:
         return cls(word_content(word, n))
 
 
-_TREE_CACHE: dict = {}
-
-
 def _bracket_tree(word):
-    tree = _TREE_CACHE.get(word)
-    if tree is None:
-        if len(word) == 1:
-            tree = word[0]
-        else:
-            u, v = standard_factorization(word)
-            tree = (_bracket_tree(u), _bracket_tree(v))
-        _TREE_CACHE[word] = tree
-    return tree
+    if len(word) == 1:
+        return word[0]
+    u, v = standard_factorization(word)
+    return (_bracket_tree(u), _bracket_tree(v))
 
 
 def _tree_str(tree):
@@ -189,30 +181,19 @@ def iota_enc(n: int, word) -> dict:
     return got
 
 
-_AD_CACHE: dict = {}
-
-
 def ad_enc(n: int, word, i: int) -> dict:
     """Tensor expansion of [basis(word), x_i], built directly from iota_enc."""
-    key = (n, word, i)
-    got = _AD_CACHE.get(key)
-    if got is not None:
-        return got
     base = n + 1
     body = iota_enc(n, word)
-    shift = base ** len(word)
-    out = {}
+    out = {w * base + i: c for w, c in body.items()}
+    head = i * base ** len(word)
     for w, c in body.items():
-        out[w * base + i] = c
-    head = i * shift
-    for w, c in body.items():
-        key2 = head + w
-        val = out.get(key2, 0) - c
+        key = head + w
+        val = out.get(key, 0) - c
         if val:
-            out[key2] = val
+            out[key] = val
         else:
-            del out[key2]
-    _AD_CACHE[key] = out
+            del out[key]
     return out
 
 

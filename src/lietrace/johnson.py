@@ -13,6 +13,8 @@ generator D_ab once per level and combining the results linearly.  A label's
 bracket is a closed form by the Jacobi identity (``_label_bracket``): it needs
 D_ab(u), one Leibniz pass in degree m, and [u, x_b], whose Lyndon coordinates
 (one verified ad-block solve each) every label (i, u) of the level shares.
+Each level owns its degree-(m+1) ad blocks and its memo, and drops both when
+it is done: no later level solves in that degree again.
 
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
@@ -113,7 +115,7 @@ def _lie_coordinates(solver, enc, content):
     return solver.block(1, content).solve(tdict)
 
 
-def _label_bracket(n, label, a, b, memo):
+def _label_bracket(solver, label, a, b, memo):
     """p-coordinates {(t, w): c} of [f, D_ab] for the basis label (i, u).
 
     f: x_i -> [u, x_i] and D_ab: x_a -> [x_b, x_a].  By the Jacobi identity
@@ -121,11 +123,12 @@ def _label_bracket(n, label, a, b, memo):
     or b, L_a gaining -[u, x_b] (i = a) or [u, x_b] (i = b).  So the
     degree-(m+1) tensor of [u, x_i] is never formed: D_ab(u) is one Leibniz
     pass over the length-m expansion of u.  The Lyndon coordinates of D_ab(u)
-    and of [u, x_b] are memoized in memo under (u, a, b) and (u, b), which
-    every label (i, u) shares; the caller decides how long memo lives.
+    and of [u, x_b] come from solver, the AdSolver of degree m + 1, and are
+    memoized in memo under (u, a, b) and (u, b), which every label (i, u)
+    shares; the caller decides how long solver and memo live.
     """
     i, u = label
-    solver = AdSolver.get(n, len(u) + 1)
+    n = solver.n
     content = word_content(u + (b,), n)  # the content of D_ab(u) and [u, x_b]
     du = memo.get((u, a, b))
     if du is None:
@@ -150,9 +153,10 @@ class _ImageEngine:
     its top vectors with each D_ab once (_label_bracket, by the Jacobi
     identity) and forms [v, D_ab] as the integer combination of those images.
     Each (u, D_ab) costs one Leibniz pass and one verified solve, shared by
-    the n labels (i, u).  Only the top level's accepted vectors are kept
-    (p-coordinates keyed by basis position); every level's span is kept,
-    since johnson_image reads any of them.
+    the n labels (i, u); the ad blocks and the memo behind them are locals of
+    _advance.  Only the top level's accepted vectors are kept (p-coordinates
+    keyed by basis position); every level's span is kept, since johnson_image
+    reads any of them.
     """
 
     _cache: dict = {}
@@ -193,6 +197,7 @@ class _ImageEngine:
         labels = tuple(_p_index(n, m))
         pidx = _p_index(n, m + 1)
         span = IncrementalSpan(len(pidx))
+        solver = AdSolver(n, m + 1)  # the ad blocks of this level alone
         memo: dict = {}  # shared by the labels of this level, see _label_bracket
         images: dict = {}  # (j, a, b) -> p-coordinates of [basis element j, D_ab]
         top = []
@@ -202,7 +207,7 @@ class _ImageEngine:
                 for j, c in vec.items():
                     img = images.get((j, a, b))
                     if img is None:
-                        got = _label_bracket(n, labels[j], a, b, memo)
+                        got = _label_bracket(solver, labels[j], a, b, memo)
                         img = images[(j, a, b)] = {pidx[key]: v for key, v in got.items()}
                     add_scaled(cand, img, c)
                 if span.insert(cand):
@@ -340,8 +345,8 @@ def coker_structure(n: int, k: int) -> QuotientStructure:
     block's rows touch; each of the block's other bar necklaces is a free
     summand Z of its own.
     """
-    if n < 2 or k < 2:
-        raise ValueError("need n >= 2, k >= 2")
+    if n < 2 or k < 1:
+        raise ValueError("need n >= 2, k >= 1")
     free = 0
     torsion_parts = []
     for alpha, orbit, width in _orbits(n, k, QuotientMode.BAR):
@@ -455,7 +460,7 @@ def section7_rows(n: int):
     """Degree 1..4 summary: kernel (= graded part), basis sizes, cokernel."""
     rows = []
     for k in range(1, 5):
-        coker = coker_structure(n, k) if k >= 2 else QuotientStructure(0)
+        coker = coker_structure(n, k)
         label = str(coker.free_rank)
         if coker.torsion:
             label += " + " + " + ".join(f"Z/{d}" for d in coker.torsion)

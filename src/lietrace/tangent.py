@@ -4,7 +4,9 @@ A degree-k derivation is stored by the images of the generators, each a
 degree-(k+1) Lie element.  The tangential subalgebra is spanned by the
 elements sending x_i to [u, x_i] (u a degree-k monomial) and all other
 generators to zero; the map (i, u) -> that derivation is a basis, certified by
-an explicit rank check the first time each (n, k, content) block is touched.
+an explicit rank check each time an (i, content) block is built to solve on.
+Blocks belong to the AdSolver of their caller (one image level, or one
+p_coordinates call) and go with it.
 
 Degree and multidegree are both respected by every operation here, which lets
 all of the heavy linear algebra run block by block: a derivation whose values
@@ -13,7 +15,6 @@ have content ``beta + e_i`` at key i never mixes with any other block.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie
@@ -310,27 +311,16 @@ class _AdBlock:
 
 
 class AdSolver:
-    """Per-(n, k) cache of _AdBlocks, built lazily per (i, content)."""
+    """The _AdBlocks of one degree k, built lazily per (i, content).
 
-    _cache: dict = {}
-    _lock = threading.Lock()
+    Its blocks live as long as the solver: the caller that solves on degree k
+    makes one and drops it when it is done.
+    """
 
     def __init__(self, n, k):
         self.n = n
         self.k = k
         self.blocks: dict = {}
-
-    @classmethod
-    def get(cls, n, k) -> "AdSolver":
-        key = (n, k)
-        got = cls._cache.get(key)
-        if got is None:
-            with cls._lock:
-                got = cls._cache.get(key)
-                if got is None:
-                    got = cls(n, k)
-                    cls._cache[key] = got
-        return got
 
     def block(self, i, content) -> _AdBlock:
         key = (i, content)
@@ -340,36 +330,28 @@ class AdSolver:
             self.blocks[key] = got
         return got
 
-    def solve_component(self, i, tdict):
-        """Split an encoded degree-(k+1) component by content and solve."""
-        if not tdict:
-            return {}
-        base = self.n + 1
+
+def p_coordinates(f: Derivation) -> dict:
+    """Coordinates of a tangential derivation on p_basis, keyed (i, word).
+
+    Each value is split by content and solved on its (i, content) block.
+    Raises ArithmeticError when f is not an integer combination of the basis,
+    so this doubles as the membership check for the tangential subalgebra.
+    """
+    n, k = f.n, f.degree
+    solver = AdSolver(n, k)
+    out = {}
+    for i, elt in f.values.items():
         by_content: dict = {}
-        for w, c in tdict.items():
-            content = word_content(decode(w, base, self.k + 1), self.n)
-            by_content.setdefault(content, {})[w] = c
-        out: dict = {}
+        for w, c in elt._enc_tensor().items():
+            by_content.setdefault(word_content(decode(w, n + 1, k + 1), n), {})[w] = c
         for content, chunk in by_content.items():
             if content[i - 1] == 0:
                 raise ArithmeticError("component missing its own generator letter")
             ucontent = list(content)
             ucontent[i - 1] -= 1
-            out.update(self.block(i, tuple(ucontent)).solve(chunk))
-        return out
-
-
-def p_coordinates(f: Derivation) -> dict:
-    """Coordinates of a tangential derivation on p_basis, keyed (i, word).
-
-    Raises ArithmeticError when f is not an integer combination of the basis,
-    so this doubles as the membership check for the tangential subalgebra.
-    """
-    solver = AdSolver.get(f.n, f.degree)
-    out = {}
-    for i, elt in f.values.items():
-        for u, c in solver.solve_component(i, elt._enc_tensor()).items():
-            out[(i, u)] = c
+            for u, c in solver.block(i, tuple(ucontent)).solve(chunk).items():
+                out[(i, u)] = c
     return out
 
 

@@ -191,6 +191,15 @@ def test_coker_and_abelianize(capsys):
     assert json.loads(out) == {"free_rank": 1, "torsion": [2]}
 
 
+def test_coker_degree_one(capsys):
+    # the degree-1 bar target is 0, as the first row of table7 shows
+    code, out, err = run_cli(["coker", "--n", "3", "--k", "1", "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"free_rank": 0, "torsion": []}
+    code, out, _ = run_cli(["coker", "--n", "3", "--k", "1", "--format", "csv"], capsys)
+    assert code == 0 and out == "0,()\n"
+
+
 def test_t0530_command(capsys):
     code, out, _ = run_cli(["t0530", "--n", "3", "--k", "3"], capsys)
     assert code == 0

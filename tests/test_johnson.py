@@ -1,9 +1,10 @@
+import gc
 import random
 from collections import Counter
 
 import pytest
 
-from lietrace import johnson
+from lietrace import johnson, tangent
 from lietrace._words import compositions, decode, partitions
 from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
@@ -25,6 +26,7 @@ from lietrace.johnson import (
     verify_E_generators,
 )
 from lietrace.tangent import (
+    AdSolver,
     TangentialGenerator,
     der_bracket,
     from_p_coordinates,
@@ -203,6 +205,12 @@ def test_tilde_trace_surjective_small():
     for n in (2, 3):
         for k in range(2, 7):
             assert trace_rank(n, k, "tilde") == cyclic_rank(n, k, "tilde")
+
+
+def test_coker_degree_one_is_zero():
+    # the degree-1 bar target is 0, so there is no block and no cokernel
+    for n in range(2, 6):
+        assert coker_structure(n, 1) == QuotientStructure(0)
 
 
 def test_coker_structures_small():
@@ -469,9 +477,10 @@ def test_image_span_second_route(n, kmax):
 def test_label_bracket_matches_der_bracket(n, mmax):
     # the engine's Jacobi closed form against the public tensor route, for
     # every basis label (i, u) of degree m <= mmax and every generator D_ab;
-    # one memo per degree, shared by every label as in the engine
+    # one solver and one memo per degree, shared by every label as in the engine
     cases = Counter()
     for m in range(1, mmax + 1):
+        solver = AdSolver(n, m + 1)
         memo: dict = {}
         for label in ((b.i, b.monomial.word) for b in p_basis(n, m)):
             f = from_p_coordinates(n, m, {label: 1})
@@ -480,6 +489,15 @@ def test_label_bracket_matches_der_bracket(n, mmax):
                     if a == b:
                         continue
                     want = p_coordinates(der_bracket(f, tau1_generator(n, a, b)))
-                    assert johnson._label_bracket(n, label, a, b, memo) == want, (label, a, b)
+                    assert johnson._label_bracket(solver, label, a, b, memo) == want, (label, a, b)
                     cases["i = a" if label[0] == a else "i = b" if label[0] == b else "other"] += 1
     assert set(cases) == ({"i = a", "i = b", "other"} if n > 2 else {"i = a", "i = b"})
+
+
+def test_ad_blocks_live_only_as_long_as_their_solver():
+    # each image level and each p_coordinates call owns its ad blocks, so
+    # none of them outlives the call that built it
+    johnson_image(3, 6)
+    p_coordinates(der_bracket(tau1_generator(3, 1, 2), tau1_generator(3, 2, 3)))
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, tangent._AdBlock)]
