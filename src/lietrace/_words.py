@@ -10,7 +10,8 @@ necklace and Lyndon-word counts of a content are one divisor sum,
 ``content_divisor_sum``, under Euler's phi and Moebius's mu.  Nothing here
 caches a word list.  The sparse-dict arithmetic every algebra module uses
 (``add_scaled`` and the element base ``SparseCombination``) lives here too,
-below them all.
+below them all.  No sparse dict a caller sees holds a zero: ``add_scaled``
+never stores one, and a local accumulator drops its zeros once, on return.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from ._words import (
     add_scaled,
     exact_int,
     min_rotation,
-    word_content,
 )
 from .freelie import TensorElement
 
@@ -54,9 +53,6 @@ class Necklace:
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def counts(self, n: int) -> tuple:
-        return word_content(self.word, n)
 
     def is_power(self) -> bool:
         return len(set(self.word)) == 1
@@ -92,12 +88,8 @@ def project_cyclic(t: TensorElement) -> CyclicElement:
     acc: dict = {}
     for word, coeff in t.terms.items():
         neck = Necklace(min_rotation(word))
-        v = acc.get(neck, 0) + coeff
-        if v:
-            acc[neck] = v
-        else:
-            del acc[neck]
-    return CyclicElement._unchecked(t.n, t.degree, acc)
+        acc[neck] = acc.get(neck, 0) + coeff
+    return CyclicElement._unchecked(t.n, t.degree, {k: c for k, c in acc.items() if c})
 
 
 def reduce(e: CyclicElement, mode) -> CyclicElement:

@@ -4,7 +4,10 @@ The basis of the degree-k part is indexed by Lyndon words of length k over
 ``1..n``; each word is bracketed through its standard factorization.  Elements
 are sparse integer combinations of basis monomials; the tensor-algebra
 embedding expands brackets as ``u (x) v - v (x) u`` and is the workhorse used
-for normalization, bracketing and all trace computations downstream.
+for normalization, bracketing and all trace computations downstream.  Encoded
+words are multiplied (``_cat``) and bracketed (``_commutator``) here only.
+Encoded dicts are zero-free: ``add_scaled`` never stores a zero, and a local
+accumulator drops its zeros once, on return.
 """
 
 from __future__ import annotations
@@ -140,18 +143,13 @@ _IOTA_CACHE: dict = {}
 
 
 def _cat(a, b, len_b, base):
+    """Encoded product a(x)b, for zero-free a and b whose words all have length len_b.
+
+    Distinct pairs (wa, wb) give distinct keys wa * base**len_b + wb, so no
+    product cancels and the result is zero-free.
+    """
     shift = base**len_b
-    out = {}
-    for wa, ca in a.items():
-        head = wa * shift
-        for wb, cb in b.items():
-            key = head + wb
-            val = out.get(key, 0) + ca * cb
-            if val:
-                out[key] = val
-            else:
-                del out[key]
-    return out
+    return {wa * shift + wb: ca * cb for wa, ca in a.items() for wb, cb in b.items()}
 
 
 def _commutator(a, la, b, lb, base):
@@ -182,19 +180,8 @@ def iota_enc(n: int, word) -> dict:
 
 
 def ad_enc(n: int, word, i: int) -> dict:
-    """Tensor expansion of [basis(word), x_i], built directly from iota_enc."""
-    base = n + 1
-    body = iota_enc(n, word)
-    out = {w * base + i: c for w, c in body.items()}
-    head = i * base ** len(word)
-    for w, c in body.items():
-        key = head + w
-        val = out.get(key, 0) - c
-        if val:
-            out[key] = val
-        else:
-            del out[key]
-    return out
+    """Tensor expansion of [basis(word), x_i]."""
+    return _commutator(iota_enc(n, word), len(word), {i: 1}, 1, n + 1)
 
 
 def project_lyndon_enc(n: int, k: int, tdict: dict) -> dict:

@@ -132,7 +132,7 @@ def _label_bracket(solver, label, a, b, memo):
     content = word_content(u + (b,), n)  # the content of D_ab(u) and [u, x_b]
     du = memo.get((u, a, b))
     if du is None:
-        gen = {a: ({b * (n + 1) + a: 1, a * (n + 1) + b: -1}, 2)}
+        gen = {a: (ad_enc(n, (b,), a), 2)}
         enc = tangent._apply_values_enc(n, gen, iota_enc(n, u), len(u))
         du = memo[(u, a, b)] = _lie_coordinates(solver, enc, content)
     out = {(i, w): -c for w, c in du.items()}

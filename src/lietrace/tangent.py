@@ -168,12 +168,8 @@ def _apply_values_enc(n, values_enc, tdict, length):
             hshift = base**rlen * lowmod
             for rw, rc in repl.items():
                 key = high * hshift + rw * lowmod + low
-                val = out.get(key, 0) + coeff * rc
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-    return out
+                out[key] = out.get(key, 0) + coeff * rc
+    return {w: c for w, c in out.items() if c}
 
 
 def apply(f: Derivation, a: LieElement) -> LieElement:
@@ -218,12 +214,8 @@ def contract(f: Derivation) -> TensorElement:
         for w, c in elt._enc_tensor().items():
             if w // shift == i:
                 key = w - i * shift
-                val = out.get(key, 0) + c
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-    return TensorElement._from_enc(n, k, out)
+                out[key] = out.get(key, 0) + c
+    return TensorElement._from_enc(n, k, out)  # _from_enc drops the zeros
 
 
 def trace(f: Derivation, mode=QuotientMode.FULL) -> CyclicElement:
@@ -387,9 +379,5 @@ def trace_row_enc(n: int, k: int, u, i: int, necks: dict) -> dict:
         neck = necks.get(w)
         if neck is None:
             neck = necks[w] = encode(min_rotation(decode(w, base, k)), base)
-        val = out.get(neck, 0) + c
-        if val:
-            out[neck] = val
-        else:
-            del out[neck]
-    return out
+        out[neck] = out.get(neck, 0) + c
+    return {w: c for w, c in out.items() if c}
