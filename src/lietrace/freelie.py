@@ -143,7 +143,7 @@ _IOTA_CACHE: dict = {}
 
 
 def _cat(a, b, len_b, base):
-    """Encoded product a(x)b, for zero-free a and b whose words all have length len_b.
+    """Encoded product a(x)b of zero-free a and b, every word of b of length len_b.
 
     Distinct pairs (wa, wb) give distinct keys wa * base**len_b + wb, so no
     product cancels and the result is zero-free.
