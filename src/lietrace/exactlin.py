@@ -307,10 +307,10 @@ def _as_int(v):
     return v
 
 
-def _dense_int_rows(rows, ncols=None):
-    """Dense int rows of {col: value} dicts or dense lists, checked by _to_int_vec.
-
-    Without ncols the width is the widest row.
+def _int_rows(rows, ncols=None):
+    """Zero-free {col: int} rows of {col: value} dicts or dense lists, checked
+    by _to_int_vec; returns (rows, ncols).  Without ncols the width is the
+    widest row.
     """
     rows = list(rows)
     if ncols is None:
@@ -318,29 +318,103 @@ def _dense_int_rows(rows, ncols=None):
             (max(r, default=-1) + 1 if isinstance(r, dict) else len(r) for r in rows),
             default=0,
         )
+    return [_to_int_vec(row, ncols, integral=True) for row in rows], ncols
+
+
+def _dense_int_rows(rows, ncols=None):
+    """Dense int rows of {col: value} dicts or dense lists; see _int_rows."""
+    rows, ncols = _int_rows(rows, ncols)
     dense = []
     for row in rows:
         out = [0] * ncols
-        for c, v in _to_int_vec(row, ncols, integral=True).items():
+        for c, v in row.items():
             out[c] = v
         dense.append(out)
     return dense, ncols
 
 
+def _unit_pivots(rows):
+    """Sparse elimination on +-1 entries (Havas-Holt-Rees): (pivots, core).
+
+    rows are zero-free {col: int} dicts; duplicates are dropped.  Each step
+    takes the shortest live row with a +-1 entry (from a lazy heap) and, in
+    it, the unit column held by the fewest live rows (then the least column),
+    and clears that column from every other live row; a row that cancels to
+    zero is dropped.  pivots lists (col, row) in order, each row as it stood
+    when chosen: it holds no earlier pivot column.  core is the live rows
+    left, which hold no pivot column.  Only integral row operations are used,
+    so over Z the pivot rows and the core span the input rows, and each pivot
+    splits off a Smith divisor 1 (the column operations that clear the rest
+    of its row touch no other row).
+    """
+    live: dict = {}
+    seen = set()
+    for row in rows:
+        key = frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            live[len(live)] = dict(row)
+    where: dict = {}  # column -> ids of the live rows holding it
+    for i, row in live.items():
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = live.get(i)
+        if row is None or len(row) != size:
+            continue  # a stale entry: the row was pivoted, dropped or changed
+        units = [c for c, v in row.items() if v == 1 or v == -1]
+        if not units:
+            continue  # pushed again if an elimination changes it
+        col = min(units, key=lambda c: (len(where[c]), c))
+        del live[i]
+        for c in row:
+            where[c].discard(i)
+        u = row[col]
+        for j in where.pop(col):
+            other = live[j]
+            q = other.pop(col) * u  # u * u = 1, so other - q * row clears col
+            for c, v in row.items():
+                if c == col:
+                    continue
+                x = other.get(c, 0) - q * v
+                if x:
+                    if c not in other:
+                        where[c].add(j)
+                    other[c] = x
+                elif c in other:
+                    del other[c]
+                    where[c].discard(j)
+            if other:
+                heapq.heappush(heap, (len(other), j))
+            else:
+                del live[j]
+        pivots.append((col, row))
+    return pivots, list(live.values())
+
+
 def smith_normal_form(rows, ncols=None):
     """Elementary divisors d1 | d2 | ... of an integer matrix, all positive.
 
-    Alternates Hermite forms of the matrix and of its transpose until every
-    row has one nonzero entry (Kannan-Bachem); that diagonal is then merged
-    into a divisibility chain.
+    Unit pivots first (_unit_pivots): each gives one divisor 1.  The core
+    left over, on the columns it touches, goes through alternating Hermite
+    forms of the matrix and of its transpose until every row has one nonzero
+    entry (Kannan-Bachem); that diagonal is then merged into a divisibility
+    chain.
     """
-    a, ncols = _dense_int_rows(rows, ncols)
+    rows, ncols = _int_rows(rows, ncols)
+    pivots, core = _unit_pivots(rows)
+    cols = {c: j for j, c in enumerate(sorted(set().union(*core)))}
+    a, ncols = _dense_int_rows(({cols[c]: v for c, v in row.items()} for row in core), len(cols))
     while True:
         a = _hermite(a, ncols)
         if all(row.count(0) == ncols - 1 for row in a):
             break
         a, ncols = [list(col) for col in zip(*a)], len(a)
-    divisors = _divisor_chain(x for row in a for x in row)
+    divisors = [1] * len(pivots) + _divisor_chain(x for row in a for x in row)
     for x, y in zip(divisors, divisors[1:]):
         if y % x:
             raise InconsistencyError("Smith invariant factors do not divide in chain")
@@ -423,16 +497,51 @@ def _hermite(a, ncols):
 
 
 def integer_kernel_basis(rows, ncols):
-    """Basis of {x in Z^ncols : A x = 0}; the lattice is saturated by construction.
+    """Basis of {x in Z^ncols : A x = 0} as dense rows; the lattice is saturated.
 
-    Works by Hermite-reducing [A^T | I] and reading off the rows whose A^T part
-    vanished.
+    Unit pivots first (_unit_pivots).  The core holds only free (non-pivot)
+    columns; its kernel is read off the Hermite form of [C^T | I] on those
+    columns, from the rows whose C^T part vanished.  Each vector is then
+    extended to the pivot columns by back substitution, last pivot first:
+    x_col = -u * (the rest of its pivot row) . x with u = +-1, so it stays
+    integral.  Restricting to the free columns maps the kernel of A onto that
+    of the core, so saturation carries over.  Every vector is checked against
+    A before it is returned.
     """
-    a, ncols_a = _dense_int_rows(rows, ncols)
-    m = len(a)
+    rows, ncols = _int_rows(rows, ncols)
+    pivots, core = _unit_pivots(rows)
+    pivot_cols = {col for col, _ in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    m = len(core)
+    pos = {c: j for j, c in enumerate(free)}
     stacked = []
-    for j, col in enumerate(zip(*a) if m else [()] * ncols_a):
-        row = list(col) + [0] * ncols_a
+    for j in range(len(free)):
+        row = [0] * (m + len(free))
         row[m + j] = 1
         stacked.append(row)
-    return [row[m:] for row in _hermite(stacked, m + ncols_a) if not any(row[:m])]
+    for i, row in enumerate(core):
+        for c, v in row.items():
+            stacked[pos[c]][i] = v
+    basis = []
+    for h in _hermite(stacked, m + len(free)):
+        if any(h[:m]):
+            continue
+        x = {c: v for c, v in zip(free, h[m:]) if v}
+        for col, row in reversed(pivots):
+            s = sum(v * x[c] for c, v in row.items() if c in x)
+            if s:
+                x[col] = -row[col] * s
+        basis.append(x)
+    # A x = 0 for every x, a column at a time: col -> [(x index, x[col])]
+    entries: dict = {}
+    for k, x in enumerate(basis):
+        for c, v in x.items():
+            entries.setdefault(c, []).append((k, v))
+    for row in rows:
+        ax: dict = {}
+        for c, v in row.items():
+            for k, xc in entries.get(c, ()):
+                ax[k] = ax.get(k, 0) + v * xc
+        if any(ax.values()):
+            raise InconsistencyError("an integer kernel vector is not annihilated")
+    return [[x.get(c, 0) for c in range(ncols)] for x in basis]

@@ -320,34 +320,48 @@ def principal_cocycle(action: LatticeAction, p: Presentation, v) -> CrossedHom:
     return CrossedHom(images)
 
 
+def _sparse_mul(a, b):
+    """Product of two matrices held as tuples of sparse rows."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for t, v in row.items():
+            add_scaled(acc, b[t], v)
+        out.append(acc)
+    return tuple(out)
+
+
 def cocycle_condition_matrix(p: Presentation, action: LatticeAction):
     """Rows of the linear system cutting out the cocycles inside Z^(gens*rank).
 
     Unknown layout: generator g_j occupies columns j*rank .. j*rank + rank - 1.
-    Raises InconsistencyError when a relator does not act as the identity,
-    since then the action does not define a module over the group.
+    The Fox walk keeps its prefix products as sparse rows; each action matrix
+    and each inverse is made sparse once per call, when a relator first needs
+    it.  Raises InconsistencyError when a relator does not act as the
+    identity, since then the action does not define a module over the group.
     """
     r = action.rank
-    ident = _identity(r)
+    ident = tuple({t: 1} for t in range(r))
     gidx = {g: j for j, g in enumerate(p.generators)}
-    inverses = {}
+    mats = {}  # (generator, exponent) -> the sparse action of g^exponent
     rows = []
     for rel in p.relators:
         # row t: coefficients of the t-th entry of f(rel) in terms of the f(g)
         rel_rows = [{} for _ in range(r)]
         prefix = ident
         for g, e in rel:
+            mat = mats.get((g, e))
+            if mat is None:
+                dense = action.matrix(g) if e == 1 else action.inverse(g)
+                mat = mats[(g, e)] = tuple({j: v for j, v in enumerate(row) if v} for row in dense)
             if e == 1:
                 block = prefix
-                prefix = _mat_mul(prefix, action.matrix(g))
+                prefix = _sparse_mul(prefix, mat)
             else:
-                inv = inverses.get(g)
-                if inv is None:
-                    inv = inverses[g] = action.inverse(g)
-                prefix = block = _mat_mul(prefix, inv)
+                prefix = block = _sparse_mul(prefix, mat)
             base = gidx[g] * r
             for row, brow in zip(rel_rows, block):
-                add_scaled(row, {base + col: v for col, v in enumerate(brow) if v}, e)
+                add_scaled(row, {base + col: v for col, v in brow.items()}, e)
         if prefix != ident:
             raise InconsistencyError(f"relator {rel!r} does not act trivially")
         rows.extend(rel_rows)

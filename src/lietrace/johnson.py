@@ -115,12 +115,13 @@ def _lie_coordinates(solver, enc, content):
     return solver.block(1, content).solve(tdict)
 
 
-def _label_bracket(solver, label, a, b, memo):
+def _label_bracket(solver, label, a, b, dab, memo):
     """p-coordinates {(t, w): c} of [f, D_ab] for the basis label (i, u).
 
-    f: x_i -> [u, x_i] and D_ab: x_a -> [x_b, x_a].  By the Jacobi identity
-    [f, D_ab] sends x_t -> [L_t, x_t], with L_i = -D_ab(u) and, when i is a
-    or b, L_a gaining -[u, x_b] (i = a) or [u, x_b] (i = b).  So the
+    f: x_i -> [u, x_i] and D_ab: x_a -> [x_b, x_a], the value dab being
+    [x_b, x_a] encoded.  By the Jacobi identity [f, D_ab] sends
+    x_t -> [L_t, x_t], with L_i = -D_ab(u) and, when i is a or b, L_a
+    gaining -[u, x_b] (i = a) or [u, x_b] (i = b).  So the
     degree-(m+1) tensor of [u, x_i] is never formed: D_ab(u) is one Leibniz
     pass over the length-m expansion of u.  The Lyndon coordinates of D_ab(u)
     and of [u, x_b] come from solver, the AdSolver of degree m + 1, and are
@@ -132,7 +133,7 @@ def _label_bracket(solver, label, a, b, memo):
     content = word_content(u + (b,), n)  # the content of D_ab(u) and [u, x_b]
     du = memo.get((u, a, b))
     if du is None:
-        gen = {a: (ad_enc(n, (b,), a), 2)}
+        gen = {a: (dab, 2)}
         enc = tangent._apply_values_enc(n, gen, iota_enc(n, u), len(u))
         du = memo[(u, a, b)] = _lie_coordinates(solver, enc, content)
     out = {(i, w): -c for w, c in du.items()}
@@ -154,7 +155,8 @@ class _ImageEngine:
     identity) and forms [v, D_ab] as the integer combination of those images.
     Each (u, D_ab) costs one Leibniz pass and one verified solve, shared by
     the n labels (i, u); the ad blocks and the memo behind them are locals of
-    _advance.  Only the top level's accepted vectors are kept (p-coordinates
+    _advance.  The n(n - 1) generator values [x_b, x_a] are expanded once per
+    engine.  Only the top level's accepted vectors are kept (p-coordinates
     keyed by basis position); every level's span is kept, since johnson_image
     reads any of them.
     """
@@ -164,7 +166,13 @@ class _ImageEngine:
 
     def __init__(self, n: int):
         self.n = n
-        self.gens = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+        # (a, b) -> [x_b, x_a] encoded, the value of the generator D_ab
+        self.gens = {
+            (a, b): ad_enc(n, (b,), a)
+            for a in range(1, n + 1)
+            for b in range(1, n + 1)
+            if a != b
+        }
         pidx = _p_index(n, 1)
         span = IncrementalSpan(len(pidx))
         self.top = []
@@ -202,12 +210,12 @@ class _ImageEngine:
         images: dict = {}  # (j, a, b) -> p-coordinates of [basis element j, D_ab]
         top = []
         for vec in self.top:
-            for a, b in self.gens:
+            for (a, b), dab in self.gens.items():
                 cand: dict = {}
                 for j, c in vec.items():
                     img = images.get((j, a, b))
                     if img is None:
-                        got = _label_bracket(solver, labels[j], a, b, memo)
+                        got = _label_bracket(solver, labels[j], a, b, dab, memo)
                         img = images[(j, a, b)] = {pidx[key]: v for key, v in got.items()}
                     add_scaled(cand, img, c)
                 if span.insert(cand):

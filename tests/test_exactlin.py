@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from lietrace import exactlin
+from lietrace._words import InconsistencyError
 from lietrace.exactlin import (
     IncrementalSpan,
     QuotientStructure,
@@ -233,17 +235,20 @@ def test_smith_examples():
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
 
 
+def _minors_gcd(rows, r):
+    """gcd of the r x r minors of dense rows, by cofactor expansion."""
+    g = 0
+    for ris in combinations(range(len(rows)), r):
+        for cis in combinations(range(len(rows[0])), r):
+            g = gcd(g, _det([[rows[i][j] for j in cis] for i in ris]))
+    return g
+
+
 def _minor_gcd_divisors(rows):
     """Naive oracle: products of the first r divisors from r x r minor gcds."""
-    from math import gcd
-
-    m, n = len(rows), len(rows[0])
     prods = []
-    for r in range(1, min(m, n) + 1):
-        g = 0
-        for ris in combinations(range(m), r):
-            for cis in combinations(range(n), r):
-                g = gcd(g, _det([[rows[i][j] for j in cis] for i in ris]))
+    for r in range(1, min(len(rows), len(rows[0])) + 1):
+        g = _minors_gcd(rows, r)
         if g == 0:
             break
         prods.append(g)
@@ -362,3 +367,82 @@ def test_hermite_and_integer_kernel():
     # no rows: the kernel is all of Z^ncols
     assert integer_kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert integer_kernel_basis([[0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
+
+
+def _seeded_matrices():
+    """(family, dense rows) for seeded random matrices of up to 5 x 6.
+
+    "units" rows take entries in -1..1, "core" rows in -4..4 without +-1 (so
+    no unit pivot exists), "duplicates" repeat rows of -4..4 and "mixed" are
+    plain -4..4.
+    """
+    rng = random.Random(2024)
+    pools = {
+        "units": (-1, 0, 1),
+        "core": (-4, -3, -2, 0, 2, 3, 4),
+        "duplicates": tuple(range(-4, 5)),
+        "mixed": tuple(range(-4, 5)),
+    }
+    out = []
+    for family, pool in pools.items():
+        for _ in range(25):
+            m, n = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+            if family == "duplicates":
+                rows = [list(rng.choice(rows)) for _ in range(rng.randint(2, 5))]
+            out.append((family, rows))
+    return out
+
+
+def test_smith_second_route_by_determinantal_divisors():
+    # d_1 ... d_i is the gcd of the i x i minors; that route reads every
+    # minor, not the unit pivots or the Hermite core
+    families = set()
+    for family, rows in _seeded_matrices():
+        assert smith_normal_form(rows, len(rows[0])) == _minor_gcd_divisors(rows), (family, rows)
+        families.add(family)
+    assert families == {"units", "core", "duplicates", "mixed"}
+
+
+def test_integer_kernel_is_a_saturated_basis():
+    for family, rows in _seeded_matrices():
+        ncols = len(rows[0])
+        kern = integer_kernel_basis(rows, ncols)
+        for x in kern:
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+        assert len(kern) == ncols - rank(rows, ncols), (family, rows)
+        # saturated: the maximal minors of the basis have gcd 1, so the
+        # basis spans every integer vector of its rational span
+        if kern:
+            assert _minors_gcd(kern, len(kern)) == 1, (family, rows)
+
+
+def test_unit_pivots_structure():
+    rows = [{0: 2, 1: 4}, {0: 2, 1: 4}, {1: 3, 2: 1}, {1: 3, 2: 1}, {0: 1, 2: 5}]
+    pivots, core = exactlin._unit_pivots(rows)
+    # the duplicates go first; x_2 then x_0 are pivots, and the core is the
+    # determinant 34 of the three distinct rows
+    assert [col for col, _ in pivots] == [2, 0] and core == [{1: 34}]
+    seen = set()
+    for col, row in pivots:
+        assert row[col] in (1, -1) and not seen.intersection(row)
+        seen.add(col)
+    assert not any(seen.intersection(row) for row in core)
+    assert exactlin._unit_pivots([{0: 2, 1: 4}] * 3) == ([], [{0: 2, 1: 4}])
+
+
+def test_integer_kernel_checks_its_basis(monkeypatch):
+    # a pivot row changed after elimination gives a vector off the kernel,
+    # which the final A x = 0 check must catch
+    real = exactlin._unit_pivots
+
+    def corrupted(rows):
+        pivots, core = real(rows)
+        col, row = pivots[0]
+        other = next(c for c in row if c != col)
+        pivots[0] = (col, {**row, other: row[other] + 1})
+        return pivots, core
+
+    monkeypatch.setattr(exactlin, "_unit_pivots", corrupted)
+    with pytest.raises(InconsistencyError):
+        integer_kernel_basis([[1, 1, 0]], 3)

@@ -137,6 +137,15 @@ def test_h1_twisted_structures():
         assert q == QuotientStructure(0, (n,)), (n, q)
 
 
+@pytest.mark.parametrize("n", [9, 18, 30])
+def test_h1_twisted_at_large_n(n):
+    # sizes the dense Fox walk and Hermite kernel could not reach in seconds
+    want = {"bp": QuotientStructure(2, (n,)), "braid": QuotientStructure(1, (n,)),
+            "symmetric": QuotientStructure(0, (n,))}
+    for kind, q in want.items():
+        assert h1_twisted(builtin(kind, n), standard_action(kind, n)) == q, (kind, n)
+
+
 def test_h1_invariant_under_relator_shuffle():
     rng = random.Random(21)
     p = builtin("bp", 4)

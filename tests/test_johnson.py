@@ -9,7 +9,7 @@ from lietrace._words import compositions, decode, partitions
 from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
-from lietrace.freelie import HallMonomial, Multidegree, multidegree_rank
+from lietrace.freelie import HallMonomial, Multidegree, ad_enc, multidegree_rank
 from lietrace.grouppres import Presentation, builtin, principal_cocycle, trivial_action
 from lietrace.johnson import (
     _block_trace_rank,
@@ -276,8 +276,17 @@ def _local_smith_valuations(rows, p, e):
             {(2, 6): {0: 768, 1: 18, 2: 9}, (3, 4): {0: 783, 1: 12}, (5, 1): {0: 795},
              (7, 1): {0: 795}},
         ),
+        (
+            9,
+            QuotientStructure(
+                6,
+                (2,) * 75 + (4,) * 9 + (8,) + (24,) * 11 + (96,) + (864,) * 5 + (1728,),
+            ),
+            {(2, 7): {0: 2083, 1: 75, 2: 9, 3: 12, 5: 6, 6: 1}, (3, 4): {0: 2168, 1: 12, 3: 6},
+             (5, 1): {0: 2186}},
+        ),
     ],
-    ids=["7", "8"],
+    ids=["7", "8", "9"],
 )
 def test_coker_n3_second_route(k, structure, local):
     assert coker_structure(3, k) == structure
@@ -288,7 +297,7 @@ def test_coker_n3_second_route(k, structure, local):
         for content in compositions(k, 3)
     ]
     width = cyclic_rank(3, k, "bar")
-    assert width == {7: 312, 8: 831}[k]
+    assert width == {7: 312, 8: 831, 9: 2192}[k]
     # Smith valuations over Z/p^e: at e = 1 the count is the rank mod p (so
     # no p-torsion), and where it reaches width - free rank every divisor is
     # seen, so the p-part is exact (864 = 2^5 * 3^3 needs p = 2 and p = 3)
@@ -489,7 +498,9 @@ def test_label_bracket_matches_der_bracket(n, mmax):
                     if a == b:
                         continue
                     want = p_coordinates(der_bracket(f, tau1_generator(n, a, b)))
-                    assert johnson._label_bracket(solver, label, a, b, memo) == want, (label, a, b)
+                    dab = ad_enc(n, (b,), a)
+                    got = johnson._label_bracket(solver, label, a, b, dab, memo)
+                    assert got == want, (label, a, b)
                     cases["i = a" if label[0] == a else "i = b" if label[0] == b else "other"] += 1
     assert set(cases) == ({"i = a", "i = b", "other"} if n > 2 else {"i = a", "i = b"})
 
