@@ -46,6 +46,13 @@ def test_image_dims_small():
     assert johnson_image(4, 2).dim == 18  # n(n-1)^2/2
 
 
+def test_image_dims_pinned_n4_k6_and_n5_k5():
+    # values of one global span over every composition of the degree, with no
+    # orbit rule; a second route for the orbit sum of the block dimensions
+    assert johnson_image(4, 6).dim == 2006
+    assert johnson_image(5, 5).dim == 2496
+
+
 def test_kernel_dims_small():
     assert [trace_kernel_dim(3, k) for k in range(1, 6)] == [6, 6, 16, 36, 96]
     assert trace_kernel_dim(4, 2) == 18
