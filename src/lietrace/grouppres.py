@@ -375,6 +375,17 @@ def z1_basis(p: Presentation, action: LatticeAction):
     return exactlin.integer_kernel_basis(rows, ncols), ncols
 
 
+def _coboundaries(p: Presentation, action: LatticeAction):
+    """The coboundary g -> g.e_t - e_t of each basis vector e_t, laid out as
+    the unknowns of cocycle_condition_matrix: at generator g it is column t of
+    action.matrix(g) minus e_t, so no matrix is multiplied by a vector."""
+    mats = [action.matrix(g) for g in p.generators]
+    return [
+        [row[t] - (i == t) for mat in mats for i, row in enumerate(mat)]
+        for t in range(action.rank)
+    ]
+
+
 def h1_twisted(p: Presentation, action: LatticeAction) -> QuotientStructure:
     """First cohomology with coefficients in the lattice action: Z1/B1.
 
@@ -386,15 +397,11 @@ def h1_twisted(p: Presentation, action: LatticeAction) -> QuotientStructure:
     z1 = exactlin.IncrementalSpan(ncols)
     for row in kernel:
         z1.insert(row)
-    r = action.rank
-    coboundaries = []
-    for t in range(r):
-        f = principal_cocycle(action, p, tuple(int(i == t) for i in range(r)))
-        vec = [x for g in p.generators for x in f.value(g)]
+    coboundaries = _coboundaries(p, action)
+    for vec in coboundaries:
         # membership over Q suffices: Z1 is saturated
         if not z1.contains(vec):
             raise InconsistencyError("coboundary outside the cocycle lattice")
-        coboundaries.append(vec)
     divisors = exactlin.smith_normal_form(coboundaries, ncols)
     return QuotientStructure(len(kernel) - len(divisors), tuple(d for d in divisors if d > 1))
 

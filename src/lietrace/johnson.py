@@ -3,25 +3,32 @@ kernels and cokernels, and the consistency checks tying them together.
 
 Everything multihomogeneous is computed block by block: a bracket of
 generators indexed by letters b_1..b_k lives in the multidegree
-e_{b_1}+...+e_{b_k} block, and trace matrices never mix content classes.  The
-global spans still live over the full ordered basis of the degree, so sparse
-insertion automatically stays block-local.
+e_{b_1}+...+e_{b_k} block, and trace matrices never mix content classes.
+Relabelling letters permutes the blocks, so both the image and the trace are
+computed on one block per S_n orbit of contents: the representative, a
+partition of the degree.
 
-The image engine (``_ImageEngine``) builds degree k + 1 from the accepted
-vectors of degree k alone, bracketing each basis label (i, u) with each
-generator D_ab once per level and combining the results linearly.  A label's
-bracket is a closed form by the Jacobi identity (``_label_bracket``): it needs
-D_ab(u), one Leibniz pass in degree m, and [u, x_b], whose Lyndon coordinates
-(one verified ad-block solve each) every label (i, u) of the level shares.
-Each level owns its degree-(m+1) ad blocks and its memo, and drops both when
-it is done: no later level solves in that degree again.
+The image (``_OrbitImage``) keeps one span per representative alpha, padded
+to n letters, on block-local columns.  The generators D_ab form one
+S_n-stable set, so the image in the block of sigma(alpha) is sigma applied
+to that of alpha: ``ImageBasis.dim`` is the orbit sum, and ``contains``
+relabels each content part of a vector onto its representative
+(``_relabel``, through ``project_lyndon_enc``).  Level m + 1 of alpha is
+built from the accepted vectors of the representatives one letter below,
+relabelled, bracketing each basis label (i, u) with each generator D_ab once
+per letter and combining the results linearly.  A label's bracket is a
+closed form by the Jacobi identity (``_label_bracket``): it needs D_ab(u),
+one Leibniz pass in degree m, and [u, x_b], whose Lyndon coordinates (one
+verified ad-block solve each) every label (i, u) shares.  Each level owns
+its degree-(m+1) ad blocks and drops them when it is done: no later level
+solves in that degree again.
 
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
 the rational second route, the integral cokernel and the kernel checks all
 read it.  The bar/tilde quotient only decides which blocks count
-(``cyclic.mode_width``).  Relabelling letters permutes the blocks without
-changing their ranks or Smith divisors, so ``trace_rank`` and
+(``cyclic.mode_width``).  Relabelling letters permutes the trace blocks
+without changing their ranks or Smith divisors, so ``trace_rank`` and
 ``coker_structure`` compute one block per S_n orbit (``_orbits``), keyed by
 its partition alone: n only counts the copies.  The rational second route and
 the kernel checks visit every composition on n letters.
@@ -29,8 +36,7 @@ the kernel checks visit every composition on n letters.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import factorial, lcm
 
@@ -38,6 +44,8 @@ from . import exactlin, tangent
 from ._words import (
     add_scaled,
     compositions,
+    decode,
+    encode,
     exact_int,
     lyndon_words_of_content,
     partitions,
@@ -45,21 +53,56 @@ from ._words import (
 )
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
-from .freelie import _commutator, ad_enc, iota_enc, multidegree_rank
+from .freelie import _commutator, ad_enc, iota_enc, multidegree_rank, project_lyndon_enc
 from .tangent import AdSolver, p_basis, p_rank, trace_row_enc
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageBasis:
-    """Degree-k part of the subalgebra generated in degree 1."""
+    """Degree-k part of the subalgebra generated in degree 1.
+
+    blocks maps each representative content alpha, a partition of k padded to
+    n letters, to the image in its block (a _Block); blocks without image are
+    left out.  The image in the block of a content sigma(alpha) is sigma
+    applied to that of alpha, so dim is the orbit sum, and contains() and
+    block_dim() relabel each content to its representative.
+    """
 
     n: int
     k: int
-    span: IncrementalSpan
+    blocks: dict = field(repr=False)
+    _relabelled: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.span.dim
+        return sum(_orbit_size(self.n, alpha) * b.span.dim for alpha, b in self.blocks.items())
+
+    def block_dim(self, content) -> int:
+        """Dimension of the image in the block of one content on the n letters."""
+        alpha, _ = _representative(tuple(content) + (0,) * (self.n - len(content)))
+        got = self.blocks.get(alpha)
+        return got.span.dim if got else 0
+
+    def contains(self, vec) -> bool:
+        """Whether {(i, u): c}, on degree-k basis labels, lies in the image.
+
+        Each content part of vec is relabelled onto its representative block
+        and tested there.
+        """
+        parts: dict = {}
+        for (i, u), c in vec.items():
+            if c:
+                parts.setdefault(word_content(u, self.n), {})[(i, u)] = c
+        for content, part in parts.items():
+            alpha, perm = _representative(content)
+            got = self.blocks.get(alpha)
+            if got is None:
+                return False
+            inverse = tuple(perm.index(x) + 1 for x in range(1, self.n + 1))
+            moved = _relabel(self.n, inverse, part, self._relabelled)
+            if not got.span.contains({got.index[key]: c for key, c in moved.items()}):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -145,24 +188,87 @@ def _label_bracket(solver, label, a, b, dab, memo):
     return out
 
 
-class _ImageEngine:
-    """Incremental degree-by-degree span of the degree-1 generated subalgebra.
+def _orbit_size(n, alpha):
+    """Number of compositions on n letters that sort to the partition alpha.
 
-    Level k is spanned by the brackets [v, D_ab] of the accepted vectors v of
-    level k - 1 with the generators D_ab: x_a -> [x_b, x_a].  The bracket is
-    linear in v, so each level brackets every basis label (i, u) occurring in
-    its top vectors with each D_ab once (_label_bracket, by the Jacobi
-    identity) and forms [v, D_ab] as the integer combination of those images.
-    Each (u, D_ab) costs one Leibniz pass and one verified solve, shared by
-    the n labels (i, u); the ad blocks and the memo behind them are locals of
-    _advance.  The n(n - 1) generator values [x_b, x_a] are expanded once per
-    engine.  Only the top level's accepted vectors are kept (p-coordinates
-    keyed by basis position); every level's span is kept, since johnson_image
-    reads any of them.
+    alpha may be zero-padded to n parts: n!/((n - len(alpha))! prod mult!).
+    """
+    orbit = factorial(n) // factorial(n - len(alpha))
+    for v in set(alpha):
+        orbit //= factorial(alpha.count(v))
+    return orbit
+
+
+def _representative(content):
+    """(alpha, perm): content sorted into a partition, and the relabelling back.
+
+    Part t of alpha is the count of letter perm[t - 1] of content, so the
+    letter map x -> perm[x - 1] carries the block of alpha onto that of
+    content.
+    """
+    order = sorted(range(len(content)), key=lambda x: -content[x])
+    return tuple(content[x] for x in order), tuple(x + 1 for x in order)
+
+
+def _relabel(n, perm, vec, memo):
+    """vec {(i, u): c} with every letter x made perm[x - 1], on Lyndon labels.
+
+    The label (i, u) goes to perm(i) and to the Lyndon coordinates of the
+    relabelled basis element of u (project_lyndon_enc), memoized in memo
+    under (perm, u); the caller decides how long memo lives.
+    """
+    if perm == tuple(range(1, n + 1)):
+        return vec
+    base = n + 1
+    out: dict = {}
+    for (i, u), c in vec.items():
+        coords = memo.get((perm, u))
+        if coords is None:
+            k = len(u)
+            moved = {
+                encode([perm[x - 1] for x in decode(w, base, k)], base): d
+                for w, d in iota_enc(n, u).items()
+            }
+            coords = memo[(perm, u)] = project_lyndon_enc(n, k, moved)
+        j = perm[i - 1]
+        add_scaled(out, {(j, w): d for w, d in coords.items()}, c)
+    return out
+
+
+class _Block:
+    """The image in one content block, on block-local columns.
+
+    labels lists the block's basis labels (i, u), u a Lyndon word of the
+    content, in global basis order; index inverts it.
     """
 
-    _cache: dict = {}
-    _lock = threading.Lock()
+    __slots__ = ("labels", "index", "span")
+
+    def __init__(self, n, k, content):
+        words = lyndon_words_of_content(content)
+        self.labels = tuple(
+            (i, u) for i in range(1, n + 1) for u in words if k > 1 or u != (i,)
+        )
+        self.index = {key: col for col, key in enumerate(self.labels)}
+        self.span = IncrementalSpan(len(self.labels))
+
+
+class _OrbitImage:
+    """The degree-1 generated subalgebra on n letters, one block per S_n orbit.
+
+    The generators D_ab form one S_n-stable set, so the image in the block of
+    content sigma(alpha) is sigma applied to that of alpha.  levels[k - 1]
+    maps each representative alpha of degree k (a partition padded to n
+    letters) with a nonzero image to its _Block.  Level m + 1 of alpha is
+    spanned by [sigma v, D_ab] for each letter b of alpha, each a != b and
+    each accepted vector v of the representative rho of alpha - e_b, sigma
+    being the relabelling with sigma(rho) = alpha - e_b (_representative).
+    Only the top level's accepted vectors are kept (top, on block-local
+    columns); every level's blocks are kept, since johnson_image reads any
+    of them.  The n(n - 1) generator values [x_b, x_a] are expanded once.
+    extend() grows the store in place with no lock: no caller in the package
+    reaches it from more than one thread (the CLI's pool runs c_alpha only).
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -173,64 +279,85 @@ class _ImageEngine:
             for b in range(1, n + 1)
             if a != b
         }
-        pidx = _p_index(n, 1)
-        span = IncrementalSpan(len(pidx))
-        self.top = []
-        for a, b in self.gens:
-            vec = {pidx[(a, (b,))]: 1}
-            span.insert(vec)
-            self.top.append(vec)
-        self.spans = [span]
-        self._advance_lock = threading.Lock()
-
-    @classmethod
-    def get(cls, n: int) -> "_ImageEngine":
-        got = cls._cache.get(n)
-        if got is None:
-            with cls._lock:
-                got = cls._cache.get(n)
-                if got is None:
-                    got = cls(n)
-                    cls._cache[n] = got
-        return got
+        alpha = (1,) + (0,) * (n - 1)
+        block = _Block(n, 1, alpha)  # the labels (a, (1,)) of D_a1, a > 1
+        vecs = [{col: 1} for col in range(len(block.labels))]
+        for vec in vecs:
+            block.span.insert(vec)
+        self.levels = [{alpha: block}]
+        self.top = {alpha: vecs}
 
     def extend(self, k: int):
-        with self._advance_lock:
-            while len(self.spans) < k:
-                self._advance()
+        while len(self.levels) < k:
+            self._advance()
 
     def _advance(self):
         n = self.n
-        m = len(self.spans)  # degree of the current top level
-        labels = tuple(_p_index(n, m))
-        pidx = _p_index(n, m + 1)
-        span = IncrementalSpan(len(pidx))
+        m = len(self.levels)  # degree of the current top level
+        below = self.levels[-1]
         solver = AdSolver(n, m + 1)  # the ad blocks of this level alone
-        memo: dict = {}  # shared by the labels of this level, see _label_bracket
-        images: dict = {}  # (j, a, b) -> p-coordinates of [basis element j, D_ab]
-        top = []
-        for vec in self.top:
-            for (a, b), dab in self.gens.items():
-                cand: dict = {}
-                for j, c in vec.items():
-                    img = images.get((j, a, b))
-                    if img is None:
-                        got = _label_bracket(solver, labels[j], a, b, dab, memo)
-                        img = images[(j, a, b)] = {pidx[key]: v for key, v in got.items()}
-                    add_scaled(cand, img, c)
-                if span.insert(cand):
-                    top.append(cand)
+        level, top = {}, {}
+        for part in partitions(m + 1, max_parts=n):
+            alpha = part + (0,) * (n - len(part))
+            block = _Block(n, m + 1, alpha)
+            accepted = []
+            for b in range(1, len(part) + 1):
+                beta = alpha[: b - 1] + (alpha[b - 1] - 1,) + alpha[b:]
+                rho, perm = _representative(beta)
+                if rho in self.top:
+                    accepted += self._bracket_block(
+                        block, below[rho].labels, self.top[rho], perm, b, solver
+                    )
+            if accepted:
+                level[alpha], top[alpha] = block, accepted
+        self.levels.append(level)
         self.top = top
-        self.spans.append(span)
+
+    def _bracket_block(self, block, labels, vecs, perm, b, solver):
+        """Insert [perm(v), D_ab] into block for each v of vecs and a != b.
+
+        vecs are on the columns of labels, the block below.  The bracket is
+        linear in v, so each relabelled basis label is bracketed with each
+        D_ab once (_label_bracket, by the Jacobi identity) and every
+        candidate is the integer combination of those images.  The memos
+        live for this one pair (alpha, b): the relabelled labels have content
+        alpha - e_b, which no other pair brackets.  Returns the accepted
+        candidates.
+        """
+        n = self.n
+        relabelled: dict = {}
+        memo: dict = {}  # shared by the labels (i, u), see _label_bracket
+        images: dict = {}  # (label, a) -> block columns of [label, D_ab]
+        accepted = []
+        for vec in vecs:
+            moved = _relabel(n, perm, {labels[j]: c for j, c in vec.items()}, relabelled)
+            for a in range(1, n + 1):
+                if a == b:
+                    continue
+                cand: dict = {}
+                for label, c in moved.items():
+                    img = images.get((label, a))
+                    if img is None:
+                        got = _label_bracket(solver, label, a, b, self.gens[(a, b)], memo)
+                        img = images[(label, a)] = {block.index[key]: v for key, v in got.items()}
+                    add_scaled(cand, img, c)
+                if block.span.insert(cand):
+                    accepted.append(cand)
+        return accepted
+
+
+@cache
+def _orbit_image(n: int) -> _OrbitImage:
+    return _OrbitImage(n)
 
 
 def johnson_image(n: int, k: int) -> ImageBasis:
     """Degree-k span of iterated brackets of the degree-1 generators."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2, k >= 1")
-    engine = _ImageEngine.get(n)
-    engine.extend(k)
-    return ImageBasis(n, k, engine.spans[k - 1])
+    store = _orbit_image(n)
+    store.extend(k)
+    return ImageBasis(n, k, store.levels[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +423,7 @@ def _orbits(n, k, mode):
     for alpha in partitions(k, max_parts=n):
         width = mode_width(alpha, mode)
         if width:
-            orbit = factorial(n) // factorial(n - len(alpha))
-            for v in set(alpha):
-                orbit //= factorial(alpha.count(v))
-            yield alpha, orbit, width
+            yield alpha, _orbit_size(n, alpha), width
 
 
 def trace_rank(n: int, k: int, mode=QuotientMode.BAR) -> int:
@@ -394,7 +518,6 @@ def check_T0530(n: int, k: int) -> T0530Report:
     if n < 3:
         raise ValueError("need n >= 3")
     image = johnson_image(n, k)
-    pidx = _p_index(n, k)
     checked, skipped, violations = [], [], []
     for content in compositions(k, n):
         if not lyndon_words_of_content(content):
@@ -405,8 +528,7 @@ def check_T0530(n: int, k: int) -> T0530Report:
         kernel = _block_kernel_pcoords(k, content)
         checked.append((content, len(kernel)))
         for vec in kernel:
-            gvec = {pidx[key]: c for key, c in vec.items()}
-            if not image.span.contains(gvec):
+            if not image.contains(vec):
                 violations.append((content, tuple(sorted(vec.items()))))
     return T0530Report(n, k, tuple(checked), tuple(skipped), tuple(violations))
 

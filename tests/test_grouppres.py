@@ -7,6 +7,7 @@ from lietrace.grouppres import (
     InconsistencyError,
     LatticeAction,
     Presentation,
+    _coboundaries,
     abelianization,
     builtin,
     evaluate_cocycle,
@@ -94,6 +95,19 @@ def test_principal_cocycles_satisfy_relators():
             f = principal_cocycle(act, p, v)
             for rel in p.relators:
                 assert evaluate_cocycle(f, act, rel) == (0,) * (n - 1)
+
+
+@pytest.mark.parametrize("kind", ["bp", "braid", "symmetric"])
+def test_coboundaries_read_off_the_action_columns(kind):
+    # h1_twisted reads each coboundary off the action matrices; the public
+    # principal_cocycle multiplies them by the basis vector instead
+    n = 5
+    p, act = builtin(kind, n), standard_action(kind, n)
+    vecs = _coboundaries(p, act)
+    assert len(vecs) == n - 1
+    for t, vec in enumerate(vecs):
+        f = principal_cocycle(act, p, tuple(int(i == t) for i in range(n - 1)))
+        assert vec == [x for g in p.generators for x in f.value(g)], t
 
 
 def test_condition_matrix_matches_word_evaluation():

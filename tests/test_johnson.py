@@ -249,7 +249,15 @@ def _local_smith_valuations(rows, p, e):
     work = [r for r in work if r]
     vals = []
     while work:
-        v, i, c = min((val(x), i, c) for i, r in enumerate(work) for c, x in r.items())
+        # the least (valuation, row, column): the first row holding a unit
+        # and its least unit column, else a scan of every valuation
+        for i, r in enumerate(work):
+            units = [c for c, x in r.items() if x % p]
+            if units:
+                v, c = 0, min(units)
+                break
+        else:
+            v, i, c = min((val(x), i, c) for i, r in enumerate(work) for c, x in r.items())
         piv = work.pop(i)
         unit_inv = pow(piv[c] // p**v, -1, mod)
         for r in work:
@@ -357,7 +365,6 @@ def test_absent_letter_generators_lie_in_image():
     # x_i* (x) [w, x_i] with i absent from w is always in the bracket span
     for k in (3, 4, 5):
         image = johnson_image(3, k)
-        pidx = _p_index(3, k)
         rng = random.Random(41)
         for _ in range(12):
             i = rng.randint(1, 3)
@@ -365,9 +372,7 @@ def test_absent_letter_generators_lie_in_image():
             f = tangential(3, TangentialGenerator(i, word))
             if f.is_zero():
                 continue
-            coords = p_coordinates(f)
-            vec = {pidx[key]: c for key, c in coords.items()}
-            assert image.span.contains(vec), (i, word)
+            assert image.contains(p_coordinates(f)), (i, word)
 
 
 def test_e_generators():
@@ -420,28 +425,41 @@ def test_section8_rows_through_k7(capsys):
 def test_degree7_gap_localizes_to_one_content_orbit():
     """The 6-dimensional kernel/span gap at (3, 7) sits entirely in the three
     compositions with letter counts {3, 2, 2}, two dimensions each."""
-    from lietrace._words import lyndon_words_of_content, word_content
+    from lietrace._words import lyndon_words_of_content
     from lietrace.johnson import _trace_block
 
     n, k = 3, 7
     image = johnson_image(n, k)
-    pidx = _p_index(n, k)
-    rev = {v: key for key, v in pidx.items()}
-    per_block_image = {}
-    for col in image.span.pivot_columns():
-        i, u = rev[col]
-        c = word_content(u, n)
-        per_block_image[c] = per_block_image.get(c, 0) + 1
     gaps = {}
     for content in compositions(k, n):
         if not lyndon_words_of_content(content):
             continue
         block_p = len(_trace_block(k, content)[0])
         kernel = block_p - _block_trace_rank(k, content)
-        gap = kernel - per_block_image.get(content, 0)
+        gap = kernel - image.block_dim(content)
         if gap:
             gaps[content] = gap
     assert gaps == {(3, 2, 2): 2, (2, 3, 2): 2, (2, 2, 3): 2}
+
+
+@pytest.mark.parametrize("content", [(3, 2, 2), (2, 2, 3)])
+def test_contains_rejects_the_degree7_gap(content):
+    # the trace kernel of the block exceeds the image by 2; the kernel vectors
+    # contains() accepts are independent vectors of the image, so the image
+    # and the rejected ones together must reach the kernel dimension.
+    # (2, 2, 3) is relabelled onto its representative (3, 2, 2) to be tested
+    image = johnson_image(3, 7)
+    kernel = johnson._block_kernel_pcoords(7, content)
+    rejected = [vec for vec in kernel if not image.contains(vec)]
+    assert image.block_dim(content) == len(kernel) - 2
+    assert rejected
+    assert image.block_dim(content) + len(rejected) >= len(kernel)
+
+
+@pytest.mark.parametrize("n,k", [(2, 4), (3, 1), (3, 6), (4, 4), (5, 3)])
+def test_block_dims_sum_to_the_image(n, k):
+    image = johnson_image(n, k)
+    assert sum(image.block_dim(c) for c in compositions(k, n)) == image.dim
 
 
 def test_image_dim_independent_of_bracketing_order():
@@ -481,12 +499,14 @@ def test_image_span_second_route(n, kmax):
         if k > 1:
             basis = [der_bracket(f, g) for f in basis for g in gens]
         pos = {(b.i, b.monomial.word): j for j, b in enumerate(p_basis(n, k))}
-        vecs = [{pos[key]: c for key, c in p_coordinates(f).items()} for f in basis]
+        coords = [p_coordinates(f) for f in basis]
         span = IncrementalSpan(len(pos))
-        basis = [f for f, vec in zip(basis, vecs) if span.insert(vec)]
+        basis = [
+            f for f, co in zip(basis, coords) if span.insert({pos[key]: c for key, c in co.items()})
+        ]
         image = johnson_image(n, k)
         assert span.dim == image.dim, (n, k)
-        assert all(image.span.contains(vec) for vec in vecs), (n, k)
+        assert all(image.contains(co) for co in coords), (n, k)
 
 
 @pytest.mark.parametrize("n,mmax", [(2, 4), (3, 4), (4, 3)])
