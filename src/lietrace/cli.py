@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie, grouppres, johnson, tangent
-from ._words import partitions
+from ._words import InconsistencyError, partitions
 from .cyclic import QuotientMode
 
 class UsageError(Exception):
@@ -95,15 +95,15 @@ def _parse_range(spec: str):
     return [int(spec)]
 
 
-def _structure_json(q: exactlin.QuotientStructure) -> str:
-    obj = {"free_rank": q.free_rank, "torsion": [_json_value(d) for d in q.torsion]}
-    return json.dumps(obj) + "\n"
-
-
-def _structure_doc(title, q, provenance):
-    return TableDocument(
-        title, ["free_rank", "torsion"], [[q.free_rank, list(q.torsion)]], provenance
-    )
+def _emit_structure(args, title, q: exactlin.QuotientStructure):
+    """A {free_rank, torsion} object in json; else a one-row table."""
+    if args.format == "json":
+        obj = {"free_rank": q.free_rank, "torsion": [_json_value(d) for d in q.torsion]}
+        _emit(args, json.dumps(obj) + "\n")
+    else:
+        row = [q.free_rank, list(q.torsion)]
+        _emit(args, TableDocument(title, ["free_rank", "torsion"], [row], _prov(args)))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +259,7 @@ def _cmd_n3gap(args):
 
 def _cmd_coker(args):
     q = johnson.coker_structure(args.n, args.k)
-    if args.format == "json":
-        _emit(args, _structure_json(q))
-    else:
-        _emit(args, _structure_doc(f"trace cokernel n={args.n} k={args.k}", q, _prov(args)))
-    return 0
+    return _emit_structure(args, f"trace cokernel n={args.n} k={args.k}", q)
 
 
 def _cmd_t0530(args):
@@ -295,7 +291,10 @@ def _cmd_egens(args):
     return 0 if rep.ok else 2
 
 
-def _file_presentation(args):
+def _presentation(args):
+    """The builtin presentation of --group at --n, or the one read from --file."""
+    if args.group != "file":
+        return grouppres.builtin(args.group, args.n)
     if not args.file:
         raise UsageError("--group file needs --file PATH")
     with open(args.file) as fh:
@@ -303,31 +302,18 @@ def _file_presentation(args):
 
 
 def _cmd_h1(args):
-    if args.group == "file":
-        pres = _file_presentation(args)
-        if args.rep != "trivial":
-            raise UsageError("file presentations support --rep trivial only")
+    pres = _presentation(args)
+    if args.rep == "trivial":
         action = grouppres.trivial_action(pres)
+    elif args.group == "file":
+        raise UsageError("file presentations support --rep trivial only")
     else:
-        pres = grouppres.builtin(args.group, args.n)
-        if args.rep == "trivial":
-            action = grouppres.trivial_action(pres)
-        else:
-            action = grouppres.standard_action(args.group, args.n)
-    q = grouppres.h1_twisted(pres, action)
-    if args.format == "json":
-        _emit(args, _structure_json(q))
-    else:
-        _emit(args, _structure_doc(f"twisted H1, {args.group}", q, _prov(args)))
-    return 0
+        action = grouppres.standard_action(args.group, args.n)
+    return _emit_structure(args, f"twisted H1, {args.group}", grouppres.h1_twisted(pres, action))
 
 
 def _cmd_h2(args):
-    try:
-        value = grouppres.h2_psigma_rank(args.n)
-    except grouppres.InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 2
+    value = grouppres.h2_psigma_rank(args.n)
     doc = TableDocument(
         f"second homology rank, n={args.n}", ["n", "rank"], [[args.n, value]], _prov(args)
     )
@@ -336,16 +322,8 @@ def _cmd_h2(args):
 
 
 def _cmd_abelianize(args):
-    if args.group == "file":
-        pres = _file_presentation(args)
-    else:
-        pres = grouppres.builtin(args.group, args.n)
-    q = grouppres.abelianization(pres)
-    if args.format == "json":
-        _emit(args, _structure_json(q))
-    else:
-        _emit(args, _structure_doc(f"abelianization, {args.group}", q, _prov(args)))
-    return 0
+    q = grouppres.abelianization(_presentation(args))
+    return _emit_structure(args, f"abelianization, {args.group}", q)
 
 
 def _prov(args):
@@ -462,6 +440,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except InconsistencyError as exc:
+        print(f"inconsistency: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

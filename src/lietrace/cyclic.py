@@ -57,10 +57,6 @@ class Necklace:
     def is_power(self) -> bool:
         return len(set(self.word)) == 1
 
-    def has_isolated_letter(self) -> bool:
-        w = self.word
-        return any(w.count(c) == 1 for c in set(w))
-
     def __str__(self):
         return "(" + ",".join(map(str, self.word)) + ")"
 
@@ -92,30 +88,30 @@ def project_cyclic(t: TensorElement) -> CyclicElement:
     return CyclicElement._unchecked(t.n, t.degree, {k: c for k, c in acc.items() if c})
 
 
+def _keeps(content, mode) -> bool:
+    """Whether the mode's quotient keeps a content class: each quotient keeps
+    or kills a class whole, bar the class of a power x_i^k and tilde every
+    class in which no letter occurs once."""
+    if mode is QuotientMode.BAR:
+        return sum(1 for c in content if c) != 1
+    if mode is QuotientMode.TILDE:
+        return 1 in content
+    return True
+
+
 def reduce(e: CyclicElement, mode) -> CyclicElement:
     """Apply the bar/tilde coordinate projection (full is the identity)."""
     mode = QuotientMode.coerce(mode)
     if mode is QuotientMode.FULL:
         return e
-    if mode is QuotientMode.BAR:
-        terms = {k: c for k, c in e.terms.items() if not k.is_power()}
-    else:
-        terms = {k: c for k, c in e.terms.items() if k.has_isolated_letter()}
+    content = lambda w: [w.count(x) for x in set(w)]
+    terms = {k: c for k, c in e.terms.items() if _keeps(content(k.word), mode)}
     return CyclicElement._unchecked(e.n, e.degree, terms)
 
 
 def mode_width(content, mode) -> int:
-    """Number of necklaces of one content class that survive the mode's quotient.
-
-    Each quotient keeps or kills a content class whole: bar kills the class of
-    a power x_i^k, and tilde every class in which no letter occurs once.
-    """
-    mode = QuotientMode.coerce(mode)
-    if mode is QuotientMode.BAR and sum(1 for c in content if c) == 1:
-        return 0
-    if mode is QuotientMode.TILDE and 1 not in content:
-        return 0
-    return _words.necklace_count(content)
+    """Number of necklaces of one content class that survive the mode's quotient."""
+    return _words.necklace_count(content) if _keeps(content, QuotientMode.coerce(mode)) else 0
 
 
 def cyclic_rank(n: int, k: int, mode=QuotientMode.FULL) -> int:

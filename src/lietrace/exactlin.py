@@ -132,9 +132,6 @@ class IncrementalSpan:
     def dim(self) -> int:
         return len(self._rows)
 
-    def pivot_columns(self):
-        return sorted(self._rows)
-
     def _reduce(self, v):
         """Reduce v (mutated) against the stored rows; returns the remainder."""
         rows = self._rows
@@ -321,18 +318,6 @@ def _int_rows(rows, ncols=None):
     return [_to_int_vec(row, ncols, integral=True) for row in rows], ncols
 
 
-def _dense_int_rows(rows, ncols=None):
-    """Dense int rows of {col: value} dicts or dense lists; see _int_rows."""
-    rows, ncols = _int_rows(rows, ncols)
-    dense = []
-    for row in rows:
-        out = [0] * ncols
-        for c, v in row.items():
-            out[c] = v
-        dense.append(out)
-    return dense, ncols
-
-
 def _unit_pivots(rows):
     """Sparse elimination on +-1 entries (Havas-Holt-Rees): (pivots, core).
 
@@ -407,8 +392,8 @@ def smith_normal_form(rows, ncols=None):
     """
     rows, ncols = _int_rows(rows, ncols)
     pivots, core = _unit_pivots(rows)
-    cols = {c: j for j, c in enumerate(sorted(set().union(*core)))}
-    a, ncols = _dense_int_rows(({cols[c]: v for c, v in row.items()} for row in core), len(cols))
+    cols = sorted(set().union(*core))
+    a, ncols = [[row.get(c, 0) for c in cols] for row in core], len(cols)
     while True:
         a = _hermite(a, ncols)
         if all(row.count(0) == ncols - 1 for row in a):
@@ -459,7 +444,8 @@ def hermite_row_reduce(rows, ncols):
     Returns dense rows with positive pivots, entries above each pivot reduced
     to the range [0, pivot).  Zero rows are dropped.
     """
-    return _hermite(*_dense_int_rows(rows, ncols))
+    rows, ncols = _int_rows(rows, ncols)
+    return _hermite([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols)
 
 
 def _hermite(a, ncols):

@@ -64,8 +64,14 @@ class Presentation:
 
 
 def builtin(kind: str, n: int) -> Presentation:
-    """The stock presentations used throughout: basis-conjugating, braid-
-    permutation, braid, and symmetric groups."""
+    """The stock presentations: mccool (the basis-conjugating group), bp, braid
+    and symmetric (or sym), on generators K{i}_{j}, sigma{i} and s{i}.
+
+    braid is the Artin relators of sigma1..sigma(n-1) (``_artin``), symmetric
+    the squares s_i s_i then the Artin relators of the s_i, and bp the braid
+    generators and relators, then the symmetric ones, then the mixed families
+    BP1 [sigma_i, s_j] (|i - j| >= 2), BP2 and BP3.
+    """
     kind = kind.lower()
     if n < 2:
         raise ValueError("need n >= 2")
@@ -129,67 +135,39 @@ def mccool_family_counts(n: int):
     return p1, p2, p3
 
 
+def _artin(gens):
+    """Artin relators on a chain of generators: the braid relation
+    a b a (b a b)^-1 on each consecutive pair, commutators on distant ones."""
+    word = [_gen(g) for g in gens]
+    rels = [_concat(a, b, a, _inv(_concat(b, a, b))) for a, b in zip(word, word[1:])]
+    m = len(word)
+    return rels + [_commutator(word[i], word[j]) for i in range(m) for j in range(i + 2, m)]
+
+
 def _braid(n):
-    gens = [f"sigma{i}" for i in range(1, n)]
-    rels = []
-    for i in range(1, n - 1):
-        a, b = _gen(f"sigma{i}"), _gen(f"sigma{i+1}")
-        rels.append(_concat(b, a, b, _inv(a), _inv(b), _inv(a)))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(_commutator(_gen(f"sigma{i}"), _gen(f"sigma{j}")))
-    return Presentation(tuple(gens), tuple(rels))
+    gens = tuple(f"sigma{i}" for i in range(1, n))
+    return Presentation(gens, tuple(_artin(gens)))
 
 
 def _symmetric(n):
-    gens = [f"s{i}" for i in range(1, n)]
-    rels = []
-    for i in range(1, n):
-        rels.append(_concat(_gen(f"s{i}"), _gen(f"s{i}")))
-    for i in range(1, n - 1):
-        a, b = _gen(f"s{i}"), _gen(f"s{i+1}")
-        rels.append(_concat(a, b, a, _inv(b), _inv(a), _inv(b)))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(_commutator(_gen(f"s{i}"), _gen(f"s{j}")))
-    return Presentation(tuple(gens), tuple(rels))
+    gens = tuple(f"s{i}" for i in range(1, n))
+    squares = [_concat(_gen(g), _gen(g)) for g in gens]
+    return Presentation(gens, tuple(squares + _artin(gens)))
 
 
 def _braid_permutation(n):
-    """Mixed braid/permutation presentation on sigma_i and s_i."""
+    """B_n and S_n on sigma_i and s_i, with the mixed relations BP1-BP3."""
+    braid, sym = _braid(n), _symmetric(n)
     sig = lambda i: _gen(f"sigma{i}")
     per = lambda i: _gen(f"s{i}")
-    gens = [f"sigma{i}" for i in range(1, n)] + [f"s{i}" for i in range(1, n)]
-    rels = []
-    for i in range(1, n - 1):  # B1
-        rels.append(
-            _concat(sig(i), sig(i + 1), sig(i), _inv(_concat(sig(i + 1), sig(i), sig(i + 1))))
-        )
-    for i in range(1, n):  # B2
-        for j in range(i + 2, n):
-            rels.append(_commutator(sig(i), sig(j)))
-    for i in range(1, n):  # SY1
-        rels.append(_concat(per(i), per(i)))
-    for i in range(1, n - 1):  # SY2
-        rels.append(
-            _concat(per(i), per(i + 1), per(i), _inv(_concat(per(i + 1), per(i), per(i + 1))))
-        )
-    for i in range(1, n):  # SY3
-        for j in range(i + 2, n):
-            rels.append(_commutator(per(i), per(j)))
-    for i in range(1, n):  # BP1: sigma_i s_j = s_j sigma_i, |i-j| >= 2
-        for j in range(1, n):
-            if abs(i - j) >= 2:
-                rels.append(_commutator(sig(i), per(j)))
-    for i in range(1, n - 1):  # BP2
-        rels.append(
-            _concat(per(i), per(i + 1), sig(i), _inv(_concat(sig(i + 1), per(i), per(i + 1))))
-        )
-    for i in range(1, n - 1):  # BP3
-        rels.append(
-            _concat(sig(i), sig(i + 1), per(i), _inv(_concat(per(i + 1), sig(i), sig(i + 1))))
-        )
-    return Presentation(tuple(gens), tuple(rels))
+    rels = list(braid.relators + sym.relators)
+    rng = range(1, n)
+    rels += [_commutator(sig(i), per(j)) for i in rng for j in rng if abs(i - j) >= 2]  # BP1
+    # BP2: s_i s_i+1 sigma_i = sigma_i+1 s_i s_i+1, then BP3 with s and sigma swapped
+    for x, y in ((per, sig), (sig, per)):
+        for i in range(1, n - 1):
+            rels.append(_concat(x(i), x(i + 1), y(i), _inv(_concat(y(i + 1), x(i), x(i + 1)))))
+    return Presentation(braid.generators + sym.generators, tuple(rels))
 
 
 # ---------------------------------------------------------------------------

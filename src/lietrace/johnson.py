@@ -47,6 +47,7 @@ from ._words import (
     decode,
     encode,
     exact_int,
+    is_lyndon,
     lyndon_words_of_content,
     partitions,
     word_content,
@@ -78,8 +79,12 @@ class ImageBasis:
         return sum(_orbit_size(self.n, alpha) * b.span.dim for alpha, b in self.blocks.items())
 
     def block_dim(self, content) -> int:
-        """Dimension of the image in the block of one content on the n letters."""
-        alpha, _ = _representative(tuple(content) + (0,) * (self.n - len(content)))
+        """Dimension of the image in the block of one content on the n letters;
+        ValueError for anything but a degree-k content on at most n letters."""
+        content = tuple(content)
+        if len(content) > self.n or any(c < 0 for c in content) or sum(content) != self.k:
+            raise ValueError(f"{content!r} is not a degree-{self.k} content on {self.n} letters")
+        alpha, _ = _representative(content + (0,) * (self.n - len(content)))
         got = self.blocks.get(alpha)
         return got.span.dim if got else 0
 
@@ -87,10 +92,17 @@ class ImageBasis:
         """Whether {(i, u): c}, on degree-k basis labels, lies in the image.
 
         Each content part of vec is relabelled onto its representative block
-        and tested there.
+        and tested there.  A key that is not a basis label (i in 1..n, u a
+        Lyndon word of length k on 1..n, not (i, (i,))) raises ValueError.
         """
+        letters = frozenset(range(1, self.n + 1))
         parts: dict = {}
         for (i, u), c in vec.items():
+            if (i not in letters or len(u) != self.k or u == (i,)
+                    or not letters.issuperset(u) or not is_lyndon(u)):
+                raise ValueError(
+                    f"{(i, u)!r} is not a degree-{self.k} basis label on {self.n} letters"
+                )
             if c:
                 parts.setdefault(word_content(u, self.n), {})[(i, u)] = c
         for content, part in parts.items():

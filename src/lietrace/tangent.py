@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie
 from ._words import (
+    InconsistencyError,
     SparseCombination,
     add_scaled,
     decode,
@@ -264,7 +265,7 @@ class _AdBlock:
         span = exactlin.IncrementalSpan((n + 1) ** (k + 1))
         for row in self.rows:
             if not span.insert(dict(row)):
-                raise ArithmeticError("ad rows unexpectedly dependent")
+                raise InconsistencyError("ad rows unexpectedly dependent")
         base = n + 1
         shift = base ** (k - 1)
         codes = [encode(u, base) for u in us]

@@ -171,6 +171,29 @@ def test_usage_errors(capsys, tmp_path):
         assert code == 1 and out == "" and "repeated generator" in err, args
 
 
+def test_inconsistency_exits_2(monkeypatch, capsys):
+    # a failed consistency check is a verification mismatch, not a crash
+    from lietrace import grouppres
+    from lietrace._words import InconsistencyError
+
+    def fail(*args):
+        raise InconsistencyError("injected")
+
+    monkeypatch.setattr(johnson, "coker_structure", fail)
+    monkeypatch.setattr(grouppres, "h1_twisted", fail)
+    for args in (["coker", "--n", "3", "--k", "4"], ["h1", "--group", "bp", "--n", "4"]):
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run_cli(args + ["--format", fmt], capsys)
+            assert (code, out, err) == (2, "", "inconsistency: injected\n"), args
+
+
+def test_missing_file_reported_before_rep(capsys):
+    code, out, err = run_cli(["h1", "--group", "file", "--rep", "standard"], capsys)
+    assert (code, out) == (1, "") and "needs --file" in err
+    code, out, err = run_cli(["abelianize", "--group", "file"], capsys)
+    assert (code, out) == (1, "") and "needs --file" in err
+
+
 def test_calpha_alpha_must_sum_to_k(capsys):
     code, out, err = run_cli(["calpha", "--k", "5", "--alpha", "3,3"], capsys)
     assert code == 1 and out == ""

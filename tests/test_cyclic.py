@@ -12,6 +12,7 @@ from lietrace.cyclic import (
     cyclic_rank,
     j_project,
     j_rank,
+    mode_width,
     necklace_canonicalize,
     project_cyclic,
     reduce,
@@ -91,6 +92,24 @@ def test_reduce_examples():
     survivor = CyclicElement(3, 3, {Necklace((1, 2, 3)): 1})
     assert reduce(survivor, "tilde") == survivor
     assert reduce(survivor, QuotientMode.FULL) == survivor
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reduce_keeps_the_classes_mode_width_counts(n):
+    # one keep rule: reduce keeps a necklace iff its content class has a
+    # positive mode_width, and the necklaces kept number cyclic_rank
+    for k in range(1, 7):
+        necks = {
+            Necklace(_words.min_rotation(w))
+            for w in itertools.product(range(1, n + 1), repeat=k)
+        }
+        full = CyclicElement(n, k, {neck: 1 for neck in necks})
+        for mode in QuotientMode:
+            kept = reduce(full, mode).terms
+            for neck in necks:
+                width = mode_width(_words.word_content(neck.word, n), mode)
+                assert (neck in kept) == (width > 0), (n, k, mode, neck)
+            assert len(kept) == cyclic_rank(n, k, mode), (n, k, mode)
 
 
 def test_necklace_count_matches_enumeration():

@@ -41,6 +41,20 @@ def test_bp_generator_count():
     assert len(builtin("braid", 4).generators) == 3
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bp_is_braid_and_symmetric_and_mixed(n):
+    # BP_n is presented by the braid relations, the permutation relations and
+    # the mixed ones (Fenn-Rimanyi-Rourke), in that order
+    braid, sym, bp = builtin("braid", n), builtin("symmetric", n), builtin("bp", n)
+    assert bp.generators == braid.generators + sym.generators
+    head = braid.relators + sym.relators
+    assert bp.relators[: len(head)] == head
+    # BP1 on the pairs |i - j| >= 2, then BP2 and BP3 on consecutive pairs
+    assert len(bp.relators) == len(head) + (n - 2) * (n - 3) + 2 * (n - 2)
+    # sigma_1 sigma_2 sigma_1 (sigma_2 sigma_1 sigma_2)^-1
+    assert braid.relators[0] == tuple(zip(["sigma1", "sigma2"] * 3, [1, 1, 1, -1, -1, -1]))
+
+
 def test_presentation_validates_generators():
     with pytest.raises(ValueError):
         Presentation(("a",), ((("b", 1),),))

@@ -462,6 +462,32 @@ def test_block_dims_sum_to_the_image(n, k):
     assert sum(image.block_dim(c) for c in compositions(k, n)) == image.dim
 
 
+def test_image_basis_refuses_malformed_input():
+    # a malformed label or content is refused, never answered as another question
+    image = johnson_image(3, 4)
+    assert not image.contains({(1, (1, 1, 2, 3)): 1})  # well formed: answered
+    for label in (
+        (0, (1, 1, 2, 3)),  # i outside 1..n
+        (4, (1, 1, 2, 3)),
+        (1, (1, 2)),  # a degree-2 label
+        (1, (1, 1, 2, 3, 3)),
+        (1, (1, 1, 2, 4)),  # letter 4 on 3 letters
+        (1, (0, 1, 2, 3)),
+        (1, (2, 1, 1, 3)),  # not a Lyndon word
+        (1, (1, 2, 1, 2)),
+    ):
+        with pytest.raises(ValueError, match="basis label"):
+            image.contains({label: 1})
+    with pytest.raises(ValueError, match="basis label"):
+        johnson_image(3, 1).contains({(2, (2,)): 1})  # [x_2, x_2] = 0
+    assert johnson_image(3, 1).contains({(1, (2,)): 1})
+    assert image.block_dim((2, 1, 1)) == image.block_dim((1, 2, 1))
+    assert image.block_dim((2, 2)) == image.block_dim((2, 2, 0))
+    for content in ((3, 2), (1, 1, 1, 1), (5, -1), (2, 1, 0)):
+        with pytest.raises(ValueError, match="content"):
+            image.block_dim(content)
+
+
 def test_image_dim_independent_of_bracketing_order():
     # brute-force route for n=2, k<=4: all left-normed bracket words
     n = 2

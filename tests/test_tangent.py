@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lietrace._words import InconsistencyError
 from lietrace.cyclic import Necklace, j_project
 from lietrace.exactlin import IncrementalSpan
 from lietrace.freelie import LieElement, embed_tensor, normalize
@@ -101,6 +102,14 @@ def test_p_coordinates_rejects_non_tangential():
     f = Derivation(3, 2, {1: normalize(((1, 2), 3), 3)})
     with pytest.raises(ArithmeticError):
         p_coordinates(f)
+
+
+def test_dependent_ad_rows_are_an_inconsistency(monkeypatch):
+    # the block's independence certificate is a consistency check, not a
+    # membership answer: it must not pass for p_coordinates' ArithmeticError
+    monkeypatch.setattr(IncrementalSpan, "insert", lambda self, vec: False)
+    with pytest.raises(InconsistencyError, match="unexpectedly dependent"):
+        p_coordinates(tau1_generator(3, 1, 2))
 
 
 def test_derivation_coefficients_are_exact():
