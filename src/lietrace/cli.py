@@ -27,7 +27,7 @@ class TableDocument:
     title: str
     columns: list
     rows: list
-    provenance: str
+    provenance: str = ""  # the command line; main fills it in
 
     def to_json_obj(self):
         return {
@@ -75,15 +75,6 @@ def _csv_cell(v):
     return str(v)
 
 
-def _emit(args, doc_or_text):
-    text = doc_or_text if isinstance(doc_or_text, str) else _render(doc_or_text, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_range(spec: str):
     spec = str(spec)
     if ".." in spec:
@@ -95,19 +86,17 @@ def _parse_range(spec: str):
     return [int(spec)]
 
 
-def _emit_structure(args, title, q: exactlin.QuotientStructure):
+def _structure(args, title, q: exactlin.QuotientStructure):
     """A {free_rank, torsion} object in json; else a one-row table."""
     if args.format == "json":
         obj = {"free_rank": q.free_rank, "torsion": [_json_value(d) for d in q.torsion]}
-        _emit(args, json.dumps(obj) + "\n")
-    else:
-        row = [q.free_rank, list(q.torsion)]
-        _emit(args, TableDocument(title, ["free_rank", "torsion"], [row], _prov(args)))
-    return 0
+        return json.dumps(obj) + "\n"
+    return TableDocument(title, ["free_rank", "torsion"], [[q.free_rank, list(q.torsion)]])
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its document, or (document, ok) when it runs a check;
+# main renders and writes it
 
 
 def _cmd_witt(args):
@@ -116,12 +105,8 @@ def _cmd_witt(args):
     rows = [[n, k, freelie.witt_rank(n, k)] for n in ns for k in ks]
     if args.format == "csv":
         # flat value list; one row of ranks in (n, k) order
-        doc = TableDocument("witt", [f"r({n},{k})" for n in ns for k in ks],
-                            [[r[2] for r in rows]], _prov(args))
-    else:
-        doc = TableDocument("free Lie algebra ranks", ["n", "k", "rank"], rows, _prov(args))
-    _emit(args, doc)
-    return 0
+        return TableDocument("witt", [f"r({n},{k})" for n in ns for k in ks], [[r[2] for r in rows]])
+    return TableDocument("free Lie algebra ranks", ["n", "k", "rank"], rows)
 
 
 def _cmd_ranks(args):
@@ -138,14 +123,11 @@ def _cmd_ranks(args):
                     tangent.p_rank(n, k),
                 ]
             )
-    doc = TableDocument(
+    return TableDocument(
         "rank table",
         ["n", "k", "lie_rank", "necklaces", "necklaces_bar", "tangential_rank"],
         rows,
-        _prov(args),
     )
-    _emit(args, doc)
-    return 0
 
 
 def _cmd_trace(args):
@@ -154,14 +136,11 @@ def _cmd_trace(args):
     image = johnson.trace_rank(n, k, mode)
     target = cyclic.cyclic_rank(n, k, mode)
     dim = tangent.p_rank(n, k)
-    doc = TableDocument(
+    return TableDocument(
         f"trace map, mode={mode.value}",
         ["n", "k", "domain_rank", "image_rank", "kernel_dim", "target_rank", "surjective"],
         [[n, k, dim, image, dim - image, target, image == target]],
-        _prov(args),
     )
-    _emit(args, doc)
-    return 0
 
 
 def _progress(msg):
@@ -169,19 +148,21 @@ def _progress(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
-def _cmd_image(args):
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
+def _span_rows(option, kmax, row):
+    """row(k) for k = 1..kmax, announcing each span from degree 7 on."""
+    if kmax < 1:
+        raise UsageError(f"{option} must be >= 1")
     rows = []
-    for k in range(1, args.k + 1):
+    for k in range(1, kmax + 1):
         if k >= 7:
             _progress(f"computing degree {k} span ...")
-        rows.append([k, johnson.johnson_image(args.n, k).dim])
-    doc = TableDocument(
-        "degree-1 generated image dimensions", ["k", "dim"], rows, _prov(args)
-    )
-    _emit(args, doc)
-    return 0
+        rows.append(row(k))
+    return rows
+
+
+def _cmd_image(args):
+    rows = _span_rows("--k", args.k, lambda k: [k, johnson.johnson_image(args.n, k).dim])
+    return TableDocument("degree-1 generated image dimensions", ["k", "dim"], rows)
 
 
 def _content_rows(args, ks, alpha=None):
@@ -198,6 +179,8 @@ def _content_rows(args, ks, alpha=None):
 def _cmd_calpha(args):
     if args.k < 1:
         raise UsageError("--k must be >= 1")
+    if args.alpha == "":
+        raise UsageError("--alpha is empty; give a comma list, e.g. 3,2,2")
     alpha = None
     if args.alpha:
         alpha = tuple(int(x) for x in args.alpha.split(","))
@@ -208,75 +191,51 @@ def _cmd_calpha(args):
             f"--k must be >= 4 without --alpha, got {args.k}: no partition of k < 4 has"
             " two parts of at least 2; give --alpha for one content"
         )
-    doc = TableDocument(
-        "trace ranks by content", ["k", "alpha", "c", "r"],
-        _content_rows(args, [args.k], alpha), _prov(args),
+    return TableDocument(
+        "trace ranks by content", ["k", "alpha", "c", "r"], _content_rows(args, [args.k], alpha)
     )
-    _emit(args, doc)
-    return 0
 
 
 def _cmd_table7(args):
-    rows = johnson.section7_rows(args.n)
-    doc = TableDocument(
+    return TableDocument(
         f"degree 1..4 summary, n={args.n}",
         ["k", "graded_rank", "tangential_rank", "cyclic_bar_rank", "coker"],
-        rows,
-        _prov(args),
+        johnson.section7_rows(args.n),
     )
-    _emit(args, doc)
-    return 0
 
 
 def _cmd_table8(args):
     if args.kmax < 5:
         raise UsageError(f"--kmax must be >= 5, the table's first degree, got {args.kmax}")
-    doc = TableDocument(
+    return TableDocument(
         "trace ranks for repeated-letter contents", ["k", "alpha", "c", "r"],
-        _content_rows(args, range(5, args.kmax + 1)), _prov(args),
+        _content_rows(args, range(5, args.kmax + 1)),
     )
-    _emit(args, doc)
-    return 0
 
 
 def _cmd_n3gap(args):
-    if args.kmax < 1:
-        raise UsageError("--kmax must be >= 1")
-    rows = []
-    for k in range(1, args.kmax + 1):
-        if k >= 7:
-            _progress(f"computing degree {k} span ...")
-        rows.append([k, johnson.johnson_image(3, k).dim, johnson.trace_kernel_dim(3, k)])
-    doc = TableDocument(
-        "image vs trace kernel, n=3",
-        ["k", "image_dim", "kernel_dim"],
-        rows,
-        _prov(args),
+    rows = _span_rows(
+        "--kmax", args.kmax,
+        lambda k: [k, johnson.johnson_image(3, k).dim, johnson.trace_kernel_dim(3, k)],
     )
-    _emit(args, doc)
-    return 0
+    return TableDocument("image vs trace kernel, n=3", ["k", "image_dim", "kernel_dim"], rows)
 
 
 def _cmd_coker(args):
     q = johnson.coker_structure(args.n, args.k)
-    return _emit_structure(args, f"trace cokernel n={args.n} k={args.k}", q)
+    return _structure(args, f"trace cokernel n={args.n} k={args.k}", q)
 
 
 def _cmd_t0530(args):
     rep = johnson.check_T0530(args.n, args.k)
     rows = [[list(a), d, True] for a, d in rep.checked]
     rows += [[list(a), "-", "skipped"] for a in rep.skipped]
-    doc = TableDocument(
-        f"kernel-in-image check n={args.n} k={args.k}",
-        ["alpha", "kernel_dim", "status"],
-        rows,
-        _prov(args),
-    )
-    _emit(args, doc)
     if not rep.ok:
         print(f"violations: {rep.violations}", file=sys.stderr)
-        return 2
-    return 0
+    doc = TableDocument(
+        f"kernel-in-image check n={args.n} k={args.k}", ["alpha", "kernel_dim", "status"], rows
+    )
+    return doc, rep.ok
 
 
 def _cmd_egens(args):
@@ -285,10 +244,8 @@ def _cmd_egens(args):
         f"degree-3 generator families n={args.n}",
         ["family_counts", "total", "expected", "span_dim", "image_dim", "ok"],
         [[list(rep.family_counts), rep.total, rep.expected, rep.span_dim, rep.image_dim, rep.ok]],
-        _prov(args),
     )
-    _emit(args, doc)
-    return 0 if rep.ok else 2
+    return doc, rep.ok
 
 
 def _presentation(args):
@@ -309,25 +266,17 @@ def _cmd_h1(args):
         raise UsageError("file presentations support --rep trivial only")
     else:
         action = grouppres.standard_action(args.group, args.n)
-    return _emit_structure(args, f"twisted H1, {args.group}", grouppres.h1_twisted(pres, action))
+    return _structure(args, f"twisted H1, {args.group}", grouppres.h1_twisted(pres, action))
 
 
 def _cmd_h2(args):
     value = grouppres.h2_psigma_rank(args.n)
-    doc = TableDocument(
-        f"second homology rank, n={args.n}", ["n", "rank"], [[args.n, value]], _prov(args)
-    )
-    _emit(args, doc)
-    return 0
+    return TableDocument(f"second homology rank, n={args.n}", ["n", "rank"], [[args.n, value]])
 
 
 def _cmd_abelianize(args):
     q = grouppres.abelianization(_presentation(args))
-    return _emit_structure(args, f"abelianization, {args.group}", q)
-
-
-def _prov(args):
-    return " ".join(args._argv)
+    return _structure(args, f"abelianization, {args.group}", q)
 
 
 def _parallel_map(threads, fn, items):
@@ -360,66 +309,50 @@ def build_parser():
     parser = _Parser(prog="lietrace", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, help, *int_options):
+        """A subcommand with the shared output flags, then its required integer options."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=["text", "csv", "json"], default="text")
         p.add_argument("--out", default=None)
+        for option in int_options:
+            p.add_argument(option, type=int, required=True)
         return p
 
-    p = add("witt", _cmd_witt, help="free Lie algebra ranks")
-    p.add_argument("--n", required=True)
-    p.add_argument("--k", required=True)
+    for p in (add("witt", _cmd_witt, "free Lie algebra ranks"),
+              add("ranks", _cmd_ranks, "rank tables (Lie, necklace, tangential)")):
+        # ranges such as 3..6, read by _parse_range
+        p.add_argument("--n", required=True)
+        p.add_argument("--k", required=True)
 
-    p = add("ranks", _cmd_ranks, help="rank tables (Lie, necklace, tangential)")
-    p.add_argument("--n", required=True)
-    p.add_argument("--k", required=True)
-
-    p = add("trace", _cmd_trace, help="trace matrix ranks for one (n, k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = add("trace", _cmd_trace, "trace matrix ranks for one (n, k)", "--n", "--k")
     p.add_argument("--mode", choices=["full", "bar", "tilde"], default="bar")
 
-    p = add("image", _cmd_image, help="degree-1 generated image dimensions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    add("image", _cmd_image, "degree-1 generated image dimensions", "--n", "--k")
 
-    p = add("calpha", _cmd_calpha, help="trace rank for one content class")
-    p.add_argument("--k", type=int, required=True)
+    p = add("calpha", _cmd_calpha, "trace rank for one content class", "--k")
     p.add_argument("--alpha", default=None, help="comma list, e.g. 3,2,2")
     p.add_argument("--threads", type=_thread_count, default=1)
 
-    p = add("table7", _cmd_table7, help="degree 1..4 summary table")
-    p.add_argument("--n", type=int, required=True)
+    add("table7", _cmd_table7, "degree 1..4 summary table", "--n")
 
-    p = add("table8", _cmd_table8, help="c/r table for repeated-letter contents")
-    p.add_argument("--kmax", type=int, required=True)
+    p = add("table8", _cmd_table8, "c/r table for repeated-letter contents", "--kmax")
     p.add_argument("--threads", type=_thread_count, default=1)
 
-    p = add("n3gap", _cmd_n3gap, help="image vs kernel table for n=3")
-    p.add_argument("--kmax", type=int, required=True)
+    add("n3gap", _cmd_n3gap, "image vs kernel table for n=3", "--kmax")
+    add("coker", _cmd_coker, "integral trace cokernel structure", "--n", "--k")
+    add("t0530", _cmd_t0530, "kernel-in-image check per content", "--n", "--k")
+    add("egens", _cmd_egens, "degree-3 generator family check", "--n")
 
-    p = add("coker", _cmd_coker, help="integral trace cokernel structure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("t0530", _cmd_t0530, help="kernel-in-image check per content")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("egens", _cmd_egens, help="degree-3 generator family check")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("h1", _cmd_h1, help="twisted first cohomology")
+    p = add("h1", _cmd_h1, "twisted first cohomology")
     p.add_argument("--group", choices=["bp", "braid", "sym", "file"], required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--rep", choices=["standard", "trivial"], default="standard")
     p.add_argument("--file", default=None)
 
-    p = add("h2", _cmd_h2, help="second homology rank with consistency check")
-    p.add_argument("--n", type=int, required=True)
+    add("h2", _cmd_h2, "second homology rank with consistency check", "--n")
 
-    p = add("abelianize", _cmd_abelianize, help="abelianization structure")
+    p = add("abelianize", _cmd_abelianize, "abelianization structure")
     p.add_argument("--group", choices=["bp", "braid", "sym", "mccool", "file"], required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--file", default=None)
@@ -435,8 +368,17 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        args._argv = [args.command] + [a for a in argv[1:]]
-        return args.fn(args)
+        result = args.fn(args)
+        doc, ok = result if isinstance(result, tuple) else (result, True)
+        if isinstance(doc, TableDocument):  # else the json text of a structure
+            doc.provenance = " ".join([args.command] + argv[1:])
+            doc = _render(doc, args.format)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(doc)
+        else:
+            sys.stdout.write(doc)
+        return 0 if ok else 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

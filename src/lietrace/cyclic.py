@@ -10,9 +10,9 @@ coordinate projection.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import _words, exactlin
 from ._words import (
@@ -76,6 +76,8 @@ class CyclicElement(SparseCombination):
             neck = necklace_canonicalize(neck)
         if neck.length != self.degree:
             raise ValueError("necklace length does not match degree")
+        if not all(1 <= c <= self.n for c in neck.word):
+            raise ValueError("letters out of range")
         return neck
 
 
@@ -146,9 +148,6 @@ def _wedge(a, b):
 class JModule:
     """Concrete presentation of J for one n: spanning pairs modulo relations."""
 
-    _cache: dict = {}
-    _lock = threading.Lock()
-
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("need n >= 2")
@@ -191,15 +190,9 @@ class JModule:
         return tuple(sorted(acc.items())) if acc else None
 
     @classmethod
+    @cache
     def get(cls, n: int) -> "JModule":
-        got = cls._cache.get(n)
-        if got is None:
-            with cls._lock:
-                got = cls._cache.get(n)
-                if got is None:
-                    got = cls(n)
-                    cls._cache[n] = got
-        return got
+        return cls(n)
 
     def reduce_coords(self, coords: dict) -> dict:
         """Canonical residue of a coordinate vector modulo the relation space."""
@@ -239,7 +232,10 @@ class JElement(SparseCombination):
         return self.terms
 
     def _key(self, col):
-        return exact_int(col)
+        col = exact_int(col)
+        if not 0 <= col < JModule.get(self.n).size:
+            raise ValueError("column out of range")
+        return col
 
     def _canonical(self, terms):
         return JModule.get(self.n).reduce_coords(terms)

@@ -12,8 +12,8 @@ accumulator drops its zeros once, on return.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import cache
 
 from . import _words
 from ._words import (
@@ -119,21 +119,10 @@ class HallMonomial:
         return _tree_str(self.tree)
 
 
-_BASIS_CACHE: dict = {}
-_BASIS_LOCK = threading.Lock()
-
-
+@cache
 def hall_basis(n: int, k: int):
     """The degree-k basis monomials, ordered lexicographically by word."""
-    key = (n, k)
-    got = _BASIS_CACHE.get(key)
-    if got is None:
-        with _BASIS_LOCK:
-            got = _BASIS_CACHE.get(key)
-            if got is None:
-                got = tuple(HallMonomial(n, w) for w in lyndon_words(n, k))
-                _BASIS_CACHE[key] = got
-    return got
+    return tuple(HallMonomial(n, w) for w in lyndon_words(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +208,8 @@ class TensorElement(SparseCombination):
         word = tuple(word)
         if len(word) != self.degree:
             raise ValueError("word length does not match degree")
+        if not all(1 <= c <= self.n for c in word):
+            raise ValueError("letters out of range")
         return word
 
     def _label(self, word):

@@ -187,6 +187,53 @@ def test_inconsistency_exits_2(monkeypatch, capsys):
             assert (code, out, err) == (2, "", "inconsistency: injected\n"), args
 
 
+def test_failed_check_writes_its_table_and_exits_2(monkeypatch, capsys, tmp_path):
+    # a t0530 violation or a failed egens count still writes the whole table
+    # to stdout or --out; only the exit code (and t0530's stderr line) differ
+    bad_t0530 = johnson.T0530Report(3, 3, (((1, 1, 1), 1),), (), ((1, 1, 1),))
+    bad_egens = johnson.EGeneratorReport(3, (1, 2, 3, 4), 10, 11, 10, 10)
+    monkeypatch.setattr(johnson, "check_T0530", lambda n, k: bad_t0530)
+    monkeypatch.setattr(johnson, "verify_E_generators", lambda n: bad_egens)
+    cases = (
+        (["t0530", "--n", "3", "--k", "3"], "violations: ((1, 1, 1),)\n"),
+        (["egens", "--n", "3"], ""),
+    )
+    for args, err_want in cases:
+        for fmt in ("text", "csv", "json"):
+            argv = args + ["--format", fmt]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (2, err_want), argv
+            path = tmp_path / f"{args[0]}.{fmt}"
+            assert run_cli(argv + ["--out", str(path)], capsys) == (2, "", err_want)
+            written = path.read_text()
+            if fmt == "json":
+                doc, written_doc = json.loads(out), json.loads(written)
+                assert doc["provenance"] == " ".join(argv)
+                assert written_doc["provenance"] == " ".join(argv + ["--out", str(path)])
+                assert doc["rows"] == written_doc["rows"] and doc["rows"]
+            else:
+                assert written == out and out.count("\n") >= 1
+    code, out, _ = run_cli(["t0530", "--n", "3", "--k", "3", "--format", "csv"], capsys)
+    assert out == "(1 1 1),1,True\n"
+    code, out, _ = run_cli(["egens", "--n", "3", "--format", "csv"], capsys)
+    assert out == "(1 2 3 4),10,11,10,10,False\n"
+
+
+def test_commands_return_their_documents(capsys):
+    # a command only builds its result; main renders and writes it
+    parser = cli.build_parser()
+    args = parser.parse_args(["h2", "--n", "3"])
+    doc = args.fn(args)
+    assert isinstance(doc, cli.TableDocument)
+    assert (doc.columns, doc.rows, doc.provenance) == (["n", "rank"], [[3, 9]], "")
+    args = parser.parse_args(["egens", "--n", "3"])
+    doc, ok = args.fn(args)
+    assert ok is True and doc.rows[0][-1] is True
+    args = parser.parse_args(["coker", "--n", "3", "--k", "4", "--format", "json"])
+    assert args.fn(args) == '{"free_rank": 3, "torsion": []}\n'
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file_reported_before_rep(capsys):
     code, out, err = run_cli(["h1", "--group", "file", "--rep", "standard"], capsys)
     assert (code, out) == (1, "") and "needs --file" in err
@@ -201,6 +248,9 @@ def test_calpha_alpha_must_sum_to_k(capsys):
     code, out, _ = run_cli(["calpha", "--k", "6", "--alpha", "3,3", "--format", "csv"], capsys)
     assert code == 0
     assert out == "6,(3 3),3,0\n"
+    # an empty --alpha names no content; it is refused, not read as no --alpha
+    code, out, err = run_cli(["calpha", "--k", "6", "--alpha", ""], capsys)
+    assert (code, out) == (1, "") and err.startswith("usage error:") and "--alpha" in err
 
 
 def test_coker_and_abelianize(capsys):

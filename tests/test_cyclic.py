@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from lietrace import _words
 from lietrace.cyclic import (
     CyclicElement,
+    JElement,
     JModule,
     Necklace,
     QuotientMode,
@@ -38,6 +39,23 @@ def test_canonicalize_rotation_invariant(letters):
 def test_necklace_rejects_noncanonical():
     with pytest.raises(ValueError):
         Necklace((2, 1))
+
+
+def test_elements_refuse_keys_off_the_alphabet():
+    # a letter outside 1..n, or a J column outside 0..size-1, is refused
+    # rather than carried along (and, for J, failing only when printed)
+    with pytest.raises(ValueError, match="letters out of range"):
+        CyclicElement(2, 3, {Necklace((1, 2, 5)): 1, (0, 0, 3): 2})
+    for word in ((1, 2, 5), (0, 0, 3), (3, 1, 1)):
+        with pytest.raises(ValueError, match="letters out of range"):
+            CyclicElement(2, 3, {word: 1})
+    assert CyclicElement(2, 3, {(2, 1, 2): 1}).terms == {Necklace((1, 2, 2)): 1}
+    size = JModule.get(3).size
+    for col in (999, size, -1):
+        with pytest.raises(ValueError, match="column out of range"):
+            JElement(3, {col: 1})
+    assert repr(JElement(3, {0: 0, size - 1: 0})) == "0"
+    assert JElement(3, {col: 1 for col in range(size)}).n == 3
 
 
 def test_rotations_of_one_necklace_add_up():

@@ -190,6 +190,15 @@ def test_coefficients_are_exact_not_truncated():
     assert TensorElement(3, 2, {(1, 2): 3.0}).terms == {(1, 2): 3}
 
 
+def test_tensor_element_refuses_letters_off_the_alphabet():
+    from lietrace.freelie import TensorElement
+
+    for word in ((1, 7), (0, 1), (3, 2), (-1, 1)):
+        with pytest.raises(ValueError, match="letters out of range"):
+            TensorElement(2, 2, {word: 1})
+    assert TensorElement(2, 2, {(2, 1): 1, (1, 2): -1}).terms == {(2, 1): 1, (1, 2): -1}
+
+
 def test_mixed_element_types_do_not_add():
     from lietrace.cyclic import CyclicElement
     from lietrace.freelie import TensorElement
