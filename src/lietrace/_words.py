@@ -5,7 +5,9 @@ words into single integers (most-significant letter first, base ``n + 1``) so
 that lexicographic order on words of equal length coincides with integer
 order.  Each word rule is written once, by its definition: Lyndon words of a
 degree come from one Duval generator (listed by ``lyndon_words``, counted by
-``lyndon_count``), a necklace is the least rotation of its words, and the
+``lyndon_count``), those of one content from the FKM recursion restricted to
+that content (``lyndon_words_of_content``), a necklace is the least rotation
+of its words, and the
 necklace and Lyndon-word counts of a content are one divisor sum,
 ``content_divisor_sum``, under Euler's phi and Moebius's mu.  Nothing here
 caches a word list.  The sparse-dict arithmetic every algebra module uses
@@ -268,8 +270,43 @@ def multiset_permutations(counts):
 
 
 def lyndon_words_of_content(counts) -> tuple:
-    """Lyndon words with the given letter counts, in lexicographic order."""
-    return tuple(w for w in multiset_permutations(counts) if is_lyndon(w))
+    """Lyndon words with the given letter counts, in lexicographic order.
+
+    The FKM recursion restricted to one content (Sawada, "A fast algorithm to
+    generate necklaces with fixed content", TCS 301, 2003): the prefix
+    a[1..t-1] is a prenecklace whose longest Lyndon prefix has length p, and
+    position t takes, in increasing order, each letter at least a[t - p] that
+    the content has left.  A full word is Lyndon exactly when p is its
+    length.  Every Lyndon word starts with the least letter of its content.
+    """
+    left = list(counts)
+    if any(c < 0 for c in left):
+        raise ValueError(f"negative letter count in {tuple(counts)!r}")
+    k = sum(left)
+    if k == 0:
+        return ()
+    letters = [j + 1 for j, c in enumerate(left) if c]
+    a = [0] * (k + 1)  # a[1..k], 1-based as in the recursion
+    a[1] = letters[0]
+    left[letters[0] - 1] -= 1
+    out = []
+
+    def rec(t, p):
+        if t > k:
+            if p == k:
+                out.append(tuple(a[1:]))
+            return
+        low = a[t - p]
+        for j in letters:
+            if j < low or not left[j - 1]:
+                continue
+            left[j - 1] -= 1
+            a[t] = j
+            rec(t + 1, p if j == low else t)
+            left[j - 1] += 1
+
+    rec(2, 1)
+    return tuple(out)
 
 
 def necklaces_of_content(counts) -> tuple:

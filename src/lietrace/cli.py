@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -300,6 +301,22 @@ def _thread_count(spec):
     return value
 
 
+def _check_writable(path):
+    """Refuse an --out path that cannot be written, before any work is done.
+
+    Nothing is created here: the file is opened only once the document is
+    ready, so a refused path, or a command that fails, leaves no file behind.
+    """
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: no directory {folder}")
+    target = path if os.path.exists(path) else folder
+    if not os.access(target, os.W_OK):
+        raise ValueError(f"--out {path} is not writable")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -368,6 +385,8 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
+        if args.out:
+            _check_writable(args.out)
         result = args.fn(args)
         doc, ok = result if isinstance(result, tuple) else (result, True)
         if isinstance(doc, TableDocument):  # else the json text of a structure

@@ -146,14 +146,19 @@ def _commutator(a, la, b, lb, base):
     return add_scaled(_cat(a, b, lb, base), _cat(b, a, la, base), -1)
 
 
-def iota_enc(n: int, word) -> dict:
+def iota_enc(n: int, word, memo=None) -> dict:
     """Tensor expansion of the basis monomial of `word`, encoded base n + 1.
 
     The least word of the expansion is `word` itself with coefficient 1; this
-    triangularity is what makes coordinate extraction below terminate.
+    triangularity is what makes coordinate extraction below terminate.  The
+    expansions of `word` and of its factors are memoized in `memo`, a dict
+    whose lifetime the caller decides, or else in the process-wide
+    _IOTA_CACHE.  A returned dict is shared with the memo: never mutate it.
     """
+    if memo is None:
+        memo = _IOTA_CACHE
     key = (n, word)
-    got = _IOTA_CACHE.get(key)
+    got = memo.get(key)
     if got is not None:
         return got
     base = n + 1
@@ -161,10 +166,10 @@ def iota_enc(n: int, word) -> dict:
         got = {word[0]: 1}
     else:
         u, v = standard_factorization(word)
-        got = _commutator(iota_enc(n, u), len(u), iota_enc(n, v), len(v), base)
+        got = _commutator(iota_enc(n, u, memo), len(u), iota_enc(n, v, memo), len(v), base)
         if min(got) != encode(word, base) or got[min(got)] != 1:
             raise InconsistencyError(f"expansion of {word!r} is not unitriangular")
-    _IOTA_CACHE[key] = got
+    memo[key] = got
     return got
 
 

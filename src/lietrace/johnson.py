@@ -26,7 +26,11 @@ solves in that degree again.
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
 the rational second route, the integral cokernel and the kernel checks all
-read it.  The bar/tilde quotient only decides which blocks count
+read it.  It expands each Lyndon word of the block once, in an expansion
+memo that goes with the block, and that one pass gives the trace rows of
+every letter (``tangent.trace_row_enc``); a closed word finds its necklace
+column by rotating its integer code, each new necklace registering all its
+rotations at once.  The bar/tilde quotient only decides which blocks count
 (``cyclic.mode_width``).  Relabelling letters permutes the trace blocks
 without changing their ranks or Smith divisors, so ``trace_rank`` and
 ``coker_structure`` compute one block per S_n orbit (``_orbits``), keyed by
@@ -55,7 +59,7 @@ from ._words import (
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
 from .freelie import _commutator, ad_enc, iota_enc, multidegree_rank, project_lyndon_enc
-from .tangent import AdSolver, p_basis, p_rank, trace_row_enc
+from .tangent import AdSolver, NecklaceColumns, p_basis, p_rank, trace_row_enc
 
 
 @dataclass(eq=False)
@@ -383,24 +387,27 @@ def _trace_block(k, content):
     degree-1 basis); a zero entry is a letter the block's words do not use.
     keys are the basis labels (i, u) of the block in global basis order, and
     rows[j] is the full trace of keys[j] on block-local necklace columns,
-    numbered 0..ncols-1 in first-seen order.  Above degree 1 the row of a
-    letter i absent from u is zero, so it is not computed.  The necklace-code
-    memo lives for this one block: every closed word has the block's content.
+    numbered 0..ncols-1 in the order the expansions first meet them.  Each
+    Lyndon word u is expanded once, and that one pass gives the rows of every
+    letter i (trace_row_enc); above degree 1 the row of a letter absent from
+    u is zero.  The column map and the expansion memo live for this one
+    block: every closed word has the block's content, and the memo holds
+    only the block's words and their factors.
     """
     n = max(len(content), 2)
     content = content + (0,) * (n - len(content))
     words = lyndon_words_of_content(content)
-    necks: dict = {}
-    cols: dict = {}
+    cols = NecklaceColumns()
+    memo: dict = {}
+    traces = [trace_row_enc(n, k, u, cols, memo) for u in words]
     keys, rows = [], []
     for i in range(1, n + 1):
-        for u in words:
+        for u, rows_of_u in zip(words, traces):
             if k == 1 and u == (i,):
                 continue
-            row = trace_row_enc(n, k, u, i, necks) if content[i - 1] or k == 1 else {}
             keys.append((i, u))
-            rows.append({cols.setdefault(w, len(cols)): c for w, c in row.items()})
-    return keys, rows, len(cols)
+            rows.append(rows_of_u.get(i, {}))
+    return keys, rows, cols.ncols
 
 
 @lru_cache(maxsize=None)

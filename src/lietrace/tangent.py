@@ -26,7 +26,6 @@ from ._words import (
     exact_int,
     encode,
     lyndon_words_of_content,
-    min_rotation,
     word_content,
 )
 from .cyclic import CyclicElement, JElement, QuotientMode
@@ -361,24 +360,62 @@ def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
 # trace rows of basis elements, used by every rank computation downstream
 
 
-def trace_row_enc(n: int, k: int, u, i: int, necks: dict) -> dict:
-    """Encoded necklace coordinates of the trace of x_i* (x) [u, x_i].
+class NecklaceColumns(dict):
+    """Closed-word codes of one content block -> block-local necklace columns.
 
-    Strips the leading letter i from the expansion of u and closes the cycle
-    with a trailing x_i.  The bracket part -x_i u of the contraction dies
-    under the cyclic projection, except in degree 1, where it leaves -(u).
-    ``necks`` memoizes the necklace code of each closed word for the caller,
-    which decides how long it lives.
+    Columns are numbered 0..ncols-1 in the order their necklaces first
+    arrive, and every rotation of an arrived word maps to its column.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.ncols = 0
+
+    def add(self, w, k, base):
+        """Give the necklace of the length-k code w a new column; return it."""
+        col = self.ncols
+        self.ncols += 1
+        shift = base ** (k - 1)
+        for _ in range(k):
+            self[w] = col
+            w = (w % shift) * base + w // shift
+        return col
+
+
+def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict) -> dict:
+    """Trace rows {i: {col: c}} of every x_i* (x) [u, x_i], from one pass over iota(u).
+
+    The contraction pairs x_i* with each word i.v of the expansion of u and
+    closes the cycle as v.i, the code rotation (w % shift) * base + w // shift,
+    so one pass buckets the closed words by their leading letter i.  The
+    bracket part -x_i u of the contraction dies under the cyclic projection,
+    except in degree 1, where it leaves -(u) in every row.  cols sends each
+    closed word to its necklace column, and a word seen for the first time
+    registers all its rotations there; memo holds the expansions of u and its
+    factors (freelie.iota_enc).  The caller decides how long both live.  Rows
+    are zero-free, and a letter whose row is zero is left out.
     """
     base = n + 1
     shift = base ** (k - 1)
-    out: dict = {u[0]: -1} if k == 1 else {}
-    for w, c in iota_enc(n, u).items():
-        if w // shift != i:
-            continue
-        w = (w - i * shift) * base + i
-        neck = necks.get(w)
-        if neck is None:
-            neck = necks[w] = encode(min_rotation(decode(w, base, k)), base)
-        out[neck] = out.get(neck, 0) + c
-    return {w: c for w, c in out.items() if c}
+    out: dict = {}
+    for w, c in iota_enc(n, u, memo).items():
+        i = w // shift
+        r = (w - i * shift) * base + i
+        col = cols.get(r)
+        if col is None:
+            col = cols.add(r, k, base)
+        row = out.get(i)
+        if row is None:
+            row = out[i] = {}
+        row[col] = row.get(col, 0) + c
+    if k == 1:
+        col = cols[u[0]]  # the one closed word, registered above
+        for i in range(1, n + 1):
+            row = out.setdefault(i, {})
+            row[col] = row.get(col, 0) - 1
+    rows = {}
+    for i, row in out.items():
+        row = {col: c for col, c in row.items() if c}
+        if row:
+            rows[i] = row
+    return rows

@@ -117,6 +117,18 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(path.read_text())["rows"] == [[2, 2, 1]]
 
 
+@pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+def test_unwritable_out_is_refused_before_the_command_runs(tmp_path, monkeypatch, capsys, where):
+    def never(args):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_cmd_n3gap", never)
+    path = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(["n3gap", "--kmax", "6", "--out", str(path)], capsys)
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # no file or directory left behind
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 1

@@ -19,7 +19,13 @@ from lietrace.freelie import (
     iota_enc,
     normalize,
 )
-from lietrace.tangent import Derivation, _apply_values_enc, contract, trace_row_enc
+from lietrace.tangent import (
+    Derivation,
+    NecklaceColumns,
+    _apply_values_enc,
+    contract,
+    trace_row_enc,
+)
 
 
 def _zero_free(d):
@@ -78,17 +84,21 @@ def test_cyclic_projection_that_cancels_is_zero():
 
 
 def test_trace_rows_that_cancel_are_zero_free():
-    # degree 1: the trace of [x1, x1] = 0
-    assert trace_row_enc(3, 1, (1,), 1, {}) == {}
+    # degree 1: the trace of [x1, x1] = 0, so letter 1 has no row, while
+    # every other letter i keeps the -(1) of x_i* (x) [x1, x_i]
+    cols = NecklaceColumns()
+    got = trace_row_enc(3, 1, (1,), cols, {})
+    assert got == {2: {cols[1]: -1}, 3: {cols[1]: -1}}
     # degree 4: two closed words of the expansion of 1132 meet one necklace and cancel
-    necks = {}
-    got = trace_row_enc(3, 4, (1, 1, 3, 2), 1, necks)
-    assert got and _zero_free(got)
+    cols = NecklaceColumns()
+    rows = trace_row_enc(3, 4, (1, 1, 3, 2), cols, {})
+    assert all(row and _zero_free(row) for row in rows.values())
+    got = rows[1]
     seen = {}
     base, shift = 4, 4**3
     for w, c in iota_enc(3, (1, 1, 3, 2)).items():
         if w // shift == 1:
-            neck = necks[(w - shift) * base + 1]
-            seen[neck] = seen.get(neck, 0) + c
+            col = cols[(w - shift) * base + 1]
+            seen[col] = seen.get(col, 0) + c
     assert 0 in seen.values()
     assert got == {w: c for w, c in seen.items() if c}

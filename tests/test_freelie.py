@@ -87,6 +87,31 @@ def test_multidegree_three_way_oracle(n, kmax):
             assert span.dim == expected
 
 
+def test_lyndon_words_of_content_match_the_filtered_permutations():
+    # every content of degree <= 9 on <= 4 letters, zero and unsorted parts included
+    for n in range(1, 5):
+        for k in range(10):
+            for content in _words.compositions(k, n):
+                words = _words.lyndon_words_of_content(content)
+                want = tuple(
+                    w for w in _words.multiset_permutations(content) if _words.is_lyndon(w)
+                )
+                assert words == want, content
+                assert len(words) == _words.content_divisor_sum(content, _words.mobius)
+    assert _words.lyndon_words_of_content(()) == ()
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(lambda c: sum(c) <= 10))
+def test_lyndon_words_of_content_property(content):
+    n = len(content)
+    words = _words.lyndon_words_of_content(content)
+    # distinct Lyndon words of the content, as many as there are: all of them
+    assert len(words) == _words.content_divisor_sum(content, _words.mobius)
+    assert list(words) == sorted(set(words))
+    for w in words:
+        assert _words.is_lyndon(w) and _words.word_content(w, n) == tuple(content)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_project_lyndon_enc_reads_back_coordinates(data):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from lietrace import johnson, tangent
+from lietrace import freelie, johnson, tangent
 from lietrace._words import compositions, decode, partitions
 from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
@@ -27,6 +27,7 @@ from lietrace.johnson import (
 )
 from lietrace.tangent import (
     AdSolver,
+    NecklaceColumns,
     TangentialGenerator,
     der_bracket,
     from_p_coordinates,
@@ -101,7 +102,8 @@ def test_orbit_sum_matches_direct_rank(n, kmax):
 
 
 @pytest.mark.parametrize(
-    "n,k", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3), (4, 4)]
+    "n,k",
+    [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 1), (4, 2), (4, 3), (4, 4), (5, 3)],
 )
 def test_trace_rows_match_public_trace(n, k):
     # second route: the public contract -> project_cyclic trace of each basis
@@ -112,10 +114,18 @@ def test_trace_rows_match_public_trace(n, k):
         ).terms
         for b in p_basis(n, k)
     }
-    necks = {}
+    cols, memo = NecklaceColumns(), {}
+    traces = {u: trace_row_enc(n, k, u, cols, memo) for u in sorted({u for _, u in expected})}
+    necklace = {}  # column -> the least code registered under it
+    for w, col in cols.items():
+        necklace[col] = min(w, necklace.get(col, w))
+    assert sorted(necklace) == list(range(cols.ncols))
+    for u, rows_of_u in traces.items():
+        assert all((i, u) in expected for i in rows_of_u), u  # rows of labels only
     for (i, u), terms in expected.items():
-        row = trace_row_enc(n, k, u, i, necks)
-        assert {Necklace(decode(w, n + 1, k)): c for w, c in row.items()} == terms, (i, u)
+        row = traces[u].get(i, {})
+        got = {Necklace(decode(necklace[col], n + 1, k)): c for col, c in row.items()}
+        assert got == terms, (i, u)
     # the builder's block matrix is the same up to a permutation of columns
     order = {key: j for j, key in enumerate(expected)}
     seen = []
@@ -145,7 +155,7 @@ def test_coker_free_rank_is_bar_width_minus_image(n, kmax):
 def test_untouched_bar_necklaces_are_free(monkeypatch):
     # within the sizes above every bar necklace meets some trace row, so zero
     # every row: then each one is an untouched column and a free summand
-    monkeypatch.setattr(johnson, "trace_row_enc", lambda n, k, u, i, necks: {})
+    monkeypatch.setattr(johnson, "trace_row_enc", lambda n, k, u, cols, memo: {})
     for n, k in [(3, 3), (4, 4)]:
         assert coker_structure(n, k) == QuotientStructure(cyclic_rank(n, k, "bar"))
 
@@ -556,6 +566,17 @@ def test_label_bracket_matches_der_bracket(n, mmax):
                     assert got == want, (label, a, b)
                     cases["i = a" if label[0] == a else "i = b" if label[0] == b else "other"] += 1
     assert set(cases) == ({"i = a", "i = b", "other"} if n > 2 else {"i = a", "i = b"})
+
+
+def test_trace_blocks_leave_the_shared_expansion_cache_alone():
+    # each trace block expands its words in a memo of its own, so the trace
+    # path neither reads nor grows freelie's process-wide expansion cache
+    _block_trace_rank.cache_clear()  # so c_alpha builds its block here
+    before = dict(freelie._IOTA_CACHE)
+    assert c_alpha(8, (2, 2, 2, 2)) == johnson.AlphaReport((2, 2, 2, 2), 316, 4)
+    assert coker_structure(3, 6) == QuotientStructure(10, (6, 6, 6, 12, 12, 12))
+    assert trace_image_dim_direct(3, 5) == tangent.p_rank(3, 5) - 96  # the pinned kernel
+    assert freelie._IOTA_CACHE == before
 
 
 def test_ad_blocks_live_only_as_long_as_their_solver():
