@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, gcd
 from numbers import Number
+from operator import attrgetter, ge, gt, le, lt
 
 
 class InconsistencyError(RuntimeError):
@@ -57,6 +58,95 @@ def exact_int(x) -> int:
     if v != x:
         raise ValueError(f"{x!r} is not an integer")
     return v
+
+
+def record(cls=None, *, frozen=True, order=False):
+    """Class decorator for a value class whose fields are its annotations.
+
+    It gives what ``dataclasses.dataclass(frozen=frozen, order=order)`` gives
+    these classes: ``__init__`` taking the fields positionally or by keyword
+    (a class attribute is the field's default), then ``__post_init__`` if the
+    class has one; ``__repr__`` as ``Name(f1=..., f2=...)``; ``__eq__`` on the
+    field tuple, within one class only; if frozen, ``hash`` of the field tuple
+    and ``AttributeError`` on every assignment or deletion (``__post_init__``
+    stores with ``object.__setattr__``), else no hash; if order, the four
+    comparisons on the field tuple.  Every method is a closure over the field
+    names, so decorating costs no ``exec`` and no import of ``dataclasses``,
+    which a fresh process would otherwise pay for on every start.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    title = cls.__name__
+    fields = get = attrgetter(*names)
+    if len(names) == 1:  # one name: attrgetter gives the bare value
+
+        def fields(obj):
+            return (get(obj),)
+
+    post_init = getattr(cls, "__post_init__", None)
+    put = object.__setattr__
+
+    def bind(args, kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{title}() takes {len(names)} arguments, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{title}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{title}() got multiple values for argument {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values and name not in defaults:
+                raise TypeError(f"{title}() missing required argument {name!r}")
+        return [values[name] if name in values else defaults[name] for name in names]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            put(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    cls.__hash__ = __hash__ if frozen else None
+    if frozen:
+
+        def __setattr__(self, name, value):
+            raise AttributeError(f"cannot assign to field {name!r}")
+
+        def __delattr__(self, name):
+            raise AttributeError(f"cannot delete field {name!r}")
+
+        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    if order:
+        for op in (lt, le, gt, ge):
+            setattr(cls, f"__{op.__name__}__", _field_order(op, fields))
+    return cls
+
+
+def _field_order(op, fields):
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(fields(self), fields(other))
+        return NotImplemented
+
+    return compare
 
 
 class SparseCombination:

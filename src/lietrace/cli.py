@@ -10,20 +10,18 @@ JSON so downstream tools cannot silently round them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import cyclic, exactlin, freelie, grouppres, johnson, tangent
-from ._words import InconsistencyError, partitions
+from ._words import InconsistencyError, partitions, record
 from .cyclic import QuotientMode
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
+@record(frozen=False)
 class TableDocument:
     title: str
     columns: list
@@ -51,6 +49,8 @@ def _json_value(v):
 
 def _render(doc: TableDocument, fmt: str) -> str:
     if fmt == "json":
+        import json  # only json output pays for its import
+
         return json.dumps(doc.to_json_obj(), indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         lines = []
@@ -90,6 +90,8 @@ def _parse_range(spec: str):
 def _structure(args, title, q: exactlin.QuotientStructure):
     """A {free_rank, torsion} object in json; else a one-row table."""
     if args.format == "json":
+        import json
+
         obj = {"free_rank": q.free_rank, "torsion": [_json_value(d) for d in q.torsion]}
         return json.dumps(obj) + "\n"
     return TableDocument(title, ["free_rank", "torsion"], [[q.free_rank, list(q.torsion)]])

@@ -10,7 +10,6 @@ coordinate projection.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -21,6 +20,7 @@ from ._words import (
     add_scaled,
     exact_int,
     min_rotation,
+    record,
 )
 from .freelie import TensorElement
 
@@ -37,7 +37,7 @@ class QuotientMode(enum.Enum):
         return cls(str(mode).lower())
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Necklace:
     """Canonical rotation representative of a cyclic word."""
 

@@ -15,11 +15,10 @@ are checked in one place, ``_to_int_vec``: columns must be ``int`` in
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._words import InconsistencyError, add_scaled, exact_int
+from ._words import InconsistencyError, add_scaled, exact_int, record
 
 
 def rref(rows, ncols):
@@ -261,7 +260,7 @@ def incremental_rank(rows, ncols) -> int:
     return span.dim
 
 
-@dataclass(frozen=True)
+@record
 class QuotientStructure:
     """Isomorphism type of a f.g. abelian group: Z^free_rank + sum of Z/d."""
 

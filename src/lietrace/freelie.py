@@ -12,7 +12,6 @@ accumulator drops its zeros once, on return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from . import _words
@@ -25,6 +24,7 @@ from ._words import (
     exact_int,
     is_lyndon,
     lyndon_words,
+    record,
     standard_factorization,
     word_content,
 )
@@ -58,7 +58,7 @@ def multidegree_rank(n: int, k: int, alpha) -> int:
     return _words.content_divisor_sum(counts, _words.mobius)
 
 
-@dataclass(frozen=True)
+@record
 class Multidegree:
     counts: tuple
 
@@ -89,7 +89,7 @@ def _tree_str(tree):
     return f"[{_tree_str(tree[0])},{_tree_str(tree[1])}]"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class HallMonomial:
     """Basis monomial: a Lyndon word with its standard bracketing."""
 

@@ -9,10 +9,8 @@ crossed homomorphisms follow f(uv) = f(u) + u.f(v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import exactlin
-from ._words import InconsistencyError, add_scaled, exact_int
+from ._words import InconsistencyError, add_scaled, exact_int, record
 from .exactlin import QuotientStructure
 
 
@@ -39,18 +37,24 @@ def _gen(name):
     return ((name, 1),)
 
 
-@dataclass(frozen=True)
+def _declared(generators) -> set:
+    """The set of generator names; ValueError on the first repeated one."""
+    gens = set()
+    for g in generators:
+        if g in gens:
+            raise ValueError(f"repeated generator name {g!r}")
+        gens.add(g)
+    return gens
+
+
+@record
 class Presentation:
     generators: tuple
     relators: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        gens = set()
-        for g in self.generators:
-            if g in gens:
-                raise ValueError(f"repeated generator name {g!r}")
-            gens.add(g)
+        gens = _declared(self.generators)
         rels = []
         for rel in self.relators:
             rel = tuple((g, exact_int(e)) for g, e in rel)
@@ -61,6 +65,14 @@ class Presentation:
                     raise ValueError("store relators with exponents +1/-1")
             rels.append(rel)
         object.__setattr__(self, "relators", tuple(rels))
+
+    @classmethod
+    def _unchecked(cls, generators: tuple, relators: tuple):
+        """Wrap tuples whose names are declared once and exponents are +1/-1."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "generators", generators)
+        object.__setattr__(obj, "relators", relators)
+        return obj
 
 
 def builtin(kind: str, n: int) -> Presentation:
@@ -201,7 +213,7 @@ def _mat_inv(a):
     return tuple(tuple(row[r:]) for row in hnf)
 
 
-@dataclass(frozen=True)
+@record
 class LatticeAction:
     """One invertible integer matrix per generator, acting on Z^rank."""
 
@@ -261,7 +273,7 @@ def trivial_action(p: Presentation) -> LatticeAction:
 # crossed homomorphisms
 
 
-@dataclass(frozen=True)
+@record
 class CrossedHom:
     """A cocycle, given by its value on each generator."""
 
@@ -391,8 +403,9 @@ def abelianization(p: Presentation) -> QuotientStructure:
     for rel in p.relators:
         row: dict = {}
         for g, e in rel:
-            add_scaled(row, {gidx[g]: e})
-        rows.append(row)
+            j = gidx[g]
+            row[j] = row.get(j, 0) + e
+        rows.append({j: c for j, c in row.items() if c})
     return exactlin.quotient_structure(len(p.generators), rows)
 
 
@@ -433,27 +446,33 @@ def format_presentation(p: Presentation) -> str:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse the plain-text format; tokens are names or name^k, k any integer."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    """Parse the plain-text format; tokens are names or name^k, k any integer.
+
+    One pass over the tokens both expands and checks the relators, so the
+    Presentation is built without a second walk.  The refusals and their
+    precedence are those of Presentation: a malformed exponent anywhere comes
+    first, then a repeated generator, then the first undeclared one.
+    """
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise ValueError("empty presentation file")
     gens = tuple(lines[0].split())
+    declared = set(gens)  # a repeated name is refused after the exponents
+    undeclared = None
     rels = []
     for ln in lines[1:]:
         word = []
         for tok in ln.split():
-            if "^" in tok:
-                name, _, exp = tok.partition("^")
-                exp = int(exp)
-            else:
-                name, exp = tok, 1
-            if exp == 0:
+            name, caret, exp = tok.partition("^")
+            exp = int(exp) if caret else 1
+            if not exp:
                 continue
-            sign = 1 if exp > 0 else -1
-            word.extend((name, sign) for _ in range(abs(exp)))
+            if name not in declared and undeclared is None:
+                undeclared = name
+            word.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
         rels.append(tuple(word))
-    return Presentation(gens, tuple(rels))
+    if len(declared) != len(gens):
+        _declared(gens)
+    if undeclared is not None:
+        raise ValueError(f"relator uses undeclared generator {undeclared!r}")
+    return Presentation._unchecked(gens, tuple(rels))

@@ -40,7 +40,6 @@ the kernel checks visit every composition on n letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import factorial, lcm
 
@@ -54,6 +53,7 @@ from ._words import (
     is_lyndon,
     lyndon_words_of_content,
     partitions,
+    record,
     word_content,
 )
 from .cyclic import QuotientMode, cyclic_rank, mode_width
@@ -62,7 +62,6 @@ from .freelie import _commutator, ad_enc, iota_enc, multidegree_rank, project_ly
 from .tangent import AdSolver, NecklaceColumns, p_basis, p_rank, trace_row_enc
 
 
-@dataclass(eq=False)
 class ImageBasis:
     """Degree-k part of the subalgebra generated in degree 1.
 
@@ -73,10 +72,14 @@ class ImageBasis:
     block_dim() relabel each content to its representative.
     """
 
-    n: int
-    k: int
-    blocks: dict = field(repr=False)
-    _relabelled: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, n: int, k: int, blocks: dict):
+        self.n = n
+        self.k = k
+        self.blocks = blocks
+        self._relabelled = {}
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n={self.n!r}, k={self.k!r})"
 
     @property
     def dim(self) -> int:
@@ -121,14 +124,14 @@ class ImageBasis:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class AlphaReport:
     alpha: tuple
     c_alpha: int
     r_alpha: int
 
 
-@dataclass(frozen=True)
+@record
 class T0530Report:
     n: int
     k: int
@@ -141,7 +144,7 @@ class T0530Report:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@record
 class EGeneratorReport:
     n: int
     family_counts: tuple  # counts of the four bracket families

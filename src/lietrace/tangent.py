@@ -15,8 +15,6 @@ have content ``beta + e_i`` at key i never mixes with any other block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cyclic, exactlin, freelie
 from ._words import (
     InconsistencyError,
@@ -26,6 +24,7 @@ from ._words import (
     exact_int,
     encode,
     lyndon_words_of_content,
+    record,
     word_content,
 )
 from .cyclic import CyclicElement, JElement, QuotientMode
@@ -75,7 +74,7 @@ class Derivation(SparseCombination):
         return got
 
 
-@dataclass(frozen=True)
+@record
 class TangentialGenerator:
     """The derivation x_i* (x) [x_{w_1}, ..., x_{w_k}, x_i]."""
 
@@ -88,7 +87,7 @@ class TangentialGenerator:
             raise ValueError("empty word")
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class PBasisIndex:
     """Basis label (i, u): the derivation x_i* (x) [u, x_i]."""
 

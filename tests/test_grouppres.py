@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lietrace.exactlin import QuotientStructure
+from lietrace.exactlin import QuotientStructure, quotient_structure
 from lietrace.grouppres import (
     InconsistencyError,
     LatticeAction,
@@ -252,3 +254,69 @@ def test_presentation_text_roundtrip():
     assert p.relators[0] == (("a", 1), ("b", 1), ("a", -1), ("b", -1))
     assert p.relators[1] == (("b", 1), ("b", 1))
     assert abelianization(p) == QuotientStructure(1, (2,))
+
+
+def _parse_by_definition(text):
+    """The format read token by token into a checked Presentation: each
+    name^k becomes |k| letters of sign k, and Presentation refuses the rest."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty presentation file")
+    rels = []
+    for ln in lines[1:]:
+        word = []
+        for tok in ln.split():
+            name, exp = (tok.split("^", 1)[0], int(tok.split("^", 1)[1])) if "^" in tok else (tok, 1)
+            word += [(name, 1 if exp > 0 else -1)] * abs(exp)
+        rels.append(word)
+    return Presentation(lines[0].split(), rels)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "a^-1", "b^2", "c^-3", "a^0", "d", "b^x", "a^"])
+
+
+@given(
+    st.lists(st.sampled_from(["a", "b", "c", "a"]), min_size=0, max_size=4),
+    st.lists(st.lists(_TOKENS, max_size=6), max_size=5),
+)
+def test_parse_presentation_matches_its_definition(gens, rels):
+    text = "\n".join([" ".join(gens)] + [" ".join(r) for r in rels] + ["# a comment", ""])
+    got = _outcome(parse_presentation, text)
+    assert got == _outcome(_parse_by_definition, text)
+    if isinstance(got, Presentation):
+        # exponent-sum rows, dense, against the sparse one-pass rows
+        dense = [[sum(e for g, e in rel if g == x) for x in got.generators] for rel in got.relators]
+        assert abelianization(got) == quotient_structure(len(got.generators), dense)
+
+
+def test_parse_presentation_refusals():
+    # each refusal keeps its message; a bad exponent anywhere comes first, then
+    # a repeated name, then the first undeclared generator
+    cases = [
+        ("", "empty presentation file"),
+        ("# only a comment\n\n", "empty presentation file"),
+        ("a b a\na\n", "repeated generator name 'a'"),
+        ("a b\na c d\n", "relator uses undeclared generator 'c'"),
+        ("a b\na^1.5\n", "invalid literal for int() with base 10: '1.5'"),
+        ("a b\nb^\n", "invalid literal for int() with base 10: ''"),
+        ("a a\nc\nb^x\n", "invalid literal for int() with base 10: 'x'"),
+        ("a a\nc\n", "repeated generator name 'a'"),
+        ("a\nc^0 b^2 d\n", "relator uses undeclared generator 'b'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == message, text
+    # the ^0 letter of an undeclared name is dropped, not refused
+    assert parse_presentation("a\nc^0 a^-2\n").relators == ((("a", -1), ("a", -1)),)
+    # exponents other than +1/-1 are refused when a Presentation is built directly
+    with pytest.raises(ValueError, match=r"store relators with exponents \+1/-1"):
+        Presentation(("a",), ((("a", 2),),))

@@ -3,6 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import lietrace
@@ -19,6 +23,42 @@ def test_no_bare_asserts_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_no_exec_or_eval_in_package():
+    # value classes are built from closures (_words.record); nothing compiles source
+    found = []
+    for path in SOURCES:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\b(exec|eval)\(", line):
+                found.append(f"{path.name}:{lineno}")
+    assert not found, found
+
+
+# run in a fresh interpreter; prints the modules of interest that are loaded
+COLD_IMPORT_PROBE = """
+import sys
+import lietrace.cli
+heavy = ("dataclasses", "inspect", "ast", "dis")
+algebra = tuple("lietrace." + m for m in ("cyclic", "exactlin", "freelie", "grouppres", "johnson", "tangent"))
+print(" ".join(m for m in heavy if m in sys.modules))
+print(" ".join(m for m in algebra if m in sys.modules))
+"""
+
+
+def test_cold_cli_import_stays_light():
+    # a fresh `import lietrace.cli` must not pay for dataclasses and its
+    # imports, and must load all six algebra modules: the benchmark tracer
+    # wraps only modules already in sys.modules after that import
+    src = str(Path(lietrace.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT_PROBE],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split("\n")
+    assert out[0] == ""
+    assert out[1].split() == [
+        f"lietrace.{m}" for m in ("cyclic", "exactlin", "freelie", "grouppres", "johnson", "tangent")
+    ]
 
 
 def test_perfbench_trace_targets_resolve():
