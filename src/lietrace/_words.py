@@ -14,6 +14,13 @@ caches a word list.  The sparse-dict arithmetic every algebra module uses
 (``add_scaled`` and the element base ``SparseCombination``) lives here too,
 below them all.  No sparse dict a caller sees holds a zero: ``add_scaled``
 never stores one, and a local accumulator drops its zeros once, on return.
+``record``, the decorator of every value class in the package
+(``Necklace``, ``HallMonomial``, ``QuotientStructure``, the reports, ...),
+lives here as well.  It builds ``__init__``, ``__repr__``, ``__eq__``,
+``__hash__`` and the comparisons from closures over the field names, where
+``dataclasses`` would import ``inspect``, ``ast`` and ``dis`` and ``exec``
+generated source for each class, which was more than half of what a
+fresh CLI process spends importing the package.
 """
 
 from __future__ import annotations
@@ -71,8 +78,7 @@ def record(cls=None, *, frozen=True, order=False):
     and ``AttributeError`` on every assignment or deletion (``__post_init__``
     stores with ``object.__setattr__``), else no hash; if order, the four
     comparisons on the field tuple.  Every method is a closure over the field
-    names, so decorating costs no ``exec`` and no import of ``dataclasses``,
-    which a fresh process would otherwise pay for on every start.
+    names; nothing is compiled from source.
     """
     if cls is None:
         return lambda c: record(c, frozen=frozen, order=order)

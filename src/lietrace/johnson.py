@@ -79,7 +79,7 @@ class ImageBasis:
         self._relabelled = {}
 
     def __repr__(self):
-        return f"{type(self).__qualname__}(n={self.n!r}, k={self.k!r})"
+        return f"ImageBasis(n={self.n!r}, k={self.k!r})"
 
     @property
     def dim(self) -> int:

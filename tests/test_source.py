@@ -8,8 +8,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import lietrace
+from lietrace import cli, cyclic, exactlin, freelie, grouppres, johnson, tangent
 
 SOURCES = sorted(Path(lietrace.__file__).parent.glob("*.py"))
 TRACE_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "trace_child.py"
@@ -35,14 +39,13 @@ def test_no_exec_or_eval_in_package():
     assert not found, found
 
 
-# run in a fresh interpreter; prints the modules of interest that are loaded
-COLD_IMPORT_PROBE = """
+ALGEBRA = ("cyclic", "exactlin", "freelie", "grouppres", "johnson", "tangent")
+# run in a fresh interpreter: the heavy modules loaded, the algebra modules not
+COLD_IMPORT_PROBE = f"""
 import sys
 import lietrace.cli
-heavy = ("dataclasses", "inspect", "ast", "dis")
-algebra = tuple("lietrace." + m for m in ("cyclic", "exactlin", "freelie", "grouppres", "johnson", "tangent"))
-print(" ".join(m for m in heavy if m in sys.modules))
-print(" ".join(m for m in algebra if m in sys.modules))
+print([m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules])
+print([m for m in {ALGEBRA!r} if "lietrace." + m not in sys.modules])
 """
 
 
@@ -51,14 +54,11 @@ def test_cold_cli_import_stays_light():
     # imports, and must load all six algebra modules: the benchmark tracer
     # wraps only modules already in sys.modules after that import
     src = str(Path(lietrace.__file__).resolve().parent.parent)
-    out = subprocess.run(
+    probe = subprocess.run(
         [sys.executable, "-c", COLD_IMPORT_PROBE],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
-    ).stdout.split("\n")
-    assert out[0] == ""
-    assert out[1].split() == [
-        f"lietrace.{m}" for m in ("cyclic", "exactlin", "freelie", "grouppres", "johnson", "tangent")
-    ]
+    )
+    assert probe.stdout == "[]\n[]\n"
 
 
 def test_perfbench_trace_targets_resolve():
@@ -85,12 +85,6 @@ def test_perfbench_trace_targets_resolve():
 # ---------------------------------------------------------------------------
 # value classes: what callers rely on, pinned independently of how the
 # classes are generated
-
-from types import SimpleNamespace  # noqa: E402
-
-import pytest  # noqa: E402
-
-from lietrace import cli, cyclic, exactlin, freelie, grouppres, johnson, tangent  # noqa: E402
 
 _MONO = freelie.HallMonomial(2, (1, 2))
 
