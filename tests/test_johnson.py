@@ -54,6 +54,15 @@ def test_image_dims_pinned_n4_k6_and_n5_k5():
     assert johnson_image(5, 5).dim == 2496
 
 
+def test_image_dims_pinned_n4_k7_and_n5_k6():
+    # pinned from the engine that brackets the accepted candidates of each
+    # level, before it was changed to bracket the stored span rows
+    assert johnson_image(4, 7).dim == 6996
+    assert trace_kernel_dim(4, 7) == 7020  # a gap of 24
+    # the image is the whole trace kernel here: a second route
+    assert johnson_image(5, 6).dim == 10310 == trace_kernel_dim(5, 6)
+
+
 def test_kernel_dims_small():
     assert [trace_kernel_dim(3, k) for k in range(1, 6)] == [6, 6, 16, 36, 96]
     assert trace_kernel_dim(4, 2) == 18
