@@ -131,6 +131,13 @@ class IncrementalSpan:
     def dim(self) -> int:
         return len(self._rows)
 
+    def rows(self) -> list:
+        """The stored rows, a basis of the span, in insertion order.
+
+        Each is a {col: int} dict shared with the span: never mutate it.
+        """
+        return [row for _, row in self._rows.values()]
+
     def _reduce(self, v):
         """Reduce v (mutated) against the stored rows; returns the remainder."""
         rows = self._rows

@@ -173,19 +173,20 @@ def iota_enc(n: int, word, memo=None) -> dict:
     return got
 
 
-def ad_enc(n: int, word, i: int) -> dict:
-    """Tensor expansion of [basis(word), x_i]."""
-    return _commutator(iota_enc(n, word), len(word), {i: 1}, 1, n + 1)
+def ad_enc(n: int, word, i: int, memo=None) -> dict:
+    """Tensor expansion of [basis(word), x_i]; memo as for iota_enc."""
+    return _commutator(iota_enc(n, word, memo), len(word), {i: 1}, 1, n + 1)
 
 
-def project_lyndon_enc(n: int, k: int, tdict: dict) -> dict:
+def project_lyndon_enc(n: int, k: int, tdict: dict, memo=None) -> dict:
     """Coordinates of an encoded degree-k tensor element on the Lyndon basis.
 
     Each step removes the least remaining word.  The expansion of a Lyndon
     word starts at that word with coefficient 1, so the element lies in the
     Lie subspace exactly when every such least word is a Lyndon word of
     degree k over 1..n, its coordinate being the word's coefficient; any
-    other least word raises ValueError.
+    other least word raises ValueError.  The expansions it subtracts are
+    memoized in memo, as for iota_enc.
     """
     base = n + 1
     work = {w: c for w, c in tdict.items() if c}  # so each step removes its lead
@@ -196,7 +197,7 @@ def project_lyndon_enc(n: int, k: int, tdict: dict) -> dict:
         if 0 in w or encode(w, base) != lead or not is_lyndon(w):
             raise ValueError("element is not in the free Lie algebra")
         c = coords[w] = work[lead]
-        add_scaled(work, iota_enc(n, w), -c)
+        add_scaled(work, iota_enc(n, w, memo), -c)
     return coords
 
 

@@ -14,14 +14,16 @@ S_n-stable set, so the image in the block of sigma(alpha) is sigma applied
 to that of alpha: ``ImageBasis.dim`` is the orbit sum, and ``contains``
 relabels each content part of a vector onto its representative
 (``_relabel``, through ``project_lyndon_enc``).  Level m + 1 of alpha is
-built from the accepted vectors of the representatives one letter below,
-relabelled, bracketing each basis label (i, u) with each generator D_ab once
-per letter and combining the results linearly.  A label's bracket is a
-closed form by the Jacobi identity (``_label_bracket``): it needs D_ab(u),
-one Leibniz pass in degree m, and [u, x_b], whose Lyndon coordinates (one
-verified ad-block solve each) every label (i, u) shares.  Each level owns
-its degree-(m+1) ad blocks and drops them when it is done: no later level
-solves in that degree again.
+built from the rows that the spans of the representatives one letter below
+store, relabelled, bracketing each basis label (i, u) with each generator
+D_ab once per letter and combining the results linearly; a level is its
+span and nothing else.  A label's bracket is a closed form by the Jacobi
+identity (``_label_bracket``): it needs D_ab(u), one Leibniz pass in degree
+m, and [u, x_b], whose Lyndon coordinates (one verified ad-block solve each)
+every label (i, u) shares.  Each level owns its degree-(m+1) ad blocks and
+one expansion memo (``tangent.AdSolver``) and drops them when it is done: no
+later level solves in that degree again, and the image never fills the
+process-wide expansion cache.
 
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
@@ -76,7 +78,7 @@ class ImageBasis:
         self.n = n
         self.k = k
         self.blocks = blocks
-        self._relabelled = {}
+        self._relabelled = {}  # _relabel memo of contains(): relabellings, expansions
 
     def __repr__(self):
         return f"ImageBasis(n={self.n!r}, k={self.k!r})"
@@ -188,7 +190,8 @@ def _label_bracket(solver, label, a, b, dab, memo):
     pass over the length-m expansion of u.  The Lyndon coordinates of D_ab(u)
     and of [u, x_b] come from solver, the AdSolver of degree m + 1, and are
     memoized in memo under (u, a, b) and (u, b), which every label (i, u)
-    shares; the caller decides how long solver and memo live.
+    shares; the expansions go to solver.memo.  The caller decides how long
+    solver and memo live.
     """
     i, u = label
     n = solver.n
@@ -196,13 +199,13 @@ def _label_bracket(solver, label, a, b, dab, memo):
     du = memo.get((u, a, b))
     if du is None:
         gen = {a: (dab, 2)}
-        enc = tangent._apply_values_enc(n, gen, iota_enc(n, u), len(u))
+        enc = tangent._apply_values_enc(n, gen, iota_enc(n, u, solver.memo), len(u))
         du = memo[(u, a, b)] = _lie_coordinates(solver, enc, content)
     out = {(i, w): -c for w, c in du.items()}
     if i == a or i == b:
         ub = memo.get((u, b))
         if ub is None:
-            ub = memo[(u, b)] = _lie_coordinates(solver, ad_enc(n, u, b), content)
+            ub = memo[(u, b)] = _lie_coordinates(solver, ad_enc(n, u, b, solver.memo), content)
         add_scaled(out, {(a, w): c for w, c in ub.items()}, 1 if i == b else -1)
     return out
 
@@ -234,7 +237,9 @@ def _relabel(n, perm, vec, memo):
 
     The label (i, u) goes to perm(i) and to the Lyndon coordinates of the
     relabelled basis element of u (project_lyndon_enc), memoized in memo
-    under (perm, u); the caller decides how long memo lives.
+    under (perm, u).  memo is an expansion memo too (freelie.iota_enc, keys
+    (n, word)): the expansions of u and of the relabelled words go there.
+    The caller decides how long memo lives.
     """
     if perm == tuple(range(1, n + 1)):
         return vec
@@ -246,9 +251,9 @@ def _relabel(n, perm, vec, memo):
             k = len(u)
             moved = {
                 encode([perm[x - 1] for x in decode(w, base, k)], base): d
-                for w, d in iota_enc(n, u).items()
+                for w, d in iota_enc(n, u, memo).items()
             }
-            coords = memo[(perm, u)] = project_lyndon_enc(n, k, moved)
+            coords = memo[(perm, u)] = project_lyndon_enc(n, k, moved, memo)
         j = perm[i - 1]
         add_scaled(out, {(j, w): d for w, d in coords.items()}, c)
     return out
@@ -257,19 +262,24 @@ def _relabel(n, perm, vec, memo):
 class _Block:
     """The image in one content block, on block-local columns.
 
-    labels lists the block's basis labels (i, u), u a Lyndon word of the
-    content, in global basis order; index inverts it.
+    labels lists the block's basis labels (_block_labels); index inverts it.
     """
 
     __slots__ = ("labels", "index", "span")
 
-    def __init__(self, n, k, content):
-        words = lyndon_words_of_content(content)
-        self.labels = tuple(
-            (i, u) for i in range(1, n + 1) for u in words if k > 1 or u != (i,)
-        )
+    def __init__(self, n, content):
+        self.labels = _block_labels(n, lyndon_words_of_content(content))
         self.index = {key: col for col, key in enumerate(self.labels)}
         self.span = IncrementalSpan(len(self.labels))
+
+
+def _block_labels(n, words):
+    """The basis labels (i, u) of a content block, in global basis order.
+
+    words are the block's Lyndon words in order; each letter i of 1..n takes
+    each of them, except that (i, (i,)) is no label: [x_i, x_i] = 0.
+    """
+    return [(i, u) for i in range(1, n + 1) for u in words if u != (i,)]
 
 
 class _OrbitImage:
@@ -280,31 +290,30 @@ class _OrbitImage:
     maps each representative alpha of degree k (a partition padded to n
     letters) with a nonzero image to its _Block.  Level m + 1 of alpha is
     spanned by [sigma v, D_ab] for each letter b of alpha, each a != b and
-    each accepted vector v of the representative rho of alpha - e_b, sigma
-    being the relabelling with sigma(rho) = alpha - e_b (_representative).
-    Only the top level's accepted vectors are kept (top, on block-local
-    columns); every level's blocks are kept, since johnson_image reads any
-    of them.  The n(n - 1) generator values [x_b, x_a] are expanded once.
-    extend() grows the store in place with no lock: no caller in the package
-    reaches it from more than one thread (the CLI's pool runs c_alpha only).
+    each row v that the span of the representative rho of alpha - e_b
+    stores, sigma being the relabelling with sigma(rho) = alpha - e_b
+    (_representative): those rows are a basis of the level below, and the
+    bracket is linear.  A level keeps only its blocks, which johnson_image
+    reads at any degree.  The n(n - 1) generator values [x_b, x_a] are
+    expanded once.  extend() grows the store in place with no lock: no
+    caller in the package reaches it from more than one thread (the CLI's
+    pool runs c_alpha only).
     """
 
     def __init__(self, n: int):
         self.n = n
         # (a, b) -> [x_b, x_a] encoded, the value of the generator D_ab
         self.gens = {
-            (a, b): ad_enc(n, (b,), a)
+            (a, b): ad_enc(n, (b,), a, {})
             for a in range(1, n + 1)
             for b in range(1, n + 1)
             if a != b
         }
         alpha = (1,) + (0,) * (n - 1)
-        block = _Block(n, 1, alpha)  # the labels (a, (1,)) of D_a1, a > 1
-        vecs = [{col: 1} for col in range(len(block.labels))]
-        for vec in vecs:
-            block.span.insert(vec)
+        block = _Block(n, alpha)  # the labels (a, (1,)) of D_a1, a > 1
+        for col in range(len(block.labels)):
+            block.span.insert({col: 1})
         self.levels = [{alpha: block}]
-        self.top = {alpha: vecs}
 
     def extend(self, k: int):
         while len(self.levels) < k:
@@ -314,42 +323,38 @@ class _OrbitImage:
         n = self.n
         m = len(self.levels)  # degree of the current top level
         below = self.levels[-1]
-        solver = AdSolver(n, m + 1)  # the ad blocks of this level alone
-        level, top = {}, {}
+        solver = AdSolver(n, m + 1)  # the ad blocks and expansions of this level alone
+        level = {}
         for part in partitions(m + 1, max_parts=n):
             alpha = part + (0,) * (n - len(part))
-            block = _Block(n, m + 1, alpha)
-            accepted = []
+            block = _Block(n, alpha)
             for b in range(1, len(part) + 1):
                 beta = alpha[: b - 1] + (alpha[b - 1] - 1,) + alpha[b:]
                 rho, perm = _representative(beta)
-                if rho in self.top:
-                    accepted += self._bracket_block(
-                        block, below[rho].labels, self.top[rho], perm, b, solver
-                    )
-            if accepted:
-                level[alpha], top[alpha] = block, accepted
+                if rho in below:
+                    self._bracket_block(block, below[rho], perm, b, solver)
+            if block.span.dim:
+                level[alpha] = block
         self.levels.append(level)
-        self.top = top
 
-    def _bracket_block(self, block, labels, vecs, perm, b, solver):
-        """Insert [perm(v), D_ab] into block for each v of vecs and a != b.
+    def _bracket_block(self, block, source, perm, b, solver):
+        """Insert [perm(v), D_ab] into block for each row v of source and a != b.
 
-        vecs are on the columns of labels, the block below.  The bracket is
-        linear in v, so each relabelled basis label is bracketed with each
-        D_ab once (_label_bracket, by the Jacobi identity) and every
-        candidate is the integer combination of those images.  The memos
-        live for this one pair (alpha, b): the relabelled labels have content
-        alpha - e_b, which no other pair brackets.  Returns the accepted
-        candidates.
+        source is a _Block of the level below; its span's rows are on the
+        columns of its labels.  The bracket is linear in v, so each
+        relabelled basis label is bracketed with each D_ab once
+        (_label_bracket, by the Jacobi identity) and every candidate is the
+        integer combination of those images.  The coordinate memos live for
+        this one pair (alpha, b): the relabelled labels have content
+        alpha - e_b, which no other pair brackets.  The relabellings and every
+        expansion go to solver.memo, which lives for the level.
         """
         n = self.n
-        relabelled: dict = {}
+        labels = source.labels
         memo: dict = {}  # shared by the labels (i, u), see _label_bracket
         images: dict = {}  # (label, a) -> block columns of [label, D_ab]
-        accepted = []
-        for vec in vecs:
-            moved = _relabel(n, perm, {labels[j]: c for j, c in vec.items()}, relabelled)
+        for row in source.span.rows():
+            moved = _relabel(n, perm, {labels[j]: c for j, c in row.items()}, solver.memo)
             for a in range(1, n + 1):
                 if a == b:
                     continue
@@ -360,9 +365,7 @@ class _OrbitImage:
                         got = _label_bracket(solver, label, a, b, self.gens[(a, b)], memo)
                         img = images[(label, a)] = {block.index[key]: v for key, v in got.items()}
                     add_scaled(cand, img, c)
-                if block.span.insert(cand):
-                    accepted.append(cand)
-        return accepted
+                block.span.insert(cand)
 
 
 @cache
@@ -402,15 +405,9 @@ def _trace_block(k, content):
     words = lyndon_words_of_content(content)
     cols = NecklaceColumns()
     memo: dict = {}
-    traces = [trace_row_enc(n, k, u, cols, memo) for u in words]
-    keys, rows = [], []
-    for i in range(1, n + 1):
-        for u, rows_of_u in zip(words, traces):
-            if k == 1 and u == (i,):
-                continue
-            keys.append((i, u))
-            rows.append(rows_of_u.get(i, {}))
-    return keys, rows, cols.ncols
+    traces = {u: trace_row_enc(n, k, u, cols, memo) for u in words}
+    keys = _block_labels(n, words)
+    return keys, [traces[u].get(i, {}) for i, u in keys], cols.ncols
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,9 @@ elements sending x_i to [u, x_i] (u a degree-k monomial) and all other
 generators to zero; the map (i, u) -> that derivation is a basis, certified by
 an explicit rank check each time an (i, content) block is built to solve on.
 Blocks belong to the AdSolver of their caller (one image level, or one
-p_coordinates call) and go with it.
+p_coordinates call) and go with it, and so does the one expansion memo that
+the solver owns: its blocks expand their words there, and an image level
+passes it to every expansion it makes.
 
 Degree and multidegree are both respected by every operation here, which lets
 all of the heavy linear algebra run block by block: a derivation whose values
@@ -247,11 +249,12 @@ class _AdBlock:
     l is read off T at each Lyndon word u of the block as a sum over the
     rotation chain of u.  Its coordinates then follow by forward substitution
     through the unitriangular iota_enc matrix of the block's Lyndon words.
+    The expansions go to memo, the solver's (see AdSolver).
     """
 
     __slots__ = ("n", "i", "k", "us", "rows", "reads", "lower")
 
-    def __init__(self, n, k, i, content):
+    def __init__(self, n, k, i, content, memo):
         self.n = n
         self.i = i
         self.k = k
@@ -259,7 +262,7 @@ class _AdBlock:
         if k == 1:
             us = tuple(u for u in us if u != (i,))  # [x_i, x_i] = 0
         self.us = us
-        self.rows = [ad_enc(n, u, i) for u in self.us]
+        self.rows = [ad_enc(n, u, i, memo) for u in self.us]
         span = exactlin.IncrementalSpan((n + 1) ** (k + 1))
         for row in self.rows:
             if not span.insert(dict(row)):
@@ -277,7 +280,7 @@ class _AdBlock:
         col_of = {w: col for col, w in enumerate(codes)}
         self.lower = [[] for _ in codes]
         for j, u in enumerate(us):
-            for w, m in iota_enc(n, u).items():
+            for w, m in iota_enc(n, u, memo).items():
                 col = col_of.get(w)
                 if col is not None and col > j:
                     self.lower[col].append((j, m))
@@ -304,20 +307,22 @@ class _AdBlock:
 class AdSolver:
     """The _AdBlocks of one degree k, built lazily per (i, content).
 
-    Its blocks live as long as the solver: the caller that solves on degree k
-    makes one and drops it when it is done.
+    Its blocks and its expansion memo (memo, see freelie.iota_enc) live as
+    long as the solver: the caller that solves on degree k makes one and
+    drops it when it is done.
     """
 
     def __init__(self, n, k):
         self.n = n
         self.k = k
         self.blocks: dict = {}
+        self.memo: dict = {}
 
     def block(self, i, content) -> _AdBlock:
         key = (i, content)
         got = self.blocks.get(key)
         if got is None:
-            got = _AdBlock(self.n, self.k, i, content)
+            got = _AdBlock(self.n, self.k, i, content, self.memo)
             self.blocks[key] = got
         return got
 

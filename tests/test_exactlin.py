@@ -153,6 +153,23 @@ def test_span_order_independence(rows, rnd):
         assert s2.contains({i: v for i, v in enumerate(r)})
 
 
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=6))
+def test_span_rows_are_a_basis_in_insertion_order(rows):
+    s = IncrementalSpan(4)
+    accepted = [r for r in rows if s.insert({i: v for i, v in enumerate(r) if v})]
+    stored = s.rows()
+    assert len(stored) == s.dim == rank(stored, 4)
+    # row j is the j-th accepted vector reduced by the rows before it
+    prefix = IncrementalSpan(4)
+    for row, r in zip(stored, accepted):
+        assert prefix.insert({i: v for i, v in enumerate(r) if v})
+        assert prefix.contains(row)
+    # a span of the stored rows alone is the same space
+    again = IncrementalSpan(4)
+    assert all(again.insert(dict(row)) for row in stored)
+    assert all(again.contains({i: v for i, v in enumerate(r)}) for r in rows)
+
+
 def test_span_accepts_fractions():
     s = IncrementalSpan(2)
     assert s.insert({0: Fraction(1, 2), 1: Fraction(1, 3)})

@@ -588,6 +588,17 @@ def test_trace_blocks_leave_the_shared_expansion_cache_alone():
     assert freelie._IOTA_CACHE == before
 
 
+def test_image_leaves_the_shared_expansion_cache_alone():
+    # each image level expands into the memo of its own solver and each
+    # ImageBasis into a memo of its own, so building the image and testing
+    # membership neither read nor grow freelie's process-wide expansion cache
+    johnson._orbit_image.cache_clear()  # so the levels are built here
+    before = dict(freelie._IOTA_CACHE)
+    assert johnson_image(3, 7).dim == 618
+    assert check_T0530(3, 5).ok
+    assert freelie._IOTA_CACHE == before
+
+
 def test_ad_blocks_live_only_as_long_as_their_solver():
     # each image level and each p_coordinates call owns its ad blocks, so
     # none of them outlives the call that built it
