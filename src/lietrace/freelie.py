@@ -128,6 +128,8 @@ def hall_basis(n: int, k: int):
 # ---------------------------------------------------------------------------
 # tensor expansions (integer-encoded words; see _words.encode)
 
+# read by the element types and direct calls; trace blocks and image levels
+# pass memos of their own, which go with them
 _IOTA_CACHE: dict = {}
 
 
