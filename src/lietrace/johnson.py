@@ -36,8 +36,9 @@ rotations at once.  The bar/tilde quotient only decides which blocks count
 (``cyclic.mode_width``).  Relabelling letters permutes the trace blocks
 without changing their ranks or Smith divisors, so ``trace_rank`` and
 ``coker_structure`` compute one block per S_n orbit (``_orbits``), keyed by
-its partition alone: n only counts the copies.  The rational second route and
-the kernel checks visit every composition on n letters.
+its partition alone: n only counts the copies; ``check_T0530`` builds one
+trace kernel per orbit too.  Only the rational second route visits every
+composition on n letters.
 """
 
 from __future__ import annotations
@@ -533,10 +534,23 @@ def _block_kernel_pcoords(k, content):
 
 def check_T0530(n: int, k: int) -> T0530Report:
     """For contents with a letter of multiplicity 1, the trace kernel of the
-    block must already lie in the degree-1 generated span."""
+    block must already lie in the degree-1 generated span.
+
+    checked and skipped list every composition, but the kernel is built and
+    tested once per S_n orbit, on the representative's block (whose labels
+    are the image block's): relabelling the letters carries the trace kernel
+    and the image of the representative's block onto those of each block in
+    its orbit (see _orbits and _OrbitImage), so each composition reports its
+    representative's kernel dimension.  A representative's kernel vector
+    outside the image is relabelled onto each composition of the orbit
+    (_relabel), so every violation (content, vector) is a kernel vector of
+    that content's own block outside the image.
+    """
     if n < 3:
         raise ValueError("need n >= 3")
     image = johnson_image(n, k)
+    kernels: dict = {}  # representative -> (kernel dim, kernel vectors outside the image)
+    memo: dict = {}  # _relabel memo of the violations
     checked, skipped, violations = [], [], []
     for content in compositions(k, n):
         if not lyndon_words_of_content(content):
@@ -544,11 +558,14 @@ def check_T0530(n: int, k: int) -> T0530Report:
         if 1 not in content:
             skipped.append(content)
             continue
-        kernel = _block_kernel_pcoords(k, content)
-        checked.append((content, len(kernel)))
-        for vec in kernel:
-            if not image.contains(vec):
-                violations.append((content, tuple(sorted(vec.items()))))
+        alpha, perm = _representative(content)
+        got = kernels.get(alpha)
+        if got is None:
+            kernel = _block_kernel_pcoords(k, alpha)
+            got = kernels[alpha] = (len(kernel), [v for v in kernel if not image.contains(v)])
+        checked.append((content, got[0]))
+        for vec in got[1]:
+            violations.append((content, tuple(sorted(_relabel(n, perm, vec, memo).items()))))
     return T0530Report(n, k, tuple(checked), tuple(skipped), tuple(violations))
 
 

@@ -115,18 +115,13 @@ def tau1_generator(n: int, i: int, j: int) -> Derivation:
 def p_basis(n: int, k: int):
     """Ordered basis of the degree-k tangential subalgebra.
 
-    For k = 1 the pairs (i, x_i) are skipped since [x_i, x_i] = 0; the size is
-    n(n-1) there and n * witt_rank(n, k) for k >= 2.
+    The pairs (i, x_i) are skipped since [x_i, x_i] = 0; the size is n(n-1)
+    for k = 1 and n * witt_rank(n, k) for k >= 2.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2, k >= 1")
-    out = []
-    for i in range(1, n + 1):
-        for mono in hall_basis(n, k):
-            if k == 1 and mono.word == (i,):
-                continue
-            out.append(PBasisIndex(i, mono))
-    return tuple(out)
+    monos = hall_basis(n, k)
+    return tuple(PBasisIndex(i, m) for i in range(1, n + 1) for m in monos if m.word != (i,))
 
 
 def p_rank(n: int, k: int) -> int:
@@ -258,10 +253,8 @@ class _AdBlock:
         self.n = n
         self.i = i
         self.k = k
-        us = lyndon_words_of_content(content)
-        if k == 1:
-            us = tuple(u for u in us if u != (i,))  # [x_i, x_i] = 0
-        self.us = us
+        # [x_i, x_i] = 0
+        self.us = us = tuple(u for u in lyndon_words_of_content(content) if u != (i,))
         self.rows = [ad_enc(n, u, i, memo) for u in self.us]
         span = exactlin.IncrementalSpan((n + 1) ** (k + 1))
         for row in self.rows:

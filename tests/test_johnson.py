@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from lietrace import freelie, johnson, tangent
-from lietrace._words import compositions, decode, partitions
+from lietrace import exactlin, freelie, johnson, tangent
+from lietrace._words import add_scaled, compositions, decode, partitions, word_content
 from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
@@ -378,6 +378,51 @@ def test_t0530_small():
     assert rep4.ok
     assert rep4.skipped  # e.g. content (2, 2, 0) has no isolated letter
     assert all(1 not in c for c in rep4.skipped)
+
+
+@pytest.mark.parametrize("n,kmax", [(3, 7), (4, 5), (5, 4)])
+def test_t0530_second_route_visits_every_composition(n, kmax):
+    # check_T0530 builds one kernel per S_n orbit; here each composition with
+    # a letter of multiplicity 1 gets its own kernel, tested against the image
+    # through the relabelling in contains()
+    for k in range(1, kmax + 1):
+        image = johnson_image(n, k)
+        dims = dict(check_T0530(n, k).checked)
+        seen = []
+        for content in compositions(k, n):
+            if 1 not in content:
+                continue
+            kernel = johnson._block_kernel_pcoords(k, content)
+            assert len(kernel) == dims[content], content
+            assert all(image.contains(vec) for vec in kernel), content
+            seen.append(content)
+        assert seen == list(dims), (n, k)
+
+
+def test_t0530_violations_are_kernel_vectors_of_each_composition(monkeypatch):
+    # no pinned size has a violation, so an empty image makes every kernel
+    # vector one: each representative's vectors, relabelled onto each
+    # composition of its orbit, must be a basis of that block's own kernel
+    monkeypatch.setattr(johnson, "johnson_image", lambda n, k: johnson.ImageBasis(n, k, {}))
+    rep = check_T0530(3, 4)
+    assert not rep.ok
+    by_content: dict = {}
+    for content, vec in rep.violations:
+        by_content.setdefault(content, []).append(dict(vec))
+    assert sum(map(len, by_content.values())) == sum(d for _, d in rep.checked) == 30
+    for content, dim in rep.checked:
+        vecs = by_content[content]
+        assert len(vecs) == dim, content
+        keys, rows, ncols = johnson._trace_block(4, content)
+        index = {key: j for j, key in enumerate(keys)}
+        for vec in vecs:
+            assert all(word_content(u, 3) == content for _, u in vec), content
+            image: dict = {}
+            for key, c in vec.items():
+                add_scaled(image, rows[index[key]], c)
+            assert not image, content
+        columns = [{index[key]: c for key, c in vec.items()} for vec in vecs]
+        assert exactlin.rank(columns, len(keys)) == dim, content
 
 
 def test_absent_letter_generators_lie_in_image():
