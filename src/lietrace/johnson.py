@@ -559,12 +559,12 @@ def check_T0530(n: int, k: int) -> T0530Report:
             skipped.append(content)
             continue
         alpha, perm = _representative(content)
-        got = kernels.get(alpha)
-        if got is None:
+        if alpha not in kernels:
             kernel = _block_kernel_pcoords(k, alpha)
-            got = kernels[alpha] = (len(kernel), [v for v in kernel if not image.contains(v)])
-        checked.append((content, got[0]))
-        for vec in got[1]:
+            kernels[alpha] = len(kernel), [v for v in kernel if not image.contains(v)]
+        dim, outside = kernels[alpha]
+        checked.append((content, dim))
+        for vec in outside:
             violations.append((content, tuple(sorted(_relabel(n, perm, vec, memo).items()))))
     return T0530Report(n, k, tuple(checked), tuple(skipped), tuple(violations))
 

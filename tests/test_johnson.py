@@ -413,7 +413,7 @@ def test_t0530_violations_are_kernel_vectors_of_each_composition(monkeypatch):
     for content, dim in rep.checked:
         vecs = by_content[content]
         assert len(vecs) == dim, content
-        keys, rows, ncols = johnson._trace_block(4, content)
+        keys, rows, _ = johnson._trace_block(4, content)
         index = {key: j for j, key in enumerate(keys)}
         for vec in vecs:
             assert all(word_content(u, 3) == content for _, u in vec), content
