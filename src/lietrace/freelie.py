@@ -5,7 +5,10 @@ The basis of the degree-k part is indexed by Lyndon words of length k over
 are sparse integer combinations of basis monomials; the tensor-algebra
 embedding expands brackets as ``u (x) v - v (x) u`` and is the workhorse used
 for normalization, bracketing and all trace computations downstream.  Encoded
-words are multiplied (``_cat``) and bracketed (``_commutator``) here only.
+words are multiplied (``_cat``) and bracketed (``_commutator``) here, and
+``factor_enc`` hands out the checked factor expansions of a Lyndon word for
+``tangent.trace_row_enc``, which pairs their words itself without forming the
+product.
 Encoded dicts are zero-free: ``add_scaled`` never stores a zero, and a local
 accumulator drops its zeros once, on return.
 """
@@ -148,14 +151,36 @@ def _commutator(a, la, b, lb, base):
     return add_scaled(_cat(a, b, lb, base), _cat(b, a, la, base), -1)
 
 
+def factor_enc(n: int, word, memo=None):
+    """Checked expansions (A, len a, B, len b) of the standard factors a, b of word.
+
+    word, a Lyndon word of length >= 2, expands as A(x)B - B(x)A.  Its least
+    word must be `word` itself with coefficient 1: the least word of A(x)B is
+    min(A).min(B), with coefficient the product of theirs, and it must lie
+    strictly below min(B).min(A), the least word of B(x)A, so that nothing
+    cancels it.  This is the triangularity that makes coordinate extraction
+    below terminate, checked in O(|A| + |B|) without forming the product.
+    The factor expansions come from iota_enc and its memo.
+    """
+    base = n + 1
+    a, b = standard_factorization(word)
+    A, B = iota_enc(n, a, memo), iota_enc(n, b, memo)
+    la, lb = len(a), len(b)
+    ma, mb = min(A), min(B)
+    lead = ma * base**lb + mb
+    if lead != encode(word, base) or A[ma] * B[mb] != 1 or lead >= mb * base**la + ma:
+        raise InconsistencyError(f"expansion of {word!r} is not unitriangular")
+    return A, la, B, lb
+
+
 def iota_enc(n: int, word, memo=None) -> dict:
     """Tensor expansion of the basis monomial of `word`, encoded base n + 1.
 
-    The least word of the expansion is `word` itself with coefficient 1; this
-    triangularity is what makes coordinate extraction below terminate.  The
-    expansions of `word` and of its factors are memoized in `memo`, a dict
-    whose lifetime the caller decides, or else in the process-wide
-    _IOTA_CACHE.  A returned dict is shared with the memo: never mutate it.
+    The least word of the expansion is `word` itself with coefficient 1
+    (checked by factor_enc).  The expansions of `word` and of its factors are
+    memoized in `memo`, a dict whose lifetime the caller decides, or else in
+    the process-wide _IOTA_CACHE.  A returned dict is shared with the memo:
+    never mutate it.
     """
     if memo is None:
         memo = _IOTA_CACHE
@@ -163,14 +188,10 @@ def iota_enc(n: int, word, memo=None) -> dict:
     got = memo.get(key)
     if got is not None:
         return got
-    base = n + 1
     if len(word) == 1:
         got = {word[0]: 1}
     else:
-        u, v = standard_factorization(word)
-        got = _commutator(iota_enc(n, u, memo), len(u), iota_enc(n, v, memo), len(v), base)
-        if min(got) != encode(word, base) or got[min(got)] != 1:
-            raise InconsistencyError(f"expansion of {word!r} is not unitriangular")
+        got = _commutator(*factor_enc(n, word, memo), n + 1)
     memo[key] = got
     return got
 

@@ -35,6 +35,7 @@ from .freelie import (
     LieElement,
     TensorElement,
     ad_enc,
+    factor_enc,
     hall_basis,
     iota_enc,
     witt_rank,
@@ -380,36 +381,61 @@ class NecklaceColumns(dict):
 
 
 def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict) -> dict:
-    """Trace rows {i: {col: c}} of every x_i* (x) [u, x_i], from one pass over iota(u).
+    """Trace rows {i: {col: c}} of every x_i* (x) [u, x_i], from the factor pairs of u.
 
     The contraction pairs x_i* with each word i.v of the expansion of u and
-    closes the cycle as v.i, the code rotation (w % shift) * base + w // shift,
-    so one pass buckets the closed words by their leading letter i.  The
-    bracket part -x_i u of the contraction dies under the cyclic projection,
-    except in degree 1, where it leaves -(u) in every row.  cols sends each
-    closed word to its necklace column, and a word seen for the first time
-    registers all its rotations there; memo holds the expansions of u and its
-    factors (freelie.iota_enc).  The caller decides how long both live.  Rows
-    are zero-free, and a letter whose row is zero is left out.
+    closes the cycle as v.i, a rotation of i.v; the bracket part -x_i u dies
+    under the cyclic projection, except in degree 1, where it leaves -(u) in
+    every row.  Above degree 1, u expands as A(x)B - B(x)A over its standard
+    factors (freelie.factor_enc), and wb.wa is a rotation of wa.wb, so each
+    pair (wa, wb) of factor words adds ca*cb to the row of the first letter
+    of wa and subtracts it from the row of the first letter of wb, both at
+    the necklace of wa.wb: one pass over the pairs, and the expansion of u
+    itself is never formed.  cols sends each word to its necklace column,
+    and a word seen for the first time registers all its rotations there,
+    for every pair, so every word of the expansion of u finds its column;
+    memo holds the expansions of the factors of u and theirs
+    (freelie.iota_enc).  The caller decides how long both live.  Rows are
+    zero-free, and a letter whose row is zero is left out.
     """
     base = n + 1
-    shift = base ** (k - 1)
-    out: dict = {}
-    for w, c in iota_enc(n, u, memo).items():
-        i = w // shift
-        r = (w - i * shift) * base + i
-        col = cols.get(r)
-        if col is None:
-            col = cols.add(r, k, base)
-        row = out.get(i)
-        if row is None:
-            row = out[i] = {}
-        row[col] = row.get(col, 0) + c
     if k == 1:
-        col = cols[u[0]]  # the one closed word, registered above
-        for i in range(1, n + 1):
-            row = out.setdefault(i, {})
-            row[col] = row.get(col, 0) - 1
+        col = cols.get(u[0])
+        if col is None:
+            col = cols.add(u[0], 1, base)
+        # the row of u[0] is +(u) - (u)
+        return {i: {col: -1} for i in range(1, n + 1) if i != u[0]}
+    A, la, B, lb = factor_enc(n, u, memo)
+    shift_a = base ** (la - 1)
+    shift_b = base ** (lb - 1)
+    high = base**lb
+    by_first: dict = {}  # first letter of wb -> [(wb, cb)]
+    for wb, cb in B.items():
+        by_first.setdefault(wb // shift_b, []).append((wb, cb))
+    out: dict = {}
+    for wa, ca in A.items():
+        i = wa // shift_a
+        wa *= high
+        for j, pairs in by_first.items():
+            if i == j:  # adds nothing, but its necklace is registered too
+                for wb, _ in pairs:
+                    if wa + wb not in cols:
+                        cols.add(wa + wb, k, base)
+                continue
+            row_i = out.get(i)
+            if row_i is None:
+                row_i = out[i] = {}
+            row_j = out.get(j)
+            if row_j is None:
+                row_j = out[j] = {}
+            for wb, cb in pairs:
+                w = wa + wb
+                col = cols.get(w)
+                if col is None:
+                    col = cols.add(w, k, base)
+                c = ca * cb
+                row_i[col] = row_i.get(col, 0) + c
+                row_j[col] = row_j.get(col, 0) - c
     rows = {}
     for i, row in out.items():
         row = {col: c for col, c in row.items() if c}

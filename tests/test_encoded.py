@@ -7,7 +7,15 @@ inputs below are chosen so that terms cancel.
 
 import pytest
 
-from lietrace._words import decode, encode, lyndon_words
+from lietrace._words import (
+    InconsistencyError,
+    compositions,
+    decode,
+    encode,
+    lyndon_words,
+    lyndon_words_of_content,
+    standard_factorization,
+)
 from lietrace.cyclic import Necklace, project_cyclic
 from lietrace.freelie import (
     LieElement,
@@ -16,6 +24,7 @@ from lietrace.freelie import (
     _commutator,
     ad_enc,
     bracket,
+    factor_enc,
     iota_enc,
     normalize,
 )
@@ -102,3 +111,72 @@ def test_trace_rows_that_cancel_are_zero_free():
             seen[col] = seen.get(col, 0) + c
     assert 0 in seen.values()
     assert got == {w: c for w, c in seen.items() if c}
+
+
+def _rows_from_expansion(n, k, u, full, cols):
+    """Trace rows of u from its full expansion: bucketed by leading letter and necklace."""
+    shift = (n + 1) ** (k - 1)
+    rows: dict = {}
+    for w, c in full.items():
+        row = rows.setdefault(w // shift, {})
+        row[cols[w]] = row.get(cols[w], 0) + c
+    if k == 1:  # the bracket part -x_i u of every contraction leaves -(u)
+        for i in range(1, n + 1):
+            row = rows.setdefault(i, {})
+            row[cols[u[0]]] = row.get(cols[u[0]], 0) - 1
+    rows = {i: {col: c for col, c in row.items() if c} for i, row in rows.items()}
+    return {i: row for i, row in rows.items() if row}
+
+
+@pytest.mark.parametrize("n, kmax", [(3, 8), (4, 6), (5, 5)])
+def test_trace_rows_from_factor_pairs_match_the_full_expansion(n, kmax):
+    # second route: every Lyndon word of every content block, one column map
+    # and one factor memo per block, against its full expansion bucketed by
+    # leading letter and necklace column
+    seen = 0
+    for k in range(1, kmax + 1):
+        shift = (n + 1) ** (k - 1)
+        for content in compositions(k, n):
+            cols, memo = NecklaceColumns(), {}
+            for u in lyndon_words_of_content(content):
+                full = iota_enc(n, u, {})
+                got = trace_row_enc(n, k, u, cols, memo)
+                assert got == _rows_from_expansion(n, k, u, full, cols), (k, u)
+                # the columns the rows touch are the necklaces of the words
+                # whose (leading letter, necklace) total stays nonzero
+                touched = {col for row in got.values() for col in row}
+                kept = {cols[w] for w in full if got.get(w // shift, {}).get(cols[w])}
+                if k == 1:  # u closes on its own necklace in every other row
+                    kept = {cols[u[0]]}
+                assert touched == kept, (k, u)
+                # on columns of its own, u registers the necklace of every
+                # word of its expansion, those whose totals cancel too
+                own = NecklaceColumns()
+                assert trace_row_enc(n, k, u, own, memo) == _rows_from_expansion(n, k, u, full, own)
+                seen += 1
+    assert seen == sum(len(lyndon_words(n, k)) for k in range(1, kmax + 1))
+
+
+@pytest.mark.parametrize(
+    "n, u", [(2, (1, 2)), (3, (1, 1, 3, 2)), (3, (1, 2, 1, 3, 3)), (4, (1, 3, 2, 4))]
+)
+def test_lead_check_guards_both_expansion_routes(n, u):
+    # a clean memo: the trace rows read the factor expansions and never
+    # store the expansion of u itself
+    memo = {}
+    trace_row_enc(n, len(u), u, NecklaceColumns(), memo)
+    a, b = standard_factorization(u)
+    assert (n, a) in memo and (n, b) in memo
+    assert (n, u) not in memo
+    assert factor_enc(n, u, memo) == (memo[(n, a)], len(a), memo[(n, b)], len(b))
+    # a factor expansion whose lead coefficient is 2 breaks unitriangularity,
+    # and both the pairing route and the full expansion refuse it
+    for factor in (a, b):
+        bad = dict(memo)
+        enc = dict(bad[(n, factor)])
+        enc[min(enc)] = 2
+        bad[(n, factor)] = enc
+        with pytest.raises(InconsistencyError):
+            trace_row_enc(n, len(u), u, NecklaceColumns(), dict(bad))
+        with pytest.raises(InconsistencyError):
+            iota_enc(n, u, dict(bad))
