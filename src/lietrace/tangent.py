@@ -409,30 +409,23 @@ def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict) -> dict:
     shift_a = base ** (la - 1)
     shift_b = base ** (lb - 1)
     high = base**lb
-    by_first: dict = {}  # first letter of wb -> [(wb, cb)]
-    for wb, cb in B.items():
-        by_first.setdefault(wb // shift_b, []).append((wb, cb))
     out: dict = {}
     for wa, ca in A.items():
         i = wa // shift_a
         wa *= high
-        for j, pairs in by_first.items():
-            if i == j:  # adds nothing, but its necklace is registered too
-                for wb, _ in pairs:
-                    if wa + wb not in cols:
-                        cols.add(wa + wb, k, base)
-                continue
-            row_i = out.get(i)
-            if row_i is None:
-                row_i = out[i] = {}
-            row_j = out.get(j)
-            if row_j is None:
-                row_j = out[j] = {}
-            for wb, cb in pairs:
-                w = wa + wb
-                col = cols.get(w)
-                if col is None:
-                    col = cols.add(w, k, base)
+        row_i = out.get(i)
+        if row_i is None:
+            row_i = out[i] = {}
+        for wb, cb in B.items():
+            w = wa + wb
+            col = cols.get(w)
+            if col is None:  # registered for every pair, even one that adds nothing
+                col = cols.add(w, k, base)
+            j = wb // shift_b
+            if i != j:
+                row_j = out.get(j)
+                if row_j is None:
+                    row_j = out[j] = {}
                 c = ca * cb
                 row_i[col] = row_i.get(col, 0) + c
                 row_j[col] = row_j.get(col, 0) - c
