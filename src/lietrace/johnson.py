@@ -28,11 +28,12 @@ process-wide expansion cache.
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
 the rational second route, the integral cokernel and the kernel checks all
-read it.  It expands each Lyndon word of the block once, in an expansion
-memo that goes with the block, and that one pass gives the trace rows of
-every letter (``tangent.trace_row_enc``); a closed word finds its necklace
-column by rotating its integer code, each new necklace registering all its
-rotations at once.  The bar/tilde quotient only decides which blocks count
+read it.  It never expands a Lyndon word of the block: one pass over the
+pairs of words of its two standard factors' expansions, kept in a memo that
+goes with the block, gives the trace rows of every letter
+(``tangent.trace_row_enc``); a pair finds its necklace column by its
+integer code, each new necklace registering all its rotations at once.
+The bar/tilde quotient only decides which blocks count
 (``cyclic.mode_width``).  Relabelling letters permutes the trace blocks
 without changing their ranks or Smith divisors, so ``trace_rank`` and
 ``coker_structure`` compute one block per S_n orbit (``_orbits``), keyed by
@@ -394,12 +395,13 @@ def _trace_block(k, content):
     degree-1 basis); a zero entry is a letter the block's words do not use.
     keys are the basis labels (i, u) of the block in global basis order, and
     rows[j] is the full trace of keys[j] on block-local necklace columns,
-    numbered 0..ncols-1 in the order the expansions first meet them.  Each
-    Lyndon word u is expanded once, and that one pass gives the rows of every
-    letter i (trace_row_enc); above degree 1 the row of a letter absent from
-    u is zero.  The column map and the expansion memo live for this one
-    block: every closed word has the block's content, and the memo holds
-    only the block's words and their factors.
+    numbered 0..ncols-1 in the order the factor pairs first meet them.  One
+    pass over the pairs of words of the expansions of u's standard factors
+    gives the rows of every letter i (trace_row_enc), and u itself is never
+    expanded; above degree 1 the row of a letter absent from u is zero.  The
+    column map and the expansion memo live for this one block: every closed
+    word has the block's content, and the memo holds only the expansions of
+    the factors of the block's words and of theirs.
     """
     n = max(len(content), 2)
     content = content + (0,) * (n - len(content))
