@@ -236,7 +236,7 @@ def _dot(a, b):
     return sum(v * b[c] for c, v in a.items() if c in b)
 
 
-def incremental_rank(rows, ncols) -> int:
+def incremental_rank(rows, ncols, bound=None) -> int:
     """Rank over Q of sparse integer rows, inserted sparsest first.
 
     Stops once the span fills every column the rows touch.  After more
@@ -244,14 +244,23 @@ def incremental_rank(rows, ncols) -> int:
     K of the span (``IncrementalSpan.kernel``) certifies every later row
     orthogonal to K as dependent, so it is skipped unreduced; a row not
     orthogonal to K is independent: it is inserted and K is dropped.
+
+    bound, if given, is an upper bound on the rank that the caller
+    guarantees.  The rows are then read lazily in the order given (a
+    generator may make each one on demand), insertion stops once the span
+    reaches bound, and the codimension is taken against all ncols columns.
     """
-    rows = sorted((r for r in rows if r), key=len)
-    cols = set().union(*rows)
+    if bound is None:
+        rows = sorted((r for r in rows if r), key=len)
+        cols = set().union(*rows)
+        bound = len(cols)
+    else:
+        cols = range(ncols)
     span = IncrementalSpan(ncols)
     kernel, rejected = None, 0
-    for row in rows:
-        if span.dim == len(cols):
-            break
+    for row in rows if bound > 0 else ():
+        if not row:
+            continue
         if kernel is not None:
             if not any(_dot(row, x) for x in kernel):
                 continue
@@ -264,6 +273,8 @@ def incremental_rank(rows, ncols) -> int:
             rejected += 1
             if rejected > len(cols) - span.dim:
                 kernel = span.kernel(cols)
+        if span.dim >= bound:
+            break
     return span.dim
 
 

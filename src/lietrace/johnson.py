@@ -40,15 +40,28 @@ without changing their ranks or Smith divisors, so ``trace_rank`` and
 its partition alone: n only counts the copies; ``check_T0530`` builds one
 trace kernel per orbit too.  Only the rational second route visits every
 composition on n letters.
+
+A block's rank has a second symmetry: the letters of equal multiplicity
+are permuted by the letter stabilizer G, a product of symmetric groups, and
+the span W of the trace rows is a G-module.  ``_block_trace_rank`` ranks a
+block of at least ``_SPLIT_COLUMNS`` necklace columns with a nontrivial G
+piece by piece (``_split_rank``): rank W = sum over the irreducibles lam of
+G of dim lam * rank(e_lam W), with e_lam a Young symmetrizer acting through
+the block's own action on its columns (``_LetterAction``), and each piece's
+rank stops at the multiplicity of lam among the columns, from the
+Murnaghan-Nakayama rule.  Smaller blocks, and the Smith forms and kernels,
+read the plain rows.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import product
 from math import factorial, lcm
 
 from . import exactlin, tangent
 from ._words import (
+    InconsistencyError,
     add_scaled,
     compositions,
     decode,
@@ -389,19 +402,21 @@ def johnson_image(n: int, k: int) -> ImageBasis:
 
 
 def _trace_block(k, content):
-    """Trace matrix of one content block on its own letters: (keys, rows, ncols).
+    """Trace matrix of one content block on its own letters: (keys, rows, cols).
 
     The block's letters are 1..len(content), at least two (one letter has no
     degree-1 basis); a zero entry is a letter the block's words do not use.
     keys are the basis labels (i, u) of the block in global basis order, and
     rows[j] is the full trace of keys[j] on block-local necklace columns,
-    numbered 0..ncols-1 in the order the factor pairs first meet them.  One
-    pass over the pairs of words of the expansions of u's standard factors
-    gives the rows of every letter i (trace_row_enc), and u itself is never
-    expanded; above degree 1 the row of a letter absent from u is zero.  The
-    column map and the expansion memo live for this one block: every closed
-    word has the block's content, and the memo holds only the expansions of
-    the factors of the block's words and of theirs.
+    numbered 0..cols.ncols-1 in the order the factor pairs first meet them;
+    cols is the NecklaceColumns map that numbered them, from every rotation
+    code of each necklace.  One pass over the pairs of words of the
+    expansions of u's standard factors gives the rows of every letter i
+    (trace_row_enc), and u itself is never expanded; above degree 1 the row
+    of a letter absent from u is zero.  The column map and the expansion
+    memo live for this one block: every closed word has the block's content,
+    and the memo holds only the expansions of the factors of the block's
+    words and of theirs.
     """
     n = max(len(content), 2)
     content = content + (0,) * (n - len(content))
@@ -410,20 +425,355 @@ def _trace_block(k, content):
     memo: dict = {}
     traces = {u: trace_row_enc(n, k, u, cols, memo) for u in words}
     keys = _block_labels(n, words)
-    return keys, [traces[u].get(i, {}) for i, u in keys], cols.ncols
+    return keys, [traces[u].get(i, {}) for i, u in keys], cols
+
+
+# The smallest block, in necklace columns, that is ranked by pieces: below it
+# the projections cost more than they save ((5,2,2) at 84 columns).
+_SPLIT_COLUMNS = 100
 
 
 @lru_cache(maxsize=None)
 def _block_trace_rank(k, alpha):
-    """Rank of the trace matrix of one block (see exactlin.incremental_rank).
+    """Rank of the trace matrix of one block.
 
+    A block of at least _SPLIT_COLUMNS columns whose letters can be permuted
+    (_letter_runs) is ranked by the pieces of its letter stabilizer
+    (_split_rank); any other block by exactlin.incremental_rank on its rows.
     The block is built on its own letters (_trace_block), so one entry serves
     every n.  It does not depend on the mode: a quotient keeps or kills a
     content block whole, so the mode only decides which blocks count
     (cyclic.mode_width).
     """
-    _, rows, ncols = _trace_block(k, alpha)
-    return exactlin.incremental_rank(rows, ncols)
+    keys, rows, cols = _trace_block(k, alpha)
+    runs = _letter_runs(alpha)
+    if cols.ncols < _SPLIT_COLUMNS or not runs:
+        return exactlin.incremental_rank(rows, cols.ncols)
+    return _split_rank(max(len(alpha), 2), k, keys, rows, cols, runs)
+
+
+# ---------------------------------------------------------------------------
+# block ranks by the pieces of the letter stabilizer
+
+
+def _letter_runs(content):
+    """(first letter, length) of each run of two or more consecutive letters
+    of equal nonzero multiplicity in content.
+
+    For a partition the symmetric groups of the runs make up the whole letter
+    stabilizer G; for a composition they give a subgroup of it.
+    """
+    runs, start = [], 0
+    for t in range(1, len(content) + 1):
+        if t == len(content) or content[t] != content[start]:
+            if t - start > 1 and content[start]:
+                runs.append((start + 1, t - start))
+            start = t
+    return runs
+
+
+@cache
+def _character(lam, mu):
+    """Character of the irreducible S_m-module lam on the class of cycle type mu.
+
+    Murnaghan-Nakayama: remove a rim hook of length mu[0] from lam in every
+    way, with the sign (-1)^(its height), and recurse on the rest of mu.  On
+    the beta-set of lam (lam_i + len(lam) - i) a rim hook of length r is a
+    bead moved down by r to an empty place; its height is the number of beads
+    it passes.  lam = (m) is the trivial module and (1^m) the sign.
+    """
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    top = len(lam) - 1
+    beads = [part + top - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beads:
+        t = b - r
+        if t < 0 or t in beads:
+            continue
+        passed = sum(t < x < b for x in beads)
+        moved = sorted([x for x in beads if x != b] + [t], reverse=True)
+        smaller = tuple(x - (top - i) for i, x in enumerate(moved) if x - (top - i))
+        total += (-1) ** passed * _character(smaller, rest)
+    return total
+
+
+def _class_size(mu):
+    """Number of permutations of cycle type mu in S_{sum(mu)}."""
+    size = factorial(sum(mu))
+    for c in set(mu):
+        size //= c ** mu.count(c) * factorial(mu.count(c))
+    return size
+
+
+def _multiplicities(sizes, fixed, ncols):
+    """{lam: (dim lam, m_lam)} for each irreducible lam of G = prod S_m, m in sizes.
+
+    lam and the classes are tuples of one partition per factor.  fixed maps
+    each class to the number of columns its elements fix, the character of
+    the column permutation module, so m_lam = <chi_lam, fixed> is the
+    multiplicity of lam in it and bounds that in any submodule.  A
+    non-integral or negative m_lam, or sum of dim lam * m_lam other than
+    ncols, raises InconsistencyError.
+    """
+    order = 1
+    for m in sizes:
+        order *= factorial(m)
+    out = {}
+    for lam in product(*(tuple(partitions(m)) for m in sizes)):
+        total = 0
+        for mu, count in fixed.items():
+            term = count
+            for shape, cycles in zip(lam, mu):
+                term *= _class_size(cycles) * _character(shape, cycles)
+            total += term
+        if total % order or total < 0:
+            raise InconsistencyError(f"multiplicity {total}/{order} of {lam} is not a count")
+        dim = 1
+        for shape, m in zip(lam, sizes):
+            dim *= _character(shape, (1,) * m)
+        out[lam] = (dim, total // order)
+    if sum(dim * mult for dim, mult in out.values()) != ncols:
+        raise InconsistencyError("the pieces of the column module do not add up to its columns")
+    return out
+
+
+class _LetterAction:
+    """The letter permutations of the runs of a block, on its necklace columns.
+
+    cols is the block's NecklaceColumns map on letters 1..n, runs its
+    (first letter, length) runs (_letter_runs), and G the product of the
+    symmetric groups of the runs.  A permutation of the columns is a list p,
+    the necklace of column c going to column p[c].  Those of the adjacent
+    transpositions (t, t + 1) inside a run are read off one rotation code of
+    each column; every other element is composed from them.  A relabelled
+    word that is no column raises InconsistencyError: the block is not
+    G-stable.
+    """
+
+    def __init__(self, n, k, cols, runs):
+        self.runs = runs
+        self.ncols = cols.ncols
+        base = n + 1
+        code = [0] * cols.ncols
+        for w, col in cols.items():
+            code[col] = w
+        self._swaps = {}
+        for start, size in runs:
+            for t in range(start, start + size - 1):
+                swap = {t: t + 1, t + 1: t}
+                perm = []
+                for w in code:
+                    col = cols.get(encode([swap.get(x, x) for x in decode(w, base, k)], base))
+                    if col is None:
+                        raise InconsistencyError(
+                            f"the block is not stable under swapping letters {t} and {t + 1}"
+                        )
+                    perm.append(col)
+                self._swaps[t] = perm
+
+    def transposition(self, a, b):
+        """The column permutation of the letters a < b of one run swapped."""
+        perm = self._swaps[b - 1]
+        for t in range(b - 2, a - 1, -1):  # (t b) = (t t+1)(t+1 b)(t t+1)
+            s = self._swaps[t]
+            perm = [s[perm[x]] for x in s]
+        return perm
+
+    def fixed_columns(self):
+        """{class: number of columns its elements fix}, a class being one cycle
+        type per run.  The representative of a cycle type moves consecutive
+        letters of its run in consecutive cycles, each a product of adjacent
+        transpositions."""
+        per_run = []
+        for start, size in self.runs:
+            reps = {}
+            for mu in partitions(size):
+                perm, t = range(self.ncols), start
+                for c in mu:
+                    for s in range(t, t + c - 1):
+                        perm = [perm[x] for x in self._swaps[s]]
+                    t += c
+                reps[mu] = perm
+            per_run.append(reps)
+        fixed = {}
+        for cls in product(*(tuple(reps) for reps in per_run)):
+            perm = range(self.ncols)
+            for reps, mu in zip(per_run, cls):
+                perm = [perm[x] for x in reps[mu]]
+            fixed[cls] = sum(c == d for c, d in enumerate(perm))
+        return fixed
+
+    def symmetrizer(self, lam, mult, weight):
+        """The Young symmetrizer e_lam as a map from the columns to mult coordinates.
+
+        e_lam is L*R, the signed sums over the two groups of _tableau_groups,
+        the larger group L on the left.  The image of L has a basis of signed
+        L-orbit sums (_signed_orbits).  Of those coordinates, the image of
+        e_lam, of dimension mult, needs only the leading columns of an
+        echelon basis of it: on them it projects one to one.  They are
+        numbered by descending weight (the sum of weight over the columns
+        that reach them), which keeps the ranks of the pieces sparse.
+        Returns image, where image[c] lists the (coordinate, coefficient)
+        pairs of e_lam applied to column c; an image of e_lam of rank other
+        than mult raises InconsistencyError.
+        """
+        left, right = _tableau_groups(self.runs, lam)
+        coord, ncoords = _signed_orbits(
+            [(self.transposition(a, b), s) for (a, b), s in left], self.ncols
+        )
+        image = [{} for _ in range(self.ncols)]
+        for perm, s in self._elements(right):
+            for c, d in enumerate(perm):
+                got = coord[d]
+                if got is not None:
+                    o, sd = got
+                    image[c][o] = image[c].get(o, 0) + s * sd
+        image = [{o: v for o, v in img.items() if v} for img in image]
+        keep = range(ncoords)
+        if ncoords != mult:
+            span = IncrementalSpan(ncoords)
+            for img in sorted(image, key=len):
+                if span.dim == mult:
+                    break
+                span.insert(img)
+            if span.dim != mult:
+                raise InconsistencyError(f"the symmetrizer of {lam} has rank {span.dim}, not {mult}")
+            keep = [min(row) for row in span.rows()]
+        total = dict.fromkeys(keep, 0)
+        for c, img in enumerate(image):
+            for o in img:
+                if o in total:
+                    total[o] += weight[c]
+        renumber = {o: j for j, o in enumerate(sorted(keep, key=lambda o: -total[o]))}
+        return [tuple((renumber[o], v) for o, v in img.items() if o in renumber) for img in image]
+
+    def _elements(self, gens):
+        """(column permutation, sign) of every element of the group generated
+        by the ((a, b), sign) transpositions gens, each composed once."""
+        identity = tuple(range(max((b for (_, b), _ in gens), default=0) + 1))
+        found = {identity: (range(self.ncols), 1)}
+        queue = [identity]
+        perms = [(a, b, self.transposition(a, b), s) for (a, b), s in gens]
+        for key in queue:
+            perm, sign = found[key]
+            for a, b, p, s in perms:
+                moved = list(key)
+                moved[a], moved[b] = moved[b], moved[a]
+                moved = tuple(moved)
+                if moved not in found:
+                    found[moved] = ([perm[x] for x in p], sign * s)
+                    queue.append(moved)
+        return found.values()
+
+
+def _tableau_groups(runs, lam):
+    """(left, right): ((a, b), sign) transpositions generating the two groups
+    of the Young symmetrizer of lam, one partition lam_j per run.
+
+    Each run takes the tableau of shape lam_j filled row by row with its
+    letters; its row group a comes with sign +1 and its column group b with
+    the sign character, and the larger of the two goes on the left (a*b, or
+    b*a), which keeps the image of the left group, and so the number of
+    coordinates, small.  Rows hold consecutive letters; columns need not.
+    """
+    left, right = [], []
+    for (start, _), shape in zip(runs, lam):
+        rows, at = [], start
+        for part in shape:
+            rows.append(range(at, at + part))
+            at += part
+        columns = [[row[c] for row in rows if len(row) > c] for c in range(shape[0])]
+        a = [((r[i], r[i + 1]), 1) for r in rows for i in range(len(r) - 1)]
+        b = [((c[i], c[i + 1]), -1) for c in columns for i in range(len(c) - 1)]
+        row_order = col_order = 1
+        for r in rows:
+            row_order *= factorial(len(r))
+        for c in columns:
+            col_order *= factorial(len(c))
+        left += a if row_order >= col_order else b
+        right += b if row_order >= col_order else a
+    return left, right
+
+
+def _signed_orbits(gens, ncols):
+    """(coord, ncoords): the signed orbit sums of the group of gens on the columns.
+
+    gens are (column permutation, sign) generators of a group L with a sign
+    character chi.  The image of sum chi(l) l is the space of vectors v
+    with l v = chi(l) v; on an orbit it is one coordinate, the value at the
+    first column, each other column c carrying chi(l) for an l that brings
+    the first column to c, unless chi is not trivial on the stabilizer,
+    which kills the orbit.  coord[c] is (orbit coordinate, that sign), or
+    None on a killed orbit; up to a positive factor per orbit, sum chi(l) l
+    sends a vector x to sum over c of coord sign * x[c] at each coordinate.
+    """
+    sign = [0] * ncols
+    coord = [None] * ncols
+    ncoords = 0
+    for first in range(ncols):
+        if sign[first]:
+            continue
+        sign[first] = 1
+        orbit, live = [first], True
+        for c in orbit:
+            for perm, s in gens:
+                d, sd = perm[c], sign[c] * s
+                if not sign[d]:
+                    sign[d] = sd
+                    orbit.append(d)
+                elif sign[d] != sd:
+                    live = False
+        if live:
+            for c in orbit:
+                coord[c] = (ncoords, sign[c])
+            ncoords += 1
+    return coord, ncoords
+
+
+def _split_rank(n, k, keys, rows, cols, runs):
+    """Rank of a trace block, as sum over the irreducibles lam of G of
+    dim lam * rank(e_lam W).
+
+    W, the span of the rows, is a G-module: relabelling by G permutes the
+    block's tangential derivations and commutes with the trace.  So
+    rank W = sum dim lam * rank(e_lam W) for e_lam a Young symmetrizer of
+    lam (Fulton-Harris, Representation Theory, Lecture 4), and rank(e_lam W)
+    is at most m_lam, the multiplicity of lam among the columns
+    (_multiplicities): each piece's exactlin.incremental_rank stops there.
+    A piece whose every factor is trivial or sign reads only the rows of the
+    first letter of each run and of the letters in no run: there
+    e_lam h = chi(h) e_lam for h in G, and h carries the rows of letter i
+    onto the span of those of h(i).  Every piece projects its rows lazily,
+    sparsest first (_LetterAction.symmetrizer).
+    """
+    action = _LetterAction(n, k, cols, runs)
+    sizes = [size for _, size in runs]
+    later = {t for start, size in runs for t in range(start + 1, start + size)}
+    order = sorted(((row, i not in later) for (i, _), row in zip(keys, rows) if row),
+                   key=lambda e: len(e[0]))
+    weight = [0] * cols.ncols  # how many rows touch each column
+    for row in rows:
+        for c in row:
+            weight[c] += 1
+    total = 0
+    for lam, (dim, mult) in _multiplicities(sizes, action.fixed_columns(), cols.ncols).items():
+        if not mult:
+            continue
+        image = action.symmetrizer(lam, mult, weight)
+
+        def project(row):
+            out: dict = {}
+            for c, v in row.items():
+                for o, s in image[c]:
+                    out[o] = out.get(o, 0) + s * v
+            return {o: v for o, v in out.items() if v}
+
+        one_dim = all(shape in ((m,), (1,) * m) for shape, m in zip(lam, sizes))
+        piece = (project(row) for row, first in order if first or not one_dim)
+        total += dim * exactlin.incremental_rank(piece, mult, bound=mult)
+    return total
 
 
 def _orbits(n, k, mode):
@@ -487,8 +837,8 @@ def trace_image_dim_direct(n: int, k: int) -> int:
     total = 0
     for content in compositions(k, n):
         if mode_width(content, QuotientMode.BAR):
-            _, rows, ncols = _trace_block(k, content)
-            total += exactlin.rank(rows, ncols)
+            _, rows, cols = _trace_block(k, content)
+            total += exactlin.rank(rows, cols.ncols)
     return total
 
 
@@ -504,9 +854,9 @@ def coker_structure(n: int, k: int) -> QuotientStructure:
     free = 0
     torsion_parts = []
     for alpha, orbit, width in _orbits(n, k, QuotientMode.BAR):
-        _, rows, ncols = _trace_block(k, alpha)
+        _, rows, cols = _trace_block(k, alpha)
         rows = [row for row in rows if row]
-        divisors = exactlin.smith_normal_form(rows, ncols=ncols) if rows else []
+        divisors = exactlin.smith_normal_form(rows, ncols=cols.ncols) if rows else []
         free += orbit * (width - len(divisors))
         torsion_parts.extend(d for d in divisors if d > 1 for _ in range(orbit))
     return QuotientStructure(free, exactlin.invariant_factors_from_parts(torsion_parts))
@@ -550,6 +900,8 @@ def check_T0530(n: int, k: int) -> T0530Report:
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if k < 1:
+        raise ValueError("need k >= 1")
     image = johnson_image(n, k)
     kernels: dict = {}  # representative -> (kernel dim, kernel vectors outside the image)
     memo: dict = {}  # _relabel memo of the violations

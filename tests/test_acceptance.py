@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from lietrace import _words, cyclic, exactlin, grouppres
+from lietrace import _words, cyclic, exactlin, grouppres, johnson
 from lietrace.cyclic import cyclic_rank, j_rank, j_project, Necklace
 from lietrace.exactlin import QuotientStructure
 from lietrace.freelie import witt_rank
@@ -177,6 +177,51 @@ def test_criterion_3_cr_tables_k9():
         if (rep.c_alpha, rep.r_alpha) != want:
             failures.append((k, alpha, (rep.c_alpha, rep.r_alpha), want))
     _report(3, "c/r tables k=9", started, 1800, failures)
+
+
+# the k = 10 rows of the c/r table, first found by a split by the letter
+# stabilizer and pinned by a second route each (next test)
+TABLE_CR_10 = {
+    (8, 2): (3, -1),
+    (7, 3): (10, -2),
+    (6, 4): (17, -3),
+    (6, 2, 2): (125, 1),
+    (5, 5): (23, -2),
+    (5, 3, 2): (250, -2),
+    (4, 4, 2): (313, 1),
+    (4, 3, 3): (417, -3),
+    (4, 2, 2, 2): (1893, 9),
+    (3, 3, 2, 2): (2518, -2),
+    (2, 2, 2, 2, 2): (11350, 22),
+}
+
+
+def test_criterion_3_cr_tables_k10():
+    started = time.perf_counter()
+    failures = []
+    for alpha, want in TABLE_CR_10.items():
+        rep = c_alpha(10, alpha)
+        if (rep.c_alpha, rep.r_alpha) != want:
+            failures.append((alpha, (rep.c_alpha, rep.r_alpha), want))
+    _report(3, "c/r tables k=10", started, 600, failures)
+
+
+def test_criterion_3_cr_tables_k10_second_routes():
+    # the plain rank of the rows on the four-part blocks, and on (2,2,2,2,2),
+    # where the plain rank does not finish, a split by the subgroup S_4 of the
+    # first four letters in place of the whole letter stabilizer S_5
+    started = time.perf_counter()
+    failures = []
+    for alpha in [(4, 2, 2, 2), (3, 3, 2, 2)]:
+        _, rows, cols = johnson._trace_block(10, alpha)
+        got = exactlin.incremental_rank(rows, cols.ncols)
+        if got != TABLE_CR_10[alpha][0]:
+            failures.append((alpha, got))
+    keys, rows, cols = johnson._trace_block(10, (2, 2, 2, 2, 2))
+    got = johnson._split_rank(5, 10, keys, rows, cols, [(1, 4)])
+    if got != TABLE_CR_10[(2, 2, 2, 2, 2)][0]:
+        failures.append(((2, 2, 2, 2, 2), got))
+    _report(3, "c/r tables k=10, second routes", started, 1200, failures)
 
 
 def test_criterion_3_extended_k11():

@@ -183,6 +183,14 @@ def test_usage_errors(capsys, tmp_path):
         assert code == 1 and out == "" and "repeated generator" in err, args
 
 
+def test_t0530_names_the_bound_it_refuses(capsys):
+    # a degree below 1 is refused by the bound on k alone: n = 3 is allowed
+    code, out, err = run_cli(["t0530", "--n", "3", "--k", "0"], capsys)
+    assert (code, out, err) == (1, "", "error: need k >= 1\n")
+    code, out, err = run_cli(["t0530", "--n", "2", "--k", "4"], capsys)
+    assert (code, out, err) == (1, "", "error: need n >= 3\n")
+
+
 def test_inconsistency_exits_2(monkeypatch, capsys):
     # a failed consistency check is a verification mismatch, not a crash
     from lietrace import grouppres

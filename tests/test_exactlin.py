@@ -246,6 +246,25 @@ def test_incremental_rank_certificate_path(monkeypatch):
     assert calls == [2]
 
 
+@given(low_rank_rows())
+def test_incremental_rank_with_its_rank_as_bound(case):
+    # given a bound, the rows are read lazily in their own order and reading
+    # stops at the bound: with the true rank as bound, the rank comes back
+    # and no row after the one that reaches it is made
+    ncols, rows = case
+    r = rank(rows, ncols)
+    read = []
+
+    def lazily():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    assert incremental_rank(lazily(), ncols, bound=r) == r
+    assert rank(read, ncols) == r
+    assert r == 0 or rank(read[:-1], ncols) == r - 1
+
+
 def test_smith_examples():
     assert smith_normal_form([[2, 0], [0, 0]]) == [2]
     assert smith_normal_form([[2, 1], [1, 1]]) == [1, 1]

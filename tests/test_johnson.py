@@ -1,11 +1,20 @@
 import gc
 import random
 from collections import Counter
+from math import factorial
 
 import pytest
 
 from lietrace import exactlin, freelie, johnson, tangent
-from lietrace._words import add_scaled, compositions, decode, partitions, word_content
+from lietrace._words import (
+    InconsistencyError,
+    add_scaled,
+    compositions,
+    decode,
+    encode,
+    partitions,
+    word_content,
+)
 from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
@@ -97,11 +106,116 @@ def test_c_alpha_order_insensitive_and_validated():
         c_alpha(5, (3, 3))
 
 
-def test_part_one_contents_are_full_rank():
-    # computed directly, these match the closed multidegree rank
-    for k, alpha in [(4, (2, 1, 1)), (5, (3, 1, 1)), (5, (2, 2, 1)), (6, (3, 2, 1))]:
-        direct = _block_trace_rank(k, alpha)
-        assert direct == multidegree_rank(len(alpha), k, alpha), (k, alpha)
+def test_part_one_contents_are_full_rank(monkeypatch):
+    # the singleton rule (r = 0 when a letter occurs once), block by block:
+    # every partition of k <= 8 with a part 1 on at most 5 letters; the large
+    # singleton stabilizers among them are ranked by pieces
+    split = []
+    by_pieces = johnson._split_rank
+    monkeypatch.setattr(
+        johnson, "_split_rank", lambda n, k, *rest: split.append(k) or by_pieces(n, k, *rest)
+    )
+    _block_trace_rank.cache_clear()  # so every block is ranked here
+    blocks = 0
+    for k in range(1, 9):
+        for alpha in partitions(k, max_parts=5):
+            if 1 in alpha:
+                assert c_alpha(k, alpha).c_alpha == multidegree_rank(len(alpha), k, alpha), alpha
+                blocks += 1
+    assert (blocks, len(split)) == (38, 8)
+
+
+def _split_blocks():
+    """(k, content, runs) of every block on at most five letters through k = 9
+    that _block_trace_rank ranks by pieces, of the symmetric groups S_6 and
+    S_7 of (1^6), (2, 1^5) and (1^7), of a composition whose run is inside,
+    and of (2,2,2,2) split by three subgroups of S_4."""
+    for k in range(2, 10):
+        for alpha in partitions(k, max_parts=5):
+            yield k, alpha, johnson._letter_runs(alpha)
+    for alpha in [(1,) * 6, (2, 1, 1, 1, 1, 1), (1,) * 7, (1, 2, 2, 2, 1)]:
+        yield sum(alpha), alpha, johnson._letter_runs(alpha)
+    for runs in ([(1, 3)], [(1, 2), (3, 2)], [(2, 2)]):
+        yield 8, (2, 2, 2, 2), runs
+
+
+def test_split_rank_matches_the_plain_rank():
+    # second route: the plain incremental_rank of the block's rows
+    checked = []
+    for k, content, runs in _split_blocks():
+        keys, rows, cols = johnson._trace_block(k, content)
+        if cols.ncols < johnson._SPLIT_COLUMNS or not runs:
+            continue
+        plain = exactlin.incremental_rank(rows, cols.ncols)
+        n = max(len(content), 2)
+        assert johnson._split_rank(n, k, keys, rows, cols, runs) == plain, (content, runs)
+        checked.append(content)
+    assert len(checked) == 27
+    assert {(2, 2, 2, 2), (3, 3, 3), (3, 2, 2, 2)} <= set(checked)  # the c/r blocks
+
+
+def test_characters_by_murnaghan_nakayama():
+    classes = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+    s4 = {
+        (4,): [1, 1, 1, 1, 1],
+        (3, 1): [3, 1, -1, 0, -1],
+        (2, 2): [2, 0, 2, -1, 0],
+        (2, 1, 1): [3, -1, -1, 0, 1],
+        (1, 1, 1, 1): [1, -1, 1, 1, -1],
+    }
+    for lam, row in s4.items():
+        assert [johnson._character(lam, mu) for mu in classes] == row, lam
+    assert [johnson._class_size(mu) for mu in classes] == [1, 6, 3, 8, 6]
+    # second route: the rows are orthonormal, up to m!, for every m <= 7
+    for m in range(1, 8):
+        shapes = list(partitions(m))
+        for lam in shapes:
+            for nu in shapes:
+                inner = sum(
+                    johnson._class_size(mu) * johnson._character(lam, mu) * johnson._character(nu, mu)
+                    for mu in shapes
+                )
+                assert inner == (factorial(m) if lam == nu else 0), (lam, nu)
+
+
+def test_multiplicities_count_the_columns():
+    # _multiplicities checks sum dim lam * m_lam == ncols; here it must pass
+    # on every block of _split_blocks, whatever its size, and the trivial
+    # piece must count the G-orbits of columns (a second route, Burnside)
+    for k, content, runs in _split_blocks():
+        if not runs:
+            continue
+        _, _, cols = johnson._trace_block(k, content)
+        action = johnson._LetterAction(max(len(content), 2), k, cols, runs)
+        sizes = [size for _, size in runs]
+        mults = johnson._multiplicities(sizes, action.fixed_columns(), cols.ncols)
+        orbit = list(range(cols.ncols))  # union-find by the adjacent transpositions
+        for perm in action._swaps.values():
+            for c, d in enumerate(perm):
+                while orbit[c] != c:
+                    c = orbit[c]
+                while orbit[d] != d:
+                    d = orbit[d]
+                orbit[max(c, d)] = min(c, d)
+        orbits = sum(c == root for c, root in enumerate(orbit))
+        assert mults[tuple((m,) for m in sizes)] == (1, orbits), content
+    # a fixed-point count that is no permutation character is refused
+    with pytest.raises(InconsistencyError, match="not a count"):
+        johnson._multiplicities([2], {((1, 1),): 3, ((2,),): 0}, 3)
+    with pytest.raises(InconsistencyError, match="add up"):
+        johnson._multiplicities([2], {((1, 1),): 4, ((2,),): 0}, 3)
+
+
+def test_split_refuses_a_block_that_is_not_stable():
+    # the necklace of 123 is a column but that of 213 = 132 is not, so the
+    # swap of letters 1 and 2 misses a column
+    cols = NecklaceColumns()
+    cols.add(encode((1, 2, 3), 4), 3, 4)
+    with pytest.raises(InconsistencyError, match="not stable under swapping letters 1 and 2"):
+        johnson._split_rank(3, 3, [], [], cols, [(1, 3)])
+    # with the necklace of 132 added the block is S_3-stable
+    cols.add(encode((1, 3, 2), 4), 3, 4)
+    assert johnson._split_rank(3, 3, [], [], cols, [(1, 3)]) == 0
 
 
 @pytest.mark.parametrize("n,kmax", [(3, 6), (4, 5)])
@@ -139,14 +253,14 @@ def test_trace_rows_match_public_trace(n, k):
     order = {key: j for j, key in enumerate(expected)}
     seen = []
     for content in compositions(k, n):
-        keys, rows, ncols = johnson._trace_block(k, content)
+        keys, rows, cols = johnson._trace_block(k, content)
         got, want = {}, {}
         for key, row in zip(keys, rows):
             for col, c in row.items():
                 got.setdefault(col, set()).add((key, c))
             for neck, c in expected[key].items():
                 want.setdefault(neck, set()).add((key, c))
-        assert sorted(got) == list(range(ncols))
+        assert sorted(got) == list(range(cols.ncols))
         assert sorted(map(sorted, got.values())) == sorted(map(sorted, want.values()))
         assert keys == sorted(keys, key=order.get)  # global basis order
         seen += keys
@@ -347,9 +461,9 @@ def test_orbit_rule_matches_every_composition():
     # and the representative zero-padded to n letters equals its block on its
     # own letters, so one block serves every n
     def divisors(k, content):
-        _, rows, ncols = johnson._trace_block(k, content)
+        _, rows, cols = johnson._trace_block(k, content)
         rows = [row for row in rows if row]
-        return smith_normal_form(rows, ncols=ncols) if rows else []
+        return smith_normal_form(rows, ncols=cols.ncols) if rows else []
 
     blocks = reps = 0
     for n, kmax in [(3, 7), (4, 6), (5, 5)]:
