@@ -207,12 +207,13 @@ def test_criterion_3_cr_tables_k10():
 
 
 def test_criterion_3_cr_tables_k10_second_routes():
-    # the plain rank of the rows on the four-part blocks, and on (2,2,2,2,2),
-    # where the plain rank does not finish, a split by the subgroup S_4 of the
-    # first four letters in place of the whole letter stabilizer S_5
+    # each row that the split by the letter stabilizer computes: the plain
+    # rank of the rows, and on (2,2,2,2,2), where the plain rank does not
+    # finish, a split by the subgroup S_4 of the first four letters in place
+    # of the whole stabilizer S_5
     started = time.perf_counter()
     failures = []
-    for alpha in [(4, 2, 2, 2), (3, 3, 2, 2)]:
+    for alpha in [(6, 2, 2), (4, 4, 2), (4, 3, 3), (4, 2, 2, 2), (3, 3, 2, 2)]:
         _, rows, cols = johnson._trace_block(10, alpha)
         got = exactlin.incremental_rank(rows, cols.ncols)
         if got != TABLE_CR_10[alpha][0]:

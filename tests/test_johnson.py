@@ -126,10 +126,10 @@ def test_part_one_contents_are_full_rank(monkeypatch):
 
 
 def _split_blocks():
-    """(k, content, runs) of every block on at most five letters through k = 9
-    that _block_trace_rank ranks by pieces, of the symmetric groups S_6 and
-    S_7 of (1^6), (2, 1^5) and (1^7), of a composition whose run is inside,
-    and of (2,2,2,2) split by three subgroups of S_4."""
+    """(k, content, runs): every partition of k <= 9 into at most five parts
+    with its runs, the symmetric groups S_6 and S_7 of (1^6), (2, 1^5) and
+    (1^7), a composition whose run is inside, and (2,2,2,2) with three
+    subgroups of S_4 in place of its run."""
     for k in range(2, 10):
         for alpha in partitions(k, max_parts=5):
             yield k, alpha, johnson._letter_runs(alpha)
@@ -140,7 +140,8 @@ def _split_blocks():
 
 
 def test_split_rank_matches_the_plain_rank():
-    # second route: the plain incremental_rank of the block's rows
+    # second route: the plain incremental_rank of the block's rows, on every
+    # block of _split_blocks that _block_trace_rank would rank by pieces
     checked = []
     for k, content, runs in _split_blocks():
         keys, rows, cols = johnson._trace_block(k, content)
