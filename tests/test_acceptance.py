@@ -179,8 +179,8 @@ def test_criterion_3_cr_tables_k9():
     _report(3, "c/r tables k=9", started, 1800, failures)
 
 
-# the k = 10 rows of the c/r table, first found by a split by the letter
-# stabilizer and pinned by a second route each (next test)
+# the k = 10 rows of the c/r table; the six that the split by the letter
+# stabilizer computes are pinned by a second route too (next test)
 TABLE_CR_10 = {
     (8, 2): (3, -1),
     (7, 3): (10, -2),
