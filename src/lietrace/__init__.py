@@ -22,7 +22,6 @@ from .exactlin import (
 from .freelie import (
     HallMonomial,
     LieElement,
-    Multidegree,
     TensorElement,
     bracket,
     embed_tensor,
@@ -57,8 +56,6 @@ from .johnson import (
 )
 from .tangent import (
     Derivation,
-    PBasisIndex,
-    TangentialGenerator,
     apply,
     contract,
     der_bracket,

@@ -252,9 +252,14 @@ def _cmd_egens(args):
 
 
 def _presentation(args):
-    """The builtin presentation of --group at --n, or the one read from --file."""
+    """The builtin presentation of --group at --n (default 3), or the one read from --file."""
     if args.group != "file":
+        if args.file is not None:
+            raise UsageError(f"--file needs --group file, not --group {args.group}")
+        args.n = 3 if args.n is None else args.n
         return grouppres.builtin(args.group, args.n)
+    if args.n is not None:
+        raise UsageError("--n does not apply to --group file; the file gives the generators")
     if not args.file:
         raise UsageError("--group file needs --file PATH")
     with open(args.file) as fh:
@@ -365,7 +370,7 @@ def build_parser():
 
     p = add("h1", _cmd_h1, "twisted first cohomology")
     p.add_argument("--group", choices=["bp", "braid", "sym", "file"], required=True)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--rep", choices=["standard", "trivial"], default="standard")
     p.add_argument("--file", default=None)
 
@@ -373,7 +378,7 @@ def build_parser():
 
     p = add("abelianize", _cmd_abelianize, "abelianization structure")
     p.add_argument("--group", choices=["bp", "braid", "sym", "mccool", "file"], required=True)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--file", default=None)
 
     return parser

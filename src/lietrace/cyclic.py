@@ -54,9 +54,6 @@ class Necklace:
     def length(self) -> int:
         return len(self.word)
 
-    def is_power(self) -> bool:
-        return len(set(self.word)) == 1
-
     def __str__(self):
         return "(" + ",".join(map(str, self.word)) + ")"
 

@@ -49,7 +49,7 @@ def multidegree_rank(n: int, k: int, alpha) -> int:
     Equals the number of Lyndon words with letter counts alpha:
     (1/k) sum over d | gcd(alpha) of mu(d) (k/d)! / prod (alpha_i/d)!.
     """
-    counts = list(getattr(alpha, "counts", alpha))
+    counts = list(alpha)
     if len(counts) > n:
         raise ValueError("alpha longer than the alphabet")
     if any(a < 0 for a in counts):
@@ -59,24 +59,6 @@ def multidegree_rank(n: int, k: int, alpha) -> int:
     if k < 1:
         raise ValueError("need k >= 1")
     return _words.content_divisor_sum(counts, _words.mobius)
-
-
-@record
-class Multidegree:
-    counts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(exact_int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative count")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @classmethod
-    def of_word(cls, word, n: int):
-        return cls(word_content(word, n))
 
 
 def _bracket_tree(word):
@@ -256,42 +238,38 @@ class TensorElement(SparseCombination):
 
 
 class LieElement(SparseCombination):
-    """Integer combination of degree-k basis monomials."""
+    """Integer combination of degree-k basis monomials, keyed by Lyndon word."""
 
     __slots__ = ()
 
-    def _key(self, mono):
-        if not isinstance(mono, HallMonomial):
-            mono = HallMonomial(self.n, mono)
+    def _key(self, word):
+        mono = word if isinstance(word, HallMonomial) else HallMonomial(self.n, word)
         if mono.degree != self.degree or mono.n != self.n:
             raise ValueError("monomial does not match element degree")
-        return mono
+        return mono.word
+
+    def _label(self, word):
+        return _tree_str(_bracket_tree(word))
 
     @classmethod
     def generator(cls, n: int, i: int):
-        return cls(n, 1, {HallMonomial(n, (i,)): 1})
+        return cls(n, 1, {(i,): 1})
 
     @classmethod
     def _from_enc(cls, n, degree, enc):
         """The element whose tensor expansion is `enc`; ValueError off the Lie subspace."""
-        coords = project_lyndon_enc(n, degree, enc)
-        return cls._unchecked(n, degree, {HallMonomial(n, w): c for w, c in coords.items()})
+        return cls._unchecked(n, degree, project_lyndon_enc(n, degree, enc))
 
     def _enc_tensor(self) -> dict:
         out: dict = {}
-        for mono, coeff in self.terms.items():
-            add_scaled(out, iota_enc(self.n, mono.word), coeff)
+        for word, coeff in self.terms.items():
+            add_scaled(out, iota_enc(self.n, word), coeff)
         return out
 
 
 def embed_tensor(a: LieElement) -> TensorElement:
     """Expand every bracket as u(x)v - v(x)u; injective on each degree."""
     return TensorElement._from_enc(a.n, a.degree, a._enc_tensor())
-
-
-def lie_from_tensor(t: TensorElement) -> LieElement:
-    """Inverse of embed_tensor on its image; ValueError off the image."""
-    return LieElement._from_enc(t.n, t.degree, t._enc_terms())
 
 
 def _tree_max_letter(tree):

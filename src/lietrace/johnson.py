@@ -178,7 +178,7 @@ class EGeneratorReport:
 @cache
 def _p_index(n, k):
     """Position of each basis label (i, u) in p_basis(n, k)."""
-    return {(b.i, b.monomial.word): j for j, b in enumerate(p_basis(n, k))}
+    return {label: j for j, label in enumerate(p_basis(n, k))}
 
 
 def _lie_coordinates(solver, enc, content):
@@ -978,6 +978,8 @@ def verify_E_generators(n: int) -> EGeneratorReport:
 
 def section7_rows(n: int):
     """Degree 1..4 summary: kernel (= graded part), basis sizes, cokernel."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     rows = []
     for k in range(1, 5):
         coker = coker_structure(n, k)

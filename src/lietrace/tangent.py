@@ -2,9 +2,9 @@
 
 A degree-k derivation is stored by the images of the generators, each a
 degree-(k+1) Lie element.  The tangential subalgebra is spanned by the
-elements sending x_i to [u, x_i] (u a degree-k monomial) and all other
-generators to zero; the map (i, u) -> that derivation is a basis, certified by
-an explicit rank check each time an (i, content) block is built to solve on.
+elements sending x_i to [u, x_i] (u a Lyndon word of length k) and all other
+generators to zero, named by the p_basis labels (i, u) that key p_coordinates:
+a basis, certified by an explicit rank check per (i, content) block solved on.
 Blocks belong to the AdSolver of their caller (one image level, or one
 p_coordinates call) and go with it, and so does the one expansion memo that
 the solver owns: its blocks expand their words there, and an image level
@@ -25,18 +25,16 @@ from ._words import (
     decode,
     exact_int,
     encode,
+    lyndon_words,
     lyndon_words_of_content,
-    record,
     word_content,
 )
 from .cyclic import CyclicElement, JElement, QuotientMode
 from .freelie import (
-    HallMonomial,
     LieElement,
     TensorElement,
     ad_enc,
     factor_enc,
-    hall_basis,
     iota_enc,
     witt_rank,
 )
@@ -77,52 +75,34 @@ class Derivation(SparseCombination):
         return got
 
 
-@record
-class TangentialGenerator:
-    """The derivation x_i* (x) [x_{w_1}, ..., x_{w_k}, x_i]."""
-
-    i: int
-    word: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(exact_int(c) for c in self.word))
-        if not self.word:
-            raise ValueError("empty word")
-
-
-@record(order=True)
-class PBasisIndex:
-    """Basis label (i, u): the derivation x_i* (x) [u, x_i]."""
-
-    i: int
-    monomial: HallMonomial
-
-
-def tangential(n: int, gen: TangentialGenerator) -> Derivation:
-    """Normalize [x_{w_1}, ..., x_{w_k}, x_i] and store it at key i."""
-    tree = gen.word[0]
-    for letter in gen.word[1:] + (gen.i,):
+def tangential(n: int, label) -> Derivation:
+    """Normalize [x_{w_1}, ..., x_{w_k}, x_i] for the label (i, w); store it at key i."""
+    i, word = label
+    i, word = exact_int(i), tuple(exact_int(c) for c in word)
+    if not word:
+        raise ValueError("empty word")
+    tree = word[0]
+    for letter in word[1:] + (i,):
         tree = (tree, letter)
-    return Derivation(n, len(gen.word), {gen.i: freelie.normalize(tree, n)})
+    return Derivation(n, len(word), {i: freelie.normalize(tree, n)})
 
 
 def tau1_generator(n: int, i: int, j: int) -> Derivation:
     """The degree-1 generator x_i* (x) [x_j, x_i]."""
     if i == j:
         raise ValueError("indices must differ")
-    return tangential(n, TangentialGenerator(i, (j,)))
+    return tangential(n, (i, (j,)))
 
 
 def p_basis(n: int, k: int):
-    """Ordered basis of the degree-k tangential subalgebra.
+    """Ordered labels (i, u) of the degree-k basis x_i* (x) [u, x_i], the keys of p_coordinates.
 
-    The pairs (i, x_i) are skipped since [x_i, x_i] = 0; the size is n(n-1)
-    for k = 1 and n * witt_rank(n, k) for k >= 2.
+    (i, (i,)) is skipped since [x_i, x_i] = 0: n(n-1) labels at k = 1, n * witt_rank(n, k) above.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2, k >= 1")
-    monos = hall_basis(n, k)
-    return tuple(PBasisIndex(i, m) for i in range(1, n + 1) for m in monos if m.word != (i,))
+    words = lyndon_words(n, k)
+    return tuple((i, u) for i in range(1, n + 1) for u in words if u != (i,))
 
 
 def p_rank(n: int, k: int) -> int:
@@ -322,7 +302,7 @@ class AdSolver:
 
 
 def p_coordinates(f: Derivation) -> dict:
-    """Coordinates of a tangential derivation on p_basis, keyed (i, word).
+    """Coordinates {(i, u): c} of a tangential derivation, keyed by p_basis labels.
 
     Each value is split by content and solved on its (i, content) block.
     Raises ArithmeticError when f is not an integer combination of the basis,

@@ -181,6 +181,17 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and "repeated generator" in err, args
+    # --file is read only with --group file, and --n only with a builtin group:
+    # neither is ignored and answered for another presentation
+    path.write_text("a b\na b a^-1 b^-1\n")
+    for args, option in (
+        (["h1", "--group", "bp", "--n", "3", "--file", str(path)], "--file"),
+        (["abelianize", "--group", "braid", "--file", str(path)], "--file"),
+        (["h1", "--group", "file", "--file", str(path), "--rep", "trivial", "--n", "3"], "--n"),
+        (["abelianize", "--group", "file", "--file", str(path), "--n", "7"], "--n"),
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == "" and err.startswith(f"usage error: {option} "), args
 
 
 def test_t0530_names_the_bound_it_refuses(capsys):
@@ -189,6 +200,13 @@ def test_t0530_names_the_bound_it_refuses(capsys):
     assert (code, out, err) == (1, "", "error: need k >= 1\n")
     code, out, err = run_cli(["t0530", "--n", "2", "--k", "4"], capsys)
     assert (code, out, err) == (1, "", "error: need n >= 3\n")
+
+
+def test_table7_names_the_bound_it_refuses(capsys):
+    # table7 takes no k, so its refusal names n alone
+    for n in ("1", "0"):
+        code, out, err = run_cli(["table7", "--n", n], capsys)
+        assert (code, out, err) == (1, "", "error: need n >= 2\n"), n
 
 
 def test_inconsistency_exits_2(monkeypatch, capsys):

@@ -6,12 +6,10 @@ from lietrace.exactlin import IncrementalSpan
 from lietrace.freelie import (
     HallMonomial,
     LieElement,
-    Multidegree,
     bracket,
     embed_tensor,
     hall_basis,
     iota_enc,
-    lie_from_tensor,
     multidegree_rank,
     normalize,
     project_lyndon_enc,
@@ -181,20 +179,6 @@ def _tree_expand(tree, n):
     return _tree_enc(tree, n)
 
 
-def test_lie_from_tensor_roundtrip():
-    e = normalize(((1, 2), (1, (2, 2))), n=2) - 3 * normalize(
-        (((1, 2), 2), (1, 2)), n=2
-    )
-    assert lie_from_tensor(embed_tensor(e)) == e
-
-
-def test_lie_from_tensor_rejects_non_lie():
-    from lietrace.freelie import TensorElement
-
-    with pytest.raises(ValueError):
-        lie_from_tensor(TensorElement(2, 2, {(1, 2): 1}))
-
-
 def test_coefficients_are_exact_not_truncated():
     from fractions import Fraction
 
@@ -259,6 +243,29 @@ def test_element_operators_share_one_meaning():
     assert repr(TensorElement(3, 2, {(2, 1): -2, (1, 2): 1})) == "1*12 - 2*21"
 
 
+def test_lie_elements_are_keyed_by_lyndon_word():
+    e = (
+        normalize((((1, 2), 3), (1, 2)), 3)
+        - 2 * normalize(((1, (1, 3)), (2, 3)), 3)
+        + normalize(((((3, 1), 2), 1), 2), 3)
+    )
+    assert set(e.terms) == {(1, 1, 3, 2, 2), (1, 1, 3, 2, 3), (1, 2, 1, 2, 3), (1, 2, 3, 1, 3)}
+    # each term prints in the standard bracketing of its word
+    assert repr(e) == (
+        "1*[x1,[[[x1,x3],x2],x2]] - 2*[x1,[[x1,x3],[x2,x3]]]"
+        " - 1*[[x1,x2],[x1,[x2,x3]]] - 2*[[x1,[x2,x3]],[x1,x3]]"
+    )
+    # a HallMonomial key is still accepted, and names the same basis element
+    by_mono = LieElement(3, 5, {HallMonomial(3, w): c for w, c in e.terms.items()})
+    assert by_mono == e and by_mono.terms == e.terms
+    assert LieElement(3, 5, {w: c for w, c in e.terms.items()}) == e
+    for bad in [(2, 1, 1, 1, 3), (1, 1, 3, 2, 4), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            LieElement(3, 5, {bad: 1})
+    with pytest.raises(ValueError):
+        LieElement(3, 5, {HallMonomial(4, (1, 1, 3, 2, 2)): 1})  # another alphabet
+
+
 small_elt = st.builds(
     lambda coeffs: _random_elt(3, 2, coeffs),
     st.lists(st.integers(-3, 3), min_size=3, max_size=3),
@@ -312,12 +319,6 @@ def test_monomial_bracket_structure():
     assert str(mono) == "[x1,[x1,x2]]"
     with pytest.raises(ValueError):
         HallMonomial(3, (2, 1))
-
-
-def test_multidegree_type():
-    md = Multidegree((2, 1, 0))
-    assert md.total == 3
-    assert Multidegree.of_word((1, 1, 2), 3) == md
 
 
 def test_booth_matches_bruteforce():

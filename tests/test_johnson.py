@@ -18,7 +18,7 @@ from lietrace._words import (
 from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
-from lietrace.freelie import HallMonomial, Multidegree, ad_enc, multidegree_rank
+from lietrace.freelie import HallMonomial, ad_enc, multidegree_rank
 from lietrace.grouppres import Presentation, builtin, principal_cocycle, trivial_action
 from lietrace.johnson import (
     _block_trace_rank,
@@ -37,7 +37,6 @@ from lietrace.johnson import (
 from lietrace.tangent import (
     AdSolver,
     NecklaceColumns,
-    TangentialGenerator,
     der_bracket,
     from_p_coordinates,
     p_basis,
@@ -233,10 +232,8 @@ def test_trace_rows_match_public_trace(n, k):
     # second route: the public contract -> project_cyclic trace of each basis
     # element, against trace_row_enc and against the block builder's rows
     expected = {
-        (b.i, b.monomial.word): trace(
-            from_p_coordinates(n, k, {(b.i, b.monomial.word): 1}), "full"
-        ).terms
-        for b in p_basis(n, k)
+        label: trace(from_p_coordinates(n, k, {label: 1}), "full").terms
+        for label in p_basis(n, k)
     }
     cols, memo = NecklaceColumns(), {}
     traces = {u: trace_row_enc(n, k, u, cols, memo) for u in sorted({u for _, u in expected})}
@@ -304,9 +301,8 @@ def test_full_trace_rank():
         lambda: c_alpha(4, (2.7, 2.2)),
         lambda: c_alpha(4.9, (2, 2)),
         lambda: HallMonomial(3, (1.5, 2)),
-        lambda: Multidegree((1.5, 2)),
         lambda: Necklace((1.9, 2)),
-        lambda: TangentialGenerator(1, (2.5,)),
+        lambda: tangential(3, (1, (2.5,))),
         lambda: QuotientStructure(1, (2.5,)),
         lambda: QuotientStructure(1.5),
         lambda: Presentation(("a",), ((("a", 1.5),),)),
@@ -318,9 +314,8 @@ def test_full_trace_rank():
         "c_alpha-parts",
         "c_alpha-k",
         "HallMonomial",
-        "Multidegree",
         "Necklace",
-        "TangentialGenerator",
+        "tangential",
         "QuotientStructure-torsion",
         "QuotientStructure-free",
         "Presentation-exponent",
@@ -548,10 +543,19 @@ def test_absent_letter_generators_lie_in_image():
         for _ in range(12):
             i = rng.randint(1, 3)
             word = tuple(rng.choice([x for x in (1, 2, 3) if x != i]) for _ in range(k))
-            f = tangential(3, TangentialGenerator(i, word))
+            f = tangential(3, (i, word))
             if f.is_zero():
                 continue
             assert image.contains(p_coordinates(f)), (i, word)
+
+
+def test_p_index_keys_are_the_p_basis_labels():
+    for n, k in [(2, 1), (3, 1), (3, 2), (3, 4), (4, 3)]:
+        labels = p_basis(n, k)
+        assert list(_p_index(n, k)) == list(labels)
+        assert list(_p_index(n, k).values()) == list(range(len(labels)))
+        assert all(type(i) is int and type(u) is tuple for i, u in labels)
+        assert sorted(labels) == list(labels)
 
 
 def test_e_generators():
@@ -703,7 +707,7 @@ def test_image_span_second_route(n, kmax):
     for k in range(1, kmax + 1):
         if k > 1:
             basis = [der_bracket(f, g) for f in basis for g in gens]
-        pos = {(b.i, b.monomial.word): j for j, b in enumerate(p_basis(n, k))}
+        pos = {label: j for j, label in enumerate(p_basis(n, k))}
         coords = [p_coordinates(f) for f in basis]
         span = IncrementalSpan(len(pos))
         basis = [
@@ -723,7 +727,7 @@ def test_label_bracket_matches_der_bracket(n, mmax):
     for m in range(1, mmax + 1):
         solver = AdSolver(n, m + 1)
         memo: dict = {}
-        for label in ((b.i, b.monomial.word) for b in p_basis(n, m)):
+        for label in p_basis(n, m):
             f = from_p_coordinates(n, m, {label: 1})
             for a in range(1, n + 1):
                 for b in range(1, n + 1):

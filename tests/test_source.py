@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import lietrace
-from lietrace import cli, cyclic, exactlin, freelie, grouppres, johnson, tangent
+from lietrace import cli, cyclic, exactlin, freelie, grouppres, johnson
 
 SOURCES = sorted(Path(lietrace.__file__).parent.glob("*.py"))
 TRACE_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "trace_child.py"
@@ -86,8 +86,6 @@ def test_perfbench_trace_targets_resolve():
 # value classes: what callers rely on, pinned independently of how the
 # classes are generated
 
-_MONO = freelie.HallMonomial(2, (1, 2))
-
 # (class, field names, field values, another value of the class, exact repr)
 VALUE_CLASSES = [
     (cyclic.Necklace, ("word",), ((1, 2),), ((1, 3),), "Necklace(word=(1, 2))"),
@@ -95,7 +93,6 @@ VALUE_CLASSES = [
         exactlin.QuotientStructure, ("free_rank", "torsion"), (1, (2, 4)), (1, (2,)),
         "QuotientStructure(free_rank=1, torsion=(2, 4))",
     ),
-    (freelie.Multidegree, ("counts",), ((2, 1, 0),), ((1, 1, 0),), "Multidegree(counts=(2, 1, 0))"),
     (freelie.HallMonomial, ("n", "word"), (2, (1, 2)), (2, (1, 2, 2)), "HallMonomial(n=2, word=(1, 2))"),
     (
         grouppres.Presentation, ("generators", "relators"),
@@ -123,18 +120,13 @@ VALUE_CLASSES = [
         "EGeneratorReport(n=3, family_counts=(1, 2, 3, 4), total=10, expected=10,"
         " span_dim=10, image_dim=10)",
     ),
-    (tangent.TangentialGenerator, ("i", "word"), (1, (2,)), (1, (3,)), "TangentialGenerator(i=1, word=(2,))"),
-    (
-        tangent.PBasisIndex, ("i", "monomial"), (1, _MONO), (2, _MONO),
-        "PBasisIndex(i=1, monomial=HallMonomial(n=2, word=(1, 2)))",
-    ),
     (
         cli.TableDocument, ("title", "columns", "rows", "provenance"),
         ("t", ["v"], [[1]], "p"), ("t", ["v"], [[2]], "p"),
         "TableDocument(title='t', columns=['v'], rows=[[1]], provenance='p')",
     ),
 ]
-ORDERED = (cyclic.Necklace, freelie.HallMonomial, tangent.PBasisIndex)
+ORDERED = (cyclic.Necklace, freelie.HallMonomial)
 
 
 def _hash_or_error(value):
@@ -208,8 +200,6 @@ def test_value_class_defaults_and_order():
     assert sorted(necks) == [cyclic.Necklace(w) for w in [(1, 1, 2), (1, 2), (1, 2, 2)]]
     monos = [freelie.HallMonomial(n, w) for n, w in [(3, (1, 2)), (2, (1, 2)), (2, (1, 1, 2))]]
     assert [(m.n, m.word) for m in sorted(monos)] == [(2, (1, 1, 2)), (2, (1, 2)), (3, (1, 2))]
-    labels = [tangent.PBasisIndex(i, m) for i, m in [(2, monos[1]), (1, monos[0]), (1, monos[1])]]
-    assert [(b.i, b.monomial.n) for b in sorted(labels)] == [(1, 2), (1, 3), (2, 2)]
     with pytest.raises(TypeError):
         necks[0] < monos[0]  # noqa: B015
     # equal records are interchangeable as keys
@@ -223,13 +213,11 @@ def test_value_class_post_init_refusals():
         (lambda: exactlin.QuotientStructure(-1), "negative free rank"),
         (lambda: exactlin.QuotientStructure(0, (4, 2)), "divisibility chain"),
         (lambda: exactlin.QuotientStructure(0, (1,)), "must exceed 1"),
-        (lambda: freelie.Multidegree((1, -1)), "negative count"),
         (lambda: freelie.HallMonomial(2, (1, 3)), "out of range"),
         (lambda: freelie.HallMonomial(2, (2, 1)), "not a basis word"),
         (lambda: grouppres.Presentation(("a", "a"), ()), "repeated generator name 'a'"),
         (lambda: grouppres.Presentation(("a",), ((("b", 1),),)), "undeclared generator 'b'"),
         (lambda: grouppres.Presentation(("a",), ((("a", 2),),)), r"exponents \+1/-1"),
-        (lambda: tangent.TangentialGenerator(1, ()), "empty word"),
     ]
     for make, message in refused:
         with pytest.raises(ValueError, match=message):

@@ -9,7 +9,6 @@ from lietrace.exactlin import IncrementalSpan
 from lietrace.freelie import LieElement, embed_tensor, normalize
 from lietrace.tangent import (
     Derivation,
-    TangentialGenerator,
     apply,
     contract,
     der_bracket,
@@ -61,10 +60,9 @@ def _random_tangential(n, k, rng):
     picks = rng.sample(range(len(basis)), k=min(4, len(basis)))
     out = Derivation(n, k)
     for idx in picks:
-        b = basis[idx]
         coeff = rng.randint(-2, 2)
         if coeff:
-            term = tangential(n, TangentialGenerator(b.i, b.monomial.word))
+            term = tangential(n, basis[idx])
             out = out + coeff * term
     return out
 
@@ -182,13 +180,13 @@ def test_contraction_identity_with_interior_repeats():
 
 
 def test_trace_identities():
-    w5 = tangential(2, TangentialGenerator(1, (1, 2, 1, 2)))
+    w5 = tangential(2, (1, (1, 2, 1, 2)))
     tb = trace(w5, "bar")
     assert tb.terms == {Necklace((1, 2, 1, 2)): 2, Necklace((1, 1, 2, 2)): -1}
     assert trace(w5, "tilde").is_zero()
     assert trace_J(w5) == 5 * j_project(2, 1, 2, 1, 2)
     # bar trace of x_1* (x) [x_1, x_2, x_1] is the necklace (1, 2)
-    d = tangential(3, TangentialGenerator(1, (1, 2)))
+    d = tangential(3, (1, (1, 2)))
     assert trace(d, "bar").terms == {Necklace((1, 2)): 1}
 
 
@@ -201,7 +199,7 @@ def test_strict_gap_witness_for_higher_degrees():
     # the bar trace sees these elements, the tilde trace does not
     for k in (4, 5, 6):
         word = (1, 2, 1) + (2,) * (k - 3)
-        f = tangential(2, TangentialGenerator(1, word))
+        f = tangential(2, (1, word))
         assert not trace(f, "bar").is_zero(), k
         assert trace(f, "tilde").is_zero(), k
 
@@ -230,7 +228,7 @@ def test_power_necklace_coefficients_vanish_on_tangentials():
         for _ in range(6):
             f = _random_tangential(3, k, rng)
             t = trace(f, "full")
-            assert all(not neck.is_power() for neck in t.terms)
+            assert all(len(set(neck.word)) > 1 for neck in t.terms)
 
 
 def test_p_basis_examples():
@@ -240,7 +238,19 @@ def test_p_basis_examples():
         assert len(p_basis(n, 1)) == n * (n - 1) == p_rank(n, 1)
         for k in (2, 3):
             assert len(p_basis(n, k)) == p_rank(n, k)
-    assert tangential(3, TangentialGenerator(1, (1,))).is_zero()
+    assert tangential(3, (1, (1,))).is_zero()
+
+
+def test_tangential_checks_its_label():
+    # a letter of the word that is no integer: test_non_integral_inputs_raise
+    assert tangential(3, (1, (2, 3))) == tangential(3, [1.0, [2, 3.0]])
+    assert tangential(3, (2, (1,))) == tau1_generator(3, 2, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        tangential(3, (1.5, (2,)))
+    with pytest.raises(ValueError, match="empty word"):
+        tangential(3, (1, ()))
+    with pytest.raises(ValueError, match="out of range"):
+        tangential(3, (4, (1,)))
 
 
 def test_p_basis_independence_certificate():
@@ -248,8 +258,8 @@ def test_p_basis_independence_certificate():
     for n, k in [(2, 3), (3, 2), (3, 3)]:
         width = (n + 1) ** (k + 1)
         span = IncrementalSpan(n * width)
-        for b in p_basis(n, k):
-            f = from_p_coordinates(n, k, {(b.i, b.monomial.word): 1})
+        for label in p_basis(n, k):
+            f = from_p_coordinates(n, k, {label: 1})
             vec = {}
             for i, elt in f.values.items():
                 for w, c in elt._enc_tensor().items():
