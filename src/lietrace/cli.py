@@ -76,15 +76,16 @@ def _csv_cell(v):
     return str(v)
 
 
-def _parse_range(spec: str):
-    spec = str(spec)
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise UsageError(f"empty range {spec}")
-        return list(range(lo, hi + 1))
-    return [int(spec)]
+def _parse_range(option, spec: str):
+    """The integers of the range option's value, N or LO..HI."""
+    lo, dots, hi = str(spec).partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise UsageError(f"{option} {spec}: give an integer N or a range LO..HI") from None
+    if lo > hi:
+        raise UsageError(f"empty range {spec}")
+    return list(range(lo, hi + 1))
 
 
 def _structure(args, title, q: exactlin.QuotientStructure):
@@ -103,8 +104,8 @@ def _structure(args, title, q: exactlin.QuotientStructure):
 
 
 def _cmd_witt(args):
-    ns = _parse_range(args.n)
-    ks = _parse_range(args.k)
+    ns = _parse_range("--n", args.n)
+    ks = _parse_range("--k", args.k)
     rows = [[n, k, freelie.witt_rank(n, k)] for n in ns for k in ks]
     if args.format == "csv":
         # flat value list; one row of ranks in (n, k) order
@@ -114,8 +115,8 @@ def _cmd_witt(args):
 
 def _cmd_ranks(args):
     rows = []
-    for n in _parse_range(args.n):
-        for k in _parse_range(args.k):
+    for n in _parse_range("--n", args.n):
+        for k in _parse_range("--k", args.k):
             rows.append(
                 [
                     n,
@@ -186,7 +187,12 @@ def _cmd_calpha(args):
         raise UsageError("--alpha is empty; give a comma list, e.g. 3,2,2")
     alpha = None
     if args.alpha:
-        alpha = tuple(int(x) for x in args.alpha.split(","))
+        try:
+            alpha = tuple(int(x) for x in args.alpha.split(","))
+        except ValueError:
+            raise UsageError(
+                f"--alpha {args.alpha}: give a comma list of positive integers, e.g. 3,2,2"
+            ) from None
         if sum(alpha) != args.k:
             raise UsageError(f"--alpha {args.alpha} sums to {sum(alpha)}, not --k {args.k}")
     elif args.k < 4:
@@ -329,64 +335,74 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser():
+# the arguments of the subcommands, as (flag, add_argument keywords)
+_INT = {"type": int, "required": True}
+_RANGE = {"required": True}  # a range such as 3..6, read by _parse_range
+_THREADS = ("--threads", {"type": _thread_count, "default": 1})
+_OPTIONAL_N = ("--n", {"type": int, "default": None})
+_FILE = ("--file", {"default": None})
+
+# name -> (function, help, arguments after the shared --format and --out), in
+# the order of the -h listing
+_COMMANDS = {
+    "witt": (_cmd_witt, "free Lie algebra ranks", (("--n", _RANGE), ("--k", _RANGE))),
+    "ranks": (
+        _cmd_ranks, "rank tables (Lie, necklace, tangential)", (("--n", _RANGE), ("--k", _RANGE)),
+    ),
+    "trace": (
+        _cmd_trace, "trace matrix ranks for one (n, k)",
+        (("--n", _INT), ("--k", _INT),
+         ("--mode", {"choices": ["full", "bar", "tilde"], "default": "bar"})),
+    ),
+    "image": (_cmd_image, "degree-1 generated image dimensions", (("--n", _INT), ("--k", _INT))),
+    "calpha": (
+        _cmd_calpha, "trace rank for one content class",
+        (("--k", _INT), ("--alpha", {"default": None, "help": "comma list, e.g. 3,2,2"}), _THREADS),
+    ),
+    "table7": (_cmd_table7, "degree 1..4 summary table", (("--n", _INT),)),
+    "table8": (
+        _cmd_table8, "c/r table for repeated-letter contents", (("--kmax", _INT), _THREADS),
+    ),
+    "n3gap": (_cmd_n3gap, "image vs kernel table for n=3", (("--kmax", _INT),)),
+    "coker": (_cmd_coker, "integral trace cokernel structure", (("--n", _INT), ("--k", _INT))),
+    "t0530": (_cmd_t0530, "kernel-in-image check per content", (("--n", _INT), ("--k", _INT))),
+    "egens": (_cmd_egens, "degree-3 generator family check", (("--n", _INT),)),
+    "h1": (
+        _cmd_h1, "twisted first cohomology",
+        (("--group", {"choices": ["bp", "braid", "sym", "file"], "required": True}),
+         _OPTIONAL_N,
+         ("--rep", {"choices": ["standard", "trivial"], "default": "standard"}),
+         _FILE),
+    ),
+    "h2": (_cmd_h2, "second homology rank with consistency check", (("--n", _INT),)),
+    "abelianize": (
+        _cmd_abelianize, "abelianization structure",
+        (("--group", {"choices": ["bp", "braid", "sym", "mccool", "file"], "required": True}),
+         _OPTIONAL_N, _FILE),
+    ),
+}
+
+
+def build_parser(command=None):
+    """The argparse parser: with the name of a command only its subcommand is
+    built, so a short run pays for one subparser; otherwise all of them are,
+    for the -h listing and for the messages on no or an unknown command."""
     parser = _Parser(prog="lietrace", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, fn, help, *int_options):
-        """A subcommand with the shared output flags, then its required integer options."""
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        fn, help, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=["text", "csv", "json"], default="text")
         p.add_argument("--out", default=None)
-        for option in int_options:
-            p.add_argument(option, type=int, required=True)
-        return p
-
-    for p in (add("witt", _cmd_witt, "free Lie algebra ranks"),
-              add("ranks", _cmd_ranks, "rank tables (Lie, necklace, tangential)")):
-        # ranges such as 3..6, read by _parse_range
-        p.add_argument("--n", required=True)
-        p.add_argument("--k", required=True)
-
-    p = add("trace", _cmd_trace, "trace matrix ranks for one (n, k)", "--n", "--k")
-    p.add_argument("--mode", choices=["full", "bar", "tilde"], default="bar")
-
-    add("image", _cmd_image, "degree-1 generated image dimensions", "--n", "--k")
-
-    p = add("calpha", _cmd_calpha, "trace rank for one content class", "--k")
-    p.add_argument("--alpha", default=None, help="comma list, e.g. 3,2,2")
-    p.add_argument("--threads", type=_thread_count, default=1)
-
-    add("table7", _cmd_table7, "degree 1..4 summary table", "--n")
-
-    p = add("table8", _cmd_table8, "c/r table for repeated-letter contents", "--kmax")
-    p.add_argument("--threads", type=_thread_count, default=1)
-
-    add("n3gap", _cmd_n3gap, "image vs kernel table for n=3", "--kmax")
-    add("coker", _cmd_coker, "integral trace cokernel structure", "--n", "--k")
-    add("t0530", _cmd_t0530, "kernel-in-image check per content", "--n", "--k")
-    add("egens", _cmd_egens, "degree-3 generator family check", "--n")
-
-    p = add("h1", _cmd_h1, "twisted first cohomology")
-    p.add_argument("--group", choices=["bp", "braid", "sym", "file"], required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rep", choices=["standard", "trivial"], default="standard")
-    p.add_argument("--file", default=None)
-
-    add("h2", _cmd_h2, "second homology rank with consistency check", "--n")
-
-    p = add("abelianize", _cmd_abelianize, "abelianization structure")
-    p.add_argument("--group", choices=["bp", "braid", "sym", "mccool", "file"], required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--file", default=None)
-
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -10,7 +10,6 @@ coordinate projection.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import cache
 
 from . import _words, exactlin
@@ -193,6 +192,8 @@ class JModule:
 
     def reduce_coords(self, coords: dict) -> dict:
         """Canonical residue of a coordinate vector modulo the relation space."""
+        from fractions import Fraction  # only J's rational coordinates pay for its import
+
         work = {c: Fraction(v) for c, v in coords.items() if v}
         for col in sorted(work):
             a = work.get(col)
@@ -219,7 +220,12 @@ class JElement(SparseCombination):
     """Element of J in canonical reduced coordinates (``coords``, rational)."""
 
     __slots__ = ()
-    _scalar = staticmethod(Fraction)
+
+    @staticmethod
+    def _scalar(c):
+        from fractions import Fraction
+
+        return Fraction(c)
 
     def __init__(self, n: int, coords=()):
         super().__init__(n, 4, coords)

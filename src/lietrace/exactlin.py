@@ -15,7 +15,7 @@ are checked in one place, ``_to_int_vec``: columns must be ``int`` in
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+import sys
 from math import gcd, lcm
 
 from ._words import InconsistencyError, add_scaled, exact_int, record
@@ -31,6 +31,8 @@ def rref(rows, ncols):
     Pivot rows are chosen by sparsity (fewest stored entries), ties broken by
     leading column and then input order.
     """
+    from fractions import Fraction  # only the rational routines pay for its import
+
     work = [{c: Fraction(v) for c, v in _to_int_vec(r, ncols).items()} for r in rows]
     work = [r for r in work if r]
     pivots, done = [], []
@@ -61,6 +63,8 @@ def rank(rows, ncols) -> int:
 def kernel_basis(rows, ncols):
     """Basis of the right null space over Q as {col: Fraction} dicts; one
     vector per free column."""
+    from fractions import Fraction
+
     pivots, reduced = rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
@@ -89,7 +93,7 @@ def _to_int_vec(vec, ncols, integral=False):
     den = 1
     for col, val in items:
         if type(val) is not int:
-            if isinstance(val, Fraction) and val.denominator != 1 and not integral:
+            if _is_fraction(val) and val.denominator != 1 and not integral:
                 den = lcm(den, val.denominator)
             else:
                 val = _as_int(val)
@@ -309,10 +313,17 @@ class QuotientStructure:
         return self.describe()
 
 
+def _is_fraction(v):
+    """isinstance(v, Fraction), without importing fractions: no Fraction
+    exists before its module is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(v, fractions.Fraction)
+
+
 def _as_int(v):
     if type(v) is int:  # the common case; skips the slower Fraction ABC check
         return v
-    if isinstance(v, Fraction):
+    if _is_fraction(v):
         if v.denominator != 1:
             raise ValueError(f"entry {v} is not an integer")
         return v.numerator

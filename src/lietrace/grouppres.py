@@ -327,8 +327,9 @@ def cocycle_condition_matrix(p: Presentation, action: LatticeAction):
     Unknown layout: generator g_j occupies columns j*rank .. j*rank + rank - 1.
     The Fox walk keeps its prefix products as sparse rows; each action matrix
     and each inverse is made sparse once per call, when a relator first needs
-    it.  Raises InconsistencyError when a relator does not act as the
-    identity, since then the action does not define a module over the group.
+    it, and each letter's block is folded straight into the relator's rows.
+    Raises InconsistencyError when a relator does not act as the identity,
+    since then the action does not define a module over the group.
     """
     r = action.rank
     ident = tuple({t: 1} for t in range(r))
@@ -351,7 +352,13 @@ def cocycle_condition_matrix(p: Presentation, action: LatticeAction):
                 prefix = block = _sparse_mul(prefix, mat)
             base = gidx[g] * r
             for row, brow in zip(rel_rows, block):
-                add_scaled(row, {base + col: v for col, v in brow.items()}, e)
+                for col, v in brow.items():  # add_scaled, without a shifted copy of brow
+                    col += base
+                    x = row.get(col, 0) + e * v
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
         if prefix != ident:
             raise InconsistencyError(f"relator {rel!r} does not act trivially")
         rows.extend(rel_rows)
@@ -405,7 +412,9 @@ def abelianization(p: Presentation) -> QuotientStructure:
         for g, e in rel:
             j = gidx[g]
             row[j] = row.get(j, 0) + e
-        rows.append({j: c for j, c in row.items() if c})
+        row = {j: c for j, c in row.items() if c}
+        if row:  # a commutator, like every McCool relator, adds nothing
+            rows.append(row)
     return exactlin.quotient_structure(len(p.generators), rows)
 
 
@@ -449,9 +458,11 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the plain-text format; tokens are names or name^k, k any integer.
 
     One pass over the tokens both expands and checks the relators, so the
-    Presentation is built without a second walk.  The refusals and their
-    precedence are those of Presentation: a malformed exponent anywhere comes
-    first, then a repeated generator, then the first undeclared one.
+    Presentation is built without a second walk; each distinct token is
+    parsed and checked once, at its first occurrence, and its letters reused
+    after.  The refusals and their precedence are those of Presentation: a
+    malformed exponent anywhere comes first, then a repeated generator, then
+    the first undeclared one.
     """
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
@@ -459,17 +470,19 @@ def parse_presentation(text: str) -> Presentation:
     gens = tuple(lines[0].split())
     declared = set(gens)  # a repeated name is refused after the exponents
     undeclared = None
+    letters = {}  # token -> its letters
     rels = []
     for ln in lines[1:]:
         word = []
         for tok in ln.split():
-            name, caret, exp = tok.partition("^")
-            exp = int(exp) if caret else 1
-            if not exp:
-                continue
-            if name not in declared and undeclared is None:
-                undeclared = name
-            word.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
+            got = letters.get(tok)
+            if got is None:
+                name, caret, exp = tok.partition("^")
+                exp = int(exp) if caret else 1
+                if exp and name not in declared and undeclared is None:
+                    undeclared = name
+                got = letters[tok] = ((name, 1 if exp > 0 else -1),) * abs(exp)
+            word.extend(got)
         rels.append(tuple(word))
     if len(declared) != len(gens):
         _declared(gens)

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -12,7 +13,10 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # -h prints its help and exits
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -194,6 +198,20 @@ def test_usage_errors(capsys, tmp_path):
         assert code == 1 and out == "" and err.startswith(f"usage error: {option} "), args
 
 
+def test_range_and_alpha_refusals_name_the_option(capsys):
+    # a value that is not an integer is refused by option and accepted form,
+    # not with Python's message for int()
+    for args, option, form in (
+        (["witt", "--n", "a", "--k", "1"], "--n", "LO..HI"),
+        (["witt", "--n", "2", "--k", "1.."], "--k", "LO..HI"),
+        (["ranks", "--n", "2..x", "--k", "1"], "--n", "LO..HI"),
+        (["calpha", "--k", "5", "--alpha", "3,x"], "--alpha", "comma list of positive integers"),
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "") and err.startswith(f"usage error: {option} ") and form in err, args
+        assert "invalid literal" not in err
+
+
 def test_t0530_names_the_bound_it_refuses(capsys):
     # a degree below 1 is refused by the bound on k alone: n = 3 is allowed
     code, out, err = run_cli(["t0530", "--n", "3", "--k", "0"], capsys)
@@ -270,6 +288,39 @@ def test_commands_return_their_documents(capsys):
     args = parser.parse_args(["coker", "--n", "3", "--k", "4", "--format", "json"])
     assert args.fn(args) == '{"free_rank": 3, "torsion": []}\n'
     assert capsys.readouterr().out == ""
+
+
+COMMANDS = ["witt", "ranks", "trace", "image", "calpha", "table7", "table8", "n3gap",
+            "coker", "t0530", "egens", "h1", "h2", "abelianize"]
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_one_subparser_equals_the_full_parser():
+    # main builds only the invoked command; its subparser must be the one the
+    # full parser holds, help text and all
+    full = _subparsers(cli.build_parser())
+    assert list(full) == COMMANDS
+    for name in COMMANDS:
+        one = _subparsers(cli.build_parser(name))
+        assert list(one) == [name]
+        assert one[name].format_help() == full[name].format_help(), name
+    assert list(_subparsers(cli.build_parser("frobnicate"))) == COMMANDS
+
+
+def test_main_answers_as_with_the_full_parser(monkeypatch, capsys):
+    cases = [["-h"], [], ["frobnicate"], ["witt", "--n", "2"], ["h1", "--n", "3"]]
+    cases += [[name, "-h"] for name in COMMANDS]
+    got = [run_cli(args, capsys) for args in cases]
+    build_all = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_all())
+    assert got == [run_cli(args, capsys) for args in cases]
+    code, out, _ = got[0]
+    assert code == 0 and all(name in out for name in COMMANDS)
+    assert "{" + ",".join(COMMANDS) + "}" in out
 
 
 def test_missing_file_reported_before_rep(capsys):

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -339,6 +343,53 @@ def test_normal_forms_reject_non_integer_entries():
     assert s.insert({0: Fraction(1, 2)}) and s.contains({0: 3})
     assert rank([[Fraction(1, 2), 1]], 2) == 1
     assert kernel_basis([[Fraction(1, 2), 1]], 2) == [{1: 1, 0: -2}]
+
+
+# run in a fresh interpreter: exactlin loads without fractions, and its
+# checks must still know a Fraction made after that
+DEFERRED_FRACTION_PROBE = """
+import sys
+from lietrace.exactlin import IncrementalSpan, _to_int_vec, kernel_basis, rref
+print("fractions" in sys.modules)
+from fractions import Fraction
+print(_to_int_vec([Fraction(3, 1), 2], 2), _to_int_vec({0: Fraction(1, 2), 1: 1}, 2))
+print(_to_int_vec([Fraction(3, 1)], 1, integral=True))
+s = IncrementalSpan(2)
+print(s.insert({0: Fraction(3, 1)}), s.insert({1: Fraction(1, 2)}), s.contains({0: 1, 1: 1}))
+for bad, integral in ((Fraction(1, 2), True), (True, False), (True, True), (1.0, False), (1.0, True)):
+    try:
+        _to_int_vec([bad], 1, integral=integral)
+        print("accepted", repr(bad))
+    except ValueError:
+        print("refused")
+for span in (IncrementalSpan(1).insert, IncrementalSpan(1).contains):
+    for bad in (True, 1.0):
+        try:
+            span({0: bad})
+            print("accepted", repr(bad))
+        except ValueError:
+            print("refused")
+pivots, reduced = rref([[2, 1], [4, 3]], 2)
+print(pivots, reduced, kernel_basis([[2, 1]], 2))
+print({type(v).__name__ for row in reduced + kernel_basis([[2, 1]], 2) for v in row.values()})
+"""
+
+
+def test_fraction_checks_exact_without_the_import():
+    src = str(Path(exactlin.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [sys.executable, "-c", DEFERRED_FRACTION_PROBE],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert probe.stdout.splitlines() == [
+        "False",
+        "{0: 3, 1: 2} {0: 1, 1: 2}",
+        "{0: 3}",
+        "True True True",
+        *["refused"] * 9,
+        "[0, 1] [{0: Fraction(1, 1)}, {1: Fraction(1, 1)}] [{1: Fraction(1, 1), 0: Fraction(-1, 2)}]",
+        "{'Fraction'}",
+    ]
 
 
 def test_quotient_examples():

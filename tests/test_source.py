@@ -44,15 +44,16 @@ ALGEBRA = ("cyclic", "exactlin", "freelie", "grouppres", "johnson", "tangent")
 COLD_IMPORT_PROBE = f"""
 import sys
 import lietrace.cli
-print([m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules])
+print([m for m in ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal") if m in sys.modules])
 print([m for m in {ALGEBRA!r} if "lietrace." + m not in sys.modules])
 """
 
 
 def test_cold_cli_import_stays_light():
     # a fresh `import lietrace.cli` must not pay for dataclasses and its
-    # imports, and must load all six algebra modules: the benchmark tracer
-    # wraps only modules already in sys.modules after that import
+    # imports, nor for fractions and the decimal it loads (only the rational
+    # routines import it), and must load all six algebra modules: the
+    # benchmark tracer wraps only modules already in sys.modules after that import
     src = str(Path(lietrace.__file__).resolve().parent.parent)
     probe = subprocess.run(
         [sys.executable, "-c", COLD_IMPORT_PROBE],
