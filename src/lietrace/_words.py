@@ -310,7 +310,6 @@ def lyndon_count(n: int, k: int) -> int:
     return sum(1 for _ in _duval(n, k))
 
 
-@lru_cache(maxsize=None)
 def standard_factorization(word) -> tuple:
     """Split a Lyndon word w = uv at its lexicographically least proper suffix.
 

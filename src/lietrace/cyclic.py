@@ -20,6 +20,7 @@ from ._words import (
     exact_int,
     min_rotation,
     record,
+    word_content,
 )
 from .freelie import TensorElement
 
@@ -102,8 +103,7 @@ def reduce(e: CyclicElement, mode) -> CyclicElement:
     mode = QuotientMode.coerce(mode)
     if mode is QuotientMode.FULL:
         return e
-    content = lambda w: [w.count(x) for x in set(w)]
-    terms = {k: c for k, c in e.terms.items() if _keeps(content(k.word), mode)}
+    terms = {k: c for k, c in e.terms.items() if _keeps(word_content(k.word, e.n), mode)}
     return CyclicElement._unchecked(e.n, e.degree, terms)
 
 

@@ -62,21 +62,23 @@ def rank(rows, ncols) -> int:
 
 def kernel_basis(rows, ncols):
     """Basis of the right null space over Q as {col: Fraction} dicts; one
-    vector per free column."""
+    vector per free column.
+
+    The vectors are those of IncrementalSpan.kernel scaled to 1 at their free
+    column, keyed free column first, then pivot columns ascending.  The
+    kernel vector on one free column and the pivot columns is unique up to
+    scale, so these are the vectors read off the reduced rows of rref.
+    """
     from fractions import Fraction
 
-    pivots, reduced = rref(rows, ncols)
-    pivot_set = set(pivots)
+    span = IncrementalSpan(ncols)
+    for row in rows:
+        span.insert(row)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: Fraction(1)}
-        for p, row in zip(pivots, reduced):
-            a = row.get(free)
-            if a:
-                vec[p] = -a
-        basis.append(vec)
+    for x in span.kernel(range(ncols)):
+        free = next(iter(x))
+        d = x.pop(free)
+        basis.append({free: Fraction(1), **{c: Fraction(x[c], d) for c in sorted(x)}})
     return basis
 
 
@@ -203,7 +205,8 @@ class IncrementalSpan:
     def kernel(self, cols):
         """Primitive integer basis of the right kernel of the stored rows on cols.
 
-        One vector per column of cols that holds no pivot, found by
+        One vector per column of cols that holds no pivot, in increasing
+        order, each keyed by that free column first and nonzero there; found by
         fraction-free back substitution in decreasing pivot order.  Over Q the
         stored rows span exactly the vectors on cols orthogonal to the result.
         """

@@ -461,24 +461,29 @@ def parse_presentation(text: str) -> Presentation:
     Presentation is built without a second walk; each distinct token is
     parsed and checked once, at its first occurrence, and its letters reused
     after.  The refusals and their precedence are those of Presentation: a
-    malformed exponent anywhere comes first, then a repeated generator, then
-    the first undeclared one.
+    malformed exponent anywhere comes first (named with its token and file
+    line), then a repeated generator, then the first undeclared one.
     """
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    lines = [(no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), 1)
+             if ln and ln[0] != "#"]
     if not lines:
         raise ValueError("empty presentation file")
-    gens = tuple(lines[0].split())
+    gens = tuple(lines[0][1].split())
     declared = set(gens)  # a repeated name is refused after the exponents
     undeclared = None
     letters = {}  # token -> its letters
     rels = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         word = []
         for tok in ln.split():
             got = letters.get(tok)
             if got is None:
                 name, caret, exp = tok.partition("^")
-                exp = int(exp) if caret else 1
+                try:
+                    exp = int(exp) if caret else 1
+                except ValueError:
+                    msg = f"line {no}: exponent of {tok!r} is not an integer"
+                    raise ValueError(msg) from None
                 if exp and name not in declared and undeclared is None:
                     undeclared = name
                 got = letters[tok] = ((name, 1 if exp > 0 else -1),) * abs(exp)

@@ -67,7 +67,6 @@ from ._words import (
     decode,
     encode,
     exact_int,
-    is_lyndon,
     lyndon_words_of_content,
     partitions,
     record,
@@ -76,7 +75,7 @@ from ._words import (
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
 from .freelie import _commutator, ad_enc, iota_enc, multidegree_rank, project_lyndon_enc
-from .tangent import AdSolver, NecklaceColumns, p_basis, p_rank, trace_row_enc
+from .tangent import AdSolver, NecklaceColumns, basis_labels, p_basis, p_rank, trace_row_enc
 
 
 class ImageBasis:
@@ -116,14 +115,12 @@ class ImageBasis:
         """Whether {(i, u): c}, on degree-k basis labels, lies in the image.
 
         Each content part of vec is relabelled onto its representative block
-        and tested there.  A key that is not a basis label (i in 1..n, u a
-        Lyndon word of length k on 1..n, not (i, (i,))) raises ValueError.
+        and tested there.  A key that is not a p_basis label raises ValueError.
         """
-        letters = frozenset(range(1, self.n + 1))
+        labels = _p_index(self.n, self.k)
         parts: dict = {}
         for (i, u), c in vec.items():
-            if (i not in letters or len(u) != self.k or u == (i,)
-                    or not letters.issuperset(u) or not is_lyndon(u)):
+            if (i, u) not in labels:
                 raise ValueError(
                     f"{(i, u)!r} is not a degree-{self.k} basis label on {self.n} letters"
                 )
@@ -277,24 +274,16 @@ def _relabel(n, perm, vec, memo):
 class _Block:
     """The image in one content block, on block-local columns.
 
-    labels lists the block's basis labels (_block_labels); index inverts it.
+    labels lists the block's basis labels in global basis order
+    (tangent.basis_labels); index inverts it.
     """
 
     __slots__ = ("labels", "index", "span")
 
     def __init__(self, n, content):
-        self.labels = _block_labels(n, lyndon_words_of_content(content))
+        self.labels = basis_labels(n, lyndon_words_of_content(content))
         self.index = {key: col for col, key in enumerate(self.labels)}
         self.span = IncrementalSpan(len(self.labels))
-
-
-def _block_labels(n, words):
-    """The basis labels (i, u) of a content block, in global basis order.
-
-    words are the block's Lyndon words in order; each letter i of 1..n takes
-    each of them, except that (i, (i,)) is no label: [x_i, x_i] = 0.
-    """
-    return [(i, u) for i in range(1, n + 1) for u in words if u != (i,)]
 
 
 class _OrbitImage:
@@ -424,7 +413,7 @@ def _trace_block(k, content):
     cols = NecklaceColumns()
     memo: dict = {}
     traces = {u: trace_row_enc(n, k, u, cols, memo) for u in words}
-    keys = _block_labels(n, words)
+    keys = basis_labels(n, words)
     return keys, [traces[u].get(i, {}) for i, u in keys], cols
 
 
@@ -855,8 +844,7 @@ def coker_structure(n: int, k: int) -> QuotientStructure:
     torsion_parts = []
     for alpha, orbit, width in _orbits(n, k, QuotientMode.BAR):
         _, rows, cols = _trace_block(k, alpha)
-        rows = [row for row in rows if row]
-        divisors = exactlin.smith_normal_form(rows, ncols=cols.ncols) if rows else []
+        divisors = exactlin.smith_normal_form(rows, ncols=cols.ncols)
         free += orbit * (width - len(divisors))
         torsion_parts.extend(d for d in divisors if d > 1 for _ in range(orbit))
     return QuotientStructure(free, exactlin.invariant_factors_from_parts(torsion_parts))
@@ -907,7 +895,7 @@ def check_T0530(n: int, k: int) -> T0530Report:
     memo: dict = {}  # _relabel memo of the violations
     checked, skipped, violations = [], [], []
     for content in compositions(k, n):
-        if not lyndon_words_of_content(content):
+        if not multidegree_rank(n, k, content):
             continue
         if 1 not in content:
             skipped.append(content)

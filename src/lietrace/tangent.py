@@ -101,8 +101,12 @@ def p_basis(n: int, k: int):
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2, k >= 1")
-    words = lyndon_words(n, k)
-    return tuple((i, u) for i in range(1, n + 1) for u in words if u != (i,))
+    return tuple(basis_labels(n, lyndon_words(n, k)))
+
+
+def basis_labels(n: int, words) -> list:
+    """The labels (i, u) of p_basis on the Lyndon words u of words, in its order."""
+    return [(i, u) for i in range(1, n + 1) for u in words if u != (i,)]
 
 
 def p_rank(n: int, k: int) -> int:

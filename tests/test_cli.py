@@ -185,6 +185,15 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == "" and "repeated generator" in err, args
+    # a malformed exponent is refused by its token and file line
+    path.write_text("a b\n# a comment\na b^x\n")
+    refusal = "error: line 3: exponent of 'b^x' is not an integer\n"
+    for args in (
+        ["abelianize", "--group", "file", "--file", str(path)],
+        ["h1", "--group", "file", "--file", str(path), "--rep", "trivial"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (1, "", refusal), args
     # --file is read only with --group file, and --n only with a builtin group:
     # neither is ignored and answered for another presentation
     path.write_text("a b\na b a^-1 b^-1\n")

@@ -86,6 +86,51 @@ def test_rational_reference_is_exact():
     assert rref([{0: Fraction(1, 2), 1: 1}], 2) == rref([[1, 2]], 2)
 
 
+def _kernel_by_rref(rows, ncols):
+    # the rational reference: one vector per free column of the reduced rows
+    pivots, reduced = rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            a = row.get(free)
+            if a:
+                vec[p] = -a
+        basis.append(vec)
+    return basis
+
+
+def _items(basis):
+    # values, value types and key order
+    return [[(c, type(v), v) for c, v in vec.items()] for vec in basis]
+
+
+@given(small_matrix)
+def test_kernel_basis_is_the_rref_kernel(rows):
+    ncols = len(rows[0])
+    assert _items(kernel_basis(rows, ncols)) == _items(_kernel_by_rref(rows, ncols))
+
+
+def test_kernel_basis_is_the_rref_kernel_on_t0530_blocks(monkeypatch):
+    # every trace-block kernel that check_T0530 asks for at n = 3, k <= 7
+    from lietrace import johnson
+
+    calls = []
+
+    def recorded(rows, ncols):
+        calls.append((list(rows), ncols))
+        return kernel_basis(*calls[-1])
+
+    monkeypatch.setattr(exactlin, "kernel_basis", recorded)
+    for k in range(1, 8):
+        assert johnson.check_T0530(3, k).ok
+    assert len(calls) == 16 and sum(ncols for _, ncols in calls) == 233  # one per orbit
+    for rows, ncols in calls:
+        assert _items(kernel_basis(rows, ncols)) == _items(_kernel_by_rref(rows, ncols))
+
+
 @given(small_matrix)
 def test_rank_plus_nullity(rows):
     ncols = len(rows[0])

@@ -258,19 +258,24 @@ def test_presentation_text_roundtrip():
 
 def _parse_by_definition(text):
     """The format read token by token into a checked Presentation: each
-    name^k becomes |k| letters of sign k, and Presentation refuses the rest."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    name^k becomes |k| letters of sign k, a k that is no integer is refused
+    with its token and file line, and Presentation refuses the rest."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty presentation file")
     rels = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         word = []
         for tok in ln.split():
-            name, exp = (tok.split("^", 1)[0], int(tok.split("^", 1)[1])) if "^" in tok else (tok, 1)
+            name, exp = (tok.split("^", 1)[0], tok.split("^", 1)[1]) if "^" in tok else (tok, "1")
+            try:
+                exp = int(exp)
+            except ValueError:
+                raise ValueError(f"line {no}: exponent of {tok!r} is not an integer") from None
             word += [(name, 1 if exp > 0 else -1)] * abs(exp)
         rels.append(word)
-    return Presentation(lines[0].split(), rels)
+    return Presentation(lines[0][1].split(), rels)
 
 
 def _outcome(parse, text):
@@ -305,9 +310,14 @@ def test_parse_presentation_refusals():
         ("# only a comment\n\n", "empty presentation file"),
         ("a b a\na\n", "repeated generator name 'a'"),
         ("a b\na c d\n", "relator uses undeclared generator 'c'"),
-        ("a b\na^1.5\n", "invalid literal for int() with base 10: '1.5'"),
-        ("a b\nb^\n", "invalid literal for int() with base 10: ''"),
-        ("a a\nc\nb^x\n", "invalid literal for int() with base 10: 'x'"),
+        ("a b\na^1.5\n", "line 2: exponent of 'a^1.5' is not an integer"),
+        ("a b\nb^\n", "line 2: exponent of 'b^' is not an integer"),
+        ("a a\nc\nb^x\n", "line 3: exponent of 'b^x' is not an integer"),
+        # the line is the file's own: comments and blank lines count
+        ("# gens\na b\n\n# rels\na b^x\n", "line 5: exponent of 'b^x' is not an integer"),
+        ("a b\nb^x\na\nb^x\n", "line 2: exponent of 'b^x' is not an integer"),
+        ("a\na^\n", "line 2: exponent of 'a^' is not an integer"),
+        ("a b\nb a^1.5\n", "line 2: exponent of 'a^1.5' is not an integer"),
         ("a a\nc\n", "repeated generator name 'a'"),
         ("a\nc^0 b^2 d\n", "relator uses undeclared generator 'b'"),
     ]

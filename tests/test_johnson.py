@@ -509,6 +509,20 @@ def test_t0530_second_route_visits_every_composition(n, kmax):
         assert seen == list(dims), (n, k)
 
 
+def test_kernel_check_and_cokernel_run_without_rref(monkeypatch):
+    # the trace kernels come from the fraction-free span (IncrementalSpan),
+    # so neither t0530 nor coker reaches the rational reduced echelon form
+    def refused(rows, ncols):
+        raise AssertionError("exactlin.rref reached")
+
+    monkeypatch.setattr(exactlin, "rref", refused)
+    rep = check_T0530(3, 6)
+    assert rep.ok and (len(rep.checked), sum(d for _, d in rep.checked)) == (15, 162)
+    rep = check_T0530(4, 5)
+    assert rep.ok and (len(rep.checked), sum(d for _, d in rep.checked)) == (40, 540)
+    assert coker_structure(5, 6) == QuotientStructure(40, (6,) * 10 + (12,) * 10)
+
+
 def test_t0530_violations_are_kernel_vectors_of_each_composition(monkeypatch):
     # no pinned size has a violation, so an empty image makes every kernel
     # vector one: each representative's vectors, relabelled onto each
