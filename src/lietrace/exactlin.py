@@ -512,53 +512,3 @@ def _hermite(a, ncols):
         r += 1
     return a[:r]
 
-
-def integer_kernel_basis(rows, ncols):
-    """Basis of {x in Z^ncols : A x = 0} as dense rows; the lattice is saturated.
-
-    Unit pivots first (_unit_pivots).  The core holds only free (non-pivot)
-    columns; its kernel is read off the Hermite form of [C^T | I] on those
-    columns, from the rows whose C^T part vanished.  Each vector is then
-    extended to the pivot columns by back substitution, last pivot first:
-    x_col = -u * (the rest of its pivot row) . x with u = +-1, so it stays
-    integral.  Restricting to the free columns maps the kernel of A onto that
-    of the core, so saturation carries over.  Every vector is checked against
-    A before it is returned.
-    """
-    rows, ncols = _int_rows(rows, ncols)
-    pivots, core = _unit_pivots(rows)
-    pivot_cols = {col for col, _ in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    m = len(core)
-    pos = {c: j for j, c in enumerate(free)}
-    stacked = []
-    for j in range(len(free)):
-        row = [0] * (m + len(free))
-        row[m + j] = 1
-        stacked.append(row)
-    for i, row in enumerate(core):
-        for c, v in row.items():
-            stacked[pos[c]][i] = v
-    basis = []
-    for h in _hermite(stacked, m + len(free)):
-        if any(h[:m]):
-            continue
-        x = {c: v for c, v in zip(free, h[m:]) if v}
-        for col, row in reversed(pivots):
-            s = sum(v * x[c] for c, v in row.items() if c in x)
-            if s:
-                x[col] = -row[col] * s
-        basis.append(x)
-    # A x = 0 for every x, a column at a time: col -> [(x index, x[col])]
-    entries: dict = {}
-    for k, x in enumerate(basis):
-        for c, v in x.items():
-            entries.setdefault(c, []).append((k, v))
-    for row in rows:
-        ax: dict = {}
-        for c, v in row.items():
-            for k, xc in entries.get(c, ()):
-                ax[k] = ax.get(k, 0) + v * xc
-        if any(ax.values()):
-            raise InconsistencyError("an integer kernel vector is not annihilated")
-    return [[x.get(c, 0) for c in range(ncols)] for x in basis]

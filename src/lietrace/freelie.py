@@ -15,8 +15,6 @@ accumulator drops its zeros once, on return.
 
 from __future__ import annotations
 
-from functools import cache
-
 from . import _words
 from ._words import (
     InconsistencyError,
@@ -104,7 +102,6 @@ class HallMonomial:
         return _tree_str(self.tree)
 
 
-@cache
 def hall_basis(n: int, k: int):
     """The degree-k basis monomials, ordered lexicographically by word."""
     return tuple(HallMonomial(n, w) for w in lyndon_words(n, k))

@@ -366,10 +366,13 @@ def cocycle_condition_matrix(p: Presentation, action: LatticeAction):
 
 
 def z1_basis(p: Presentation, action: LatticeAction):
-    """Basis of the lattice of cocycles, from the integer kernel of the
-    relator conditions; saturated, so quotients by coboundaries are exact."""
+    """Basis of the cocycles over Q, as primitive integer {col: int} vectors:
+    the verified kernel of the relator conditions' span."""
     rows, ncols = cocycle_condition_matrix(p, action)
-    return exactlin.integer_kernel_basis(rows, ncols), ncols
+    span = exactlin.IncrementalSpan(ncols)
+    for row in rows:
+        span.insert(row)
+    return span.kernel(range(ncols)), ncols
 
 
 def _coboundaries(p: Presentation, action: LatticeAction):
@@ -386,9 +389,10 @@ def _coboundaries(p: Presentation, action: LatticeAction):
 def h1_twisted(p: Presentation, action: LatticeAction) -> QuotientStructure:
     """First cohomology with coefficients in the lattice action: Z1/B1.
 
-    Z1 is saturated in the ambient Z^N, so Z^N/Z1 is free and
-    Z^N/B1 = Z1/B1 + Z^N/Z1: one Smith form of the coboundaries in ambient
-    coordinates gives the torsion, and the free rank is rank Z1 - rank B1.
+    Z1 = ker A is saturated in the ambient Z^N, whatever basis z1_basis
+    reads, so Z^N/Z1 is free and Z^N/B1 = Z1/B1 + Z^N/Z1: one Smith form of
+    the coboundaries in ambient coordinates gives the torsion, and the free
+    rank is rank Z1 - rank B1.
     """
     kernel, ncols = z1_basis(p, action)
     z1 = exactlin.IncrementalSpan(ncols)

@@ -17,7 +17,6 @@ from lietrace.exactlin import (
     QuotientStructure,
     hermite_row_reduce,
     incremental_rank,
-    integer_kernel_basis,
     invariant_factors_from_parts,
     kernel_basis,
     quotient_structure,
@@ -251,6 +250,19 @@ def test_span_kernel_rejects_rows_outside_cols():
     s.insert({0: 1, 3: 2})
     with pytest.raises(ValueError):
         s.kernel({0, 1, 2})
+
+
+def test_span_kernel_checks_its_basis():
+    # a stored pivot changed after insertion gives back substitution a wrong
+    # scale, so a vector comes out off the kernel; the final check catches it
+    s = IncrementalSpan(4)
+    for r in ({0: 1, 1: 1}, {1: 2, 2: 3, 3: 1}):
+        s.insert(r)
+    assert len(s.kernel(range(4))) == 2
+    c, (p, row) = next(iter(s._rows.items()))
+    s._rows[c] = (p + 1, row)
+    with pytest.raises(InconsistencyError, match="not orthogonal"):
+        s.kernel(range(4))
 
 
 @st.composite
@@ -487,18 +499,9 @@ def test_parallel_ranks_match_serial():
     assert serial_k == threaded_k
 
 
-def test_hermite_and_integer_kernel():
+def test_hermite_examples():
     rows = hermite_row_reduce([[2, 4], [1, 3]], 2)
     assert rows == [[1, 1], [0, 2]]
-    kern = integer_kernel_basis([[1, -1, 0], [0, 1, -1]], 3)
-    assert len(kern) == 1
-    assert kern[0] in ([1, 1, 1], [-1, -1, -1])
-    # saturation: kernel of (2, -2) over Z is generated by (1, 1), not (2, 2)
-    kern = integer_kernel_basis([[2, -2]], 2)
-    assert sorted(map(abs, kern[0])) == [1, 1]
-    # no rows: the kernel is all of Z^ncols
-    assert integer_kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert integer_kernel_basis([[0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
 
 
 def _seeded_matrices():
@@ -536,19 +539,6 @@ def test_smith_second_route_by_determinantal_divisors():
     assert families == {"units", "core", "duplicates", "mixed"}
 
 
-def test_integer_kernel_is_a_saturated_basis():
-    for family, rows in _seeded_matrices():
-        ncols = len(rows[0])
-        kern = integer_kernel_basis(rows, ncols)
-        for x in kern:
-            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
-        assert len(kern) == ncols - rank(rows, ncols), (family, rows)
-        # saturated: the maximal minors of the basis have gcd 1, so the
-        # basis spans every integer vector of its rational span
-        if kern:
-            assert _minors_gcd(kern, len(kern)) == 1, (family, rows)
-
-
 def test_unit_pivots_structure():
     rows = [{0: 2, 1: 4}, {0: 2, 1: 4}, {1: 3, 2: 1}, {1: 3, 2: 1}, {0: 1, 2: 5}]
     pivots, core = exactlin._unit_pivots(rows)
@@ -561,20 +551,3 @@ def test_unit_pivots_structure():
         seen.add(col)
     assert not any(seen.intersection(row) for row in core)
     assert exactlin._unit_pivots([{0: 2, 1: 4}] * 3) == ([], [{0: 2, 1: 4}])
-
-
-def test_integer_kernel_checks_its_basis(monkeypatch):
-    # a pivot row changed after elimination gives a vector off the kernel,
-    # which the final A x = 0 check must catch
-    real = exactlin._unit_pivots
-
-    def corrupted(rows):
-        pivots, core = real(rows)
-        col, row = pivots[0]
-        other = next(c for c in row if c != col)
-        pivots[0] = (col, {**row, other: row[other] + 1})
-        return pivots, core
-
-    monkeypatch.setattr(exactlin, "_unit_pivots", corrupted)
-    with pytest.raises(InconsistencyError):
-        integer_kernel_basis([[1, 1, 0]], 3)

@@ -307,7 +307,7 @@ def test_concurrent_basis_reads_are_consistent():
 
     with ThreadPoolExecutor(max_workers=6) as pool:
         results = list(pool.map(grab, range(12)))
-    assert all(r is results[0] for r in results)
+    assert all(r == results[0] for r in results)
     assert len(results[0]) == witt_rank(3, 5)
 
 

@@ -151,9 +151,20 @@ def test_condition_matrix_matches_word_evaluation():
 
 
 def test_z1_rank_bp():
-    for n in range(3, 9):
-        kernel, _ = z1_basis(builtin("bp", n), standard_action("bp", n))
-        assert len(kernel) == n + 1, n
+    # Z1 has rank free rank of H^1 + rank B1 = free + (n - 1); the count is
+    # checked against the rational rref rank of the relator conditions, and
+    # every vector against those rows over Z
+    from lietrace.exactlin import rank
+    from lietrace.grouppres import cocycle_condition_matrix
+
+    for kind, free in (("bp", 2), ("braid", 1), ("symmetric", 0)):
+        for n in range(3, 10):
+            p, act = builtin(kind, n), standard_action(kind, n)
+            kernel, ncols = z1_basis(p, act)
+            rows, _ = cocycle_condition_matrix(p, act)
+            assert len(kernel) == n - 1 + free == ncols - rank(rows, ncols), (kind, n)
+            for x in kernel:
+                assert all(sum(v * x.get(c, 0) for c, v in row.items()) == 0 for row in rows)
 
 
 def test_h1_twisted_structures():
