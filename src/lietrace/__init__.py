@@ -16,7 +16,6 @@ from .exactlin import (
     QuotientStructure,
     kernel_basis,
     quotient_structure,
-    rank,
     smith_normal_form,
 )
 from .freelie import (

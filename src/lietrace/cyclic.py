@@ -165,10 +165,16 @@ class JModule:
                         if row:
                             rows.add(row)
         self._relations = sorted(rows)
-        pivots, reduced = exactlin.rref([dict(r) for r in self._relations], self.size)
-        self._pivots = pivots
-        self._pivot_rows = dict(zip(pivots, reduced))
-        self.rank = self.size - len(pivots)
+        # the Hermite form with every pivot 1 is the reduced echelon form over
+        # Q, and says that the relation lattice is saturated (J torsion free)
+        self._pivot_rows = {}
+        for row in exactlin.hermite_row_reduce([dict(r) for r in self._relations], self.size):
+            row = {c: v for c, v in enumerate(row) if v}
+            col = next(iter(row))
+            if row[col] != 1:
+                raise InconsistencyError(f"J relation pivot {row[col]} at column {col} is not 1")
+            self._pivot_rows[col] = row
+        self.rank = self.size - len(self._pivot_rows)
 
     def monomial(self, a, b, c, d) -> dict:
         """Coordinates {column: +-1} of (x_a ^ x_b)(x_c ^ x_d); empty when it vanishes."""
@@ -191,10 +197,8 @@ class JModule:
         return cls(n)
 
     def reduce_coords(self, coords: dict) -> dict:
-        """Canonical residue of a coordinate vector modulo the relation space."""
-        from fractions import Fraction  # only J's rational coordinates pay for its import
-
-        work = {c: Fraction(v) for c, v in coords.items() if v}
+        """Canonical residue of an integer coordinate vector modulo the relation space."""
+        work = {c: v for c, v in coords.items() if v}
         for col in sorted(work):
             a = work.get(col)
             if not a:
@@ -205,27 +209,15 @@ class JModule:
             add_scaled(work, row, -a)
         return work
 
-    def relation_divisors(self):
-        """Smith divisors of the relation lattice; all 1 means J is torsion free."""
-        return exactlin.smith_normal_form(
-            [dict(r) for r in self._relations], ncols=self.size
-        )
-
     def describe_coord(self, col):
         w = len(self.pairs)
         return self.pairs[col // w], self.pairs[col % w]
 
 
 class JElement(SparseCombination):
-    """Element of J in canonical reduced coordinates (``coords``, rational)."""
+    """Element of J in canonical reduced coordinates (``coords``, integer)."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _scalar(c):
-        from fractions import Fraction
-
-        return Fraction(c)
 
     def __init__(self, n: int, coords=()):
         super().__init__(n, 4, coords)

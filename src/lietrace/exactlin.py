@@ -1,15 +1,16 @@
 """Exact sparse linear algebra over the rationals and the integers.
 
 Ranks, kernels, incremental row spans, Smith and Hermite normal forms, and
-structures of finitely generated abelian quotients.  All arithmetic is
-arbitrary precision (``int`` / ``fractions.Fraction``); no floating point is
-used anywhere, so every reported number is exact.
+structures of finitely generated abelian quotients.  Every elimination is
+fraction-free over ``int``, at arbitrary precision; no floating point is used
+anywhere, so every reported number is exact.
 
 Every entry point takes plain rows: {col: value} dicts or dense lists.  They
 are checked in one place, ``_to_int_vec``: columns must be ``int`` in
 0..ncols-1 and values ``int`` or ``Fraction``, so floats and bools raise
-``ValueError``.  The rational routines (``rref``, ``rank``, ``kernel_basis``,
-``IncrementalSpan``) clear denominators; the integer normal forms refuse them.
+``ValueError``.  The rational routines (``IncrementalSpan``,
+``incremental_rank``, ``kernel_basis``) clear denominators; the integer normal
+forms refuse them.
 """
 
 from __future__ import annotations
@@ -18,67 +19,26 @@ import heapq
 import sys
 from math import gcd, lcm
 
-from ._words import InconsistencyError, add_scaled, exact_int, record
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form over Q: (pivot columns, reduced rows).
-
-    Each row is checked and cleared of denominators by ``_to_int_vec``, so
-    elimination runs over ``Fraction`` whatever the input; scaling a row keeps
-    its row space, and the RREF of a row space is unique.  The reduced rows are
-    {col: Fraction} dicts with pivot entry 1, fully reduced against each other.
-    Pivot rows are chosen by sparsity (fewest stored entries), ties broken by
-    leading column and then input order.
-    """
-    from fractions import Fraction  # only the rational routines pay for its import
-
-    work = [{c: Fraction(v) for c, v in _to_int_vec(r, ncols).items()} for r in rows]
-    work = [r for r in work if r]
-    pivots, done = [], []
-    for col in range(ncols):
-        cand = [r for r in work if col in r]
-        if not cand:
-            continue
-        cand.sort(key=lambda r: (len(r), min(r)))
-        piv = cand[0]
-        work.remove(piv)
-        inv = 1 / piv[col]
-        piv = {c: v * inv for c, v in piv.items()}
-        for other in work + done:
-            a = other.get(col)
-            if a:
-                add_scaled(other, piv, -a)
-        work = [r for r in work if r]
-        pivots.append(col)
-        done.append(piv)
-    return pivots, done
-
-
-def rank(rows, ncols) -> int:
-    """Rank over Q, by exact rational elimination."""
-    return len(rref(rows, ncols)[0])
+from ._words import InconsistencyError, exact_int, record
 
 
 def kernel_basis(rows, ncols):
-    """Basis of the right null space over Q as {col: Fraction} dicts; one
-    vector per free column.
+    """Primitive integer basis of the right null space over Q as {col: int}
+    dicts; one vector per free column, in increasing order.
 
-    The vectors are those of IncrementalSpan.kernel scaled to 1 at their free
-    column, keyed free column first, then pivot columns ascending.  The
+    The vectors are those of IncrementalSpan.kernel, keyed free column first,
+    then pivot columns ascending; each is positive at its free column.  The
     kernel vector on one free column and the pivot columns is unique up to
-    scale, so these are the vectors read off the reduced rows of rref.
+    scale, so these are the primitive multiples of the rational kernel read
+    off the reduced row echelon form.
     """
-    from fractions import Fraction
-
     span = IncrementalSpan(ncols)
     for row in rows:
         span.insert(row)
     basis = []
     for x in span.kernel(range(ncols)):
         free = next(iter(x))
-        d = x.pop(free)
-        basis.append({free: Fraction(1), **{c: Fraction(x[c], d) for c in sorted(x)}})
+        basis.append({free: x.pop(free), **{c: x[c] for c in sorted(x)}})
     return basis
 
 

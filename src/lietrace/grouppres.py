@@ -139,14 +139,6 @@ def _mccool(n):
     return Presentation(tuple(gens), tuple(rels))
 
 
-def mccool_family_counts(n: int):
-    """Sizes of the three relator families of the basis-conjugating group."""
-    p1 = n * (n - 1) * (n - 2) // 2
-    p2 = n * (n - 1) * (n - 2) * (n - 3) // 2
-    p3 = n * (n - 1) * (n - 2)
-    return p1, p2, p3
-
-
 def _artin(gens):
     """Artin relators on a chain of generators: the braid relation
     a b a (b a b)^-1 on each consecutive pair, commutators on distant ones."""
@@ -446,16 +438,6 @@ def h2_psigma_rank(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # plain-text presentation format: one generator line, one relator per line
-
-
-def format_presentation(p: Presentation) -> str:
-    lines = [" ".join(p.generators)]
-    for rel in p.relators:
-        bits = []
-        for g, e in rel:
-            bits.append(g if e == 1 else f"{g}^-1")
-        lines.append(" ".join(bits))
-    return "\n".join(lines) + "\n"
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -27,19 +27,18 @@ process-wide expansion cache.
 
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
-the rational second route, the integral cokernel and the kernel checks all
-read it.  It never expands a Lyndon word of the block: one pass over the
-pairs of words of its two standard factors' expansions, kept in a memo that
-goes with the block, gives the trace rows of every letter
-(``tangent.trace_row_enc``); a pair finds its necklace column by its
-integer code, each new necklace registering all its rotations at once.
+the integral cokernel and the kernel checks all read it, and so does the
+rational second route of the tests.  It never expands a Lyndon word of the
+block: one pass over the pairs of words of its two standard factors'
+expansions, kept in a memo that goes with the block, gives the trace rows of
+every letter (``tangent.trace_row_enc``); a pair finds its necklace column by
+its integer code, each new necklace registering all its rotations at once.
 The bar/tilde quotient only decides which blocks count
 (``cyclic.mode_width``).  Relabelling letters permutes the trace blocks
 without changing their ranks or Smith divisors, so ``trace_rank`` and
 ``coker_structure`` compute one block per S_n orbit (``_orbits``), keyed by
 its partition alone: n only counts the copies; ``check_T0530`` builds one
-trace kernel per orbit too.  Only the rational second route visits every
-composition on n letters.
+trace kernel per orbit too.
 
 A block's rank has a second symmetry: the letters of equal multiplicity
 are permuted by the letter stabilizer G, a product of symmetric groups, and
@@ -57,7 +56,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial
 
 from . import exactlin, tangent
 from ._words import (
@@ -821,16 +820,6 @@ def trace_kernel_dim(n: int, k: int) -> int:
     return p_rank(n, k) - trace_image_dim(n, k)
 
 
-def trace_image_dim_direct(n: int, k: int) -> int:
-    """Independent route: exact rational rank of every content block (no orbits)."""
-    total = 0
-    for content in compositions(k, n):
-        if mode_width(content, QuotientMode.BAR):
-            _, rows, cols = _trace_block(k, content)
-            total += exactlin.rank(rows, cols.ncols)
-    return total
-
-
 def coker_structure(n: int, k: int) -> QuotientStructure:
     """Structure of the bar quotient modulo the integer trace image.
 
@@ -863,13 +852,7 @@ def _block_kernel_pcoords(k, content):
             for col, c in row.items():
                 cols.setdefault(col, {})[j] = c
     kernel = exactlin.kernel_basis(list(cols.values()), len(keys))
-    out = []
-    for vec in kernel:
-        den = 1
-        for v in vec.values():
-            den = lcm(den, v.denominator)
-        out.append({keys[j]: int(v * den) for j, v in vec.items()})
-    return out
+    return [{keys[j]: v for j, v in vec.items()} for vec in kernel]
 
 
 def check_T0530(n: int, k: int) -> T0530Report:

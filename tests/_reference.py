@@ -1,0 +1,61 @@
+"""Reference routines for the tests: second routes, independent of the package's
+fraction-free elimination (``exactlin.IncrementalSpan``).
+
+``rref`` is a plain Gauss-Jordan elimination over ``Fraction``; ``rank`` reads
+its pivots, and ``trace_image_dim_direct`` ranks every content block on n
+letters with it, with no S_n orbits.
+"""
+
+from fractions import Fraction
+
+from lietrace._words import add_scaled, compositions
+from lietrace.cyclic import QuotientMode, mode_width
+from lietrace.exactlin import _to_int_vec
+from lietrace.johnson import _trace_block
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Q: (pivot columns, reduced rows).
+
+    Each row is checked and cleared of denominators by ``_to_int_vec``, so
+    elimination runs over ``Fraction`` whatever the input; scaling a row keeps
+    its row space, and the RREF of a row space is unique.  The reduced rows are
+    {col: Fraction} dicts with pivot entry 1, fully reduced against each other.
+    Pivot rows are chosen by sparsity (fewest stored entries), ties broken by
+    leading column and then input order.
+    """
+    work = [{c: Fraction(v) for c, v in _to_int_vec(r, ncols).items()} for r in rows]
+    work = [r for r in work if r]
+    pivots, done = [], []
+    for col in range(ncols):
+        cand = [r for r in work if col in r]
+        if not cand:
+            continue
+        cand.sort(key=lambda r: (len(r), min(r)))
+        piv = cand[0]
+        work.remove(piv)
+        inv = 1 / piv[col]
+        piv = {c: v * inv for c, v in piv.items()}
+        for other in work + done:
+            a = other.get(col)
+            if a:
+                add_scaled(other, piv, -a)
+        work = [r for r in work if r]
+        pivots.append(col)
+        done.append(piv)
+    return pivots, done
+
+
+def rank(rows, ncols) -> int:
+    """Rank over Q, by exact rational elimination."""
+    return len(rref(rows, ncols)[0])
+
+
+def trace_image_dim_direct(n: int, k: int) -> int:
+    """Independent route: exact rational rank of every content block (no orbits)."""
+    total = 0
+    for content in compositions(k, n):
+        if mode_width(content, QuotientMode.BAR):
+            _, rows, cols = _trace_block(k, content)
+            total += rank(rows, cols.ncols)
+    return total

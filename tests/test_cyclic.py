@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from lietrace import _words
+from lietrace import _words, cyclic, exactlin
+from lietrace._words import InconsistencyError
 from lietrace.cyclic import (
     CyclicElement,
     JElement,
@@ -18,6 +19,7 @@ from lietrace.cyclic import (
     project_cyclic,
     reduce,
 )
+from lietrace.exactlin import smith_normal_form
 from lietrace.freelie import LieElement, embed_tensor, hall_basis
 
 
@@ -169,5 +171,24 @@ def test_j_rank_from_explicit_quotient():
 
 
 def test_j_relation_lattice_saturated():
-    for n in range(2, 6):
-        assert all(d == 1 for d in JModule.get(n).relation_divisors())
+    # a second route to J's unit-pivot check: every Smith divisor of the
+    # relation lattice is 1, so J is torsion free
+    for n in range(2, 7):
+        mod = JModule.get(n)
+        divisors = smith_normal_form([dict(r) for r in mod._relations], ncols=mod.size)
+        assert divisors == [1] * (mod.size - mod.rank), n
+
+
+def test_j_refuses_a_pivot_other_than_one(monkeypatch):
+    # a relation lattice that is not saturated has a Hermite pivot above 1
+    # and would make J's coordinates rational: JModule raises instead
+    hermite = exactlin.hermite_row_reduce
+
+    def doubled(rows, ncols):
+        out = hermite(rows, ncols)
+        out[-1] = [2 * v for v in out[-1]]
+        return out
+
+    monkeypatch.setattr(cyclic.exactlin, "hermite_row_reduce", doubled)
+    with pytest.raises(InconsistencyError, match="pivot 2"):
+        JModule(3)

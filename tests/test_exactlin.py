@@ -4,12 +4,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from _reference import rank, rref
 from lietrace import exactlin
 from lietrace._words import InconsistencyError
 from lietrace.exactlin import (
@@ -20,8 +21,6 @@ from lietrace.exactlin import (
     invariant_factors_from_parts,
     kernel_basis,
     quotient_structure,
-    rank,
-    rref,
     smith_normal_form,
 )
 
@@ -59,7 +58,7 @@ def test_kernel_examples():
     assert kernel_basis([[1, 0], [0, 1]], 2) == []
     kb = kernel_basis([[2, 4]], 2)
     assert len(kb) == 1
-    assert kb[0].get(0) / kb[0].get(1) == Fraction(-2, 1)
+    assert kb == [{1: 1, 0: -2}]
 
 
 def _exact(rows):
@@ -71,22 +70,24 @@ def test_rational_reference_is_exact():
     # (2.0 == 2), so _exact pins the value types
     pivots, reduced = rref([[2, 4]], 2)
     assert pivots == [0] and reduced == [{0: 1, 1: 2}] and _exact(reduced)
-    kb = kernel_basis([[2, 4]], 2)
-    assert kb == [{1: 1, 0: -2}] and _exact(kb)
     pivots, reduced = rref([[3, 1], [1, 2]], 2)
     assert pivots == [0, 1] and reduced == [{0: 1}, {1: 1}] and _exact(reduced)
     pivots, reduced = rref([{0: 3, 2: 1}, {1: 5, 2: 2}], 3)
     assert reduced == [{0: 1, 2: Fraction(1, 3)}, {1: 1, 2: Fraction(2, 5)}]
     assert _exact(reduced)
-    kb = kernel_basis([{0: 3, 2: 1}, {1: 5, 2: 2}], 3)
-    assert kb == [{2: 1, 0: Fraction(-1, 3), 1: Fraction(-2, 5)}] and _exact(kb)
     assert type(rank([[3, 1], [1, 2]], 2)) is int
     # rows given with fractions have the same row space as their integer multiples
     assert rref([{0: Fraction(1, 2), 1: 1}], 2) == rref([[1, 2]], 2)
+    # the kernel is that of the reduced rows, scaled to primitive integers:
+    # (-1/3, -2/5, 1) times 15
+    kb = kernel_basis([{0: 3, 2: 1}, {1: 5, 2: 2}], 3)
+    assert _items(kb) == [[(2, int, 15), (0, int, -5), (1, int, -6)]]
+    assert _items(kernel_basis([[2, 4]], 2)) == [[(1, int, 1), (0, int, -2)]]
 
 
 def _kernel_by_rref(rows, ncols):
-    # the rational reference: one vector per free column of the reduced rows
+    # the rational reference: one vector per free column of the reduced rows,
+    # scaled to its primitive integer multiple, positive at the free column
     pivots, reduced = rref(rows, ncols)
     basis = []
     for free in range(ncols):
@@ -97,7 +98,9 @@ def _kernel_by_rref(rows, ncols):
             a = row.get(free)
             if a:
                 vec[p] = -a
-        basis.append(vec)
+        den = lcm(*(v.denominator for v in vec.values()))
+        num = gcd(*(v.numerator for v in vec.values()))
+        basis.append({c: int(v * den) // num for c, v in vec.items()})
     return basis
 
 
@@ -139,7 +142,7 @@ def test_rank_plus_nullity(rows):
 @given(small_matrix)
 def test_kernel_vectors_annihilate(rows):
     for vec in kernel_basis(rows, len(rows[0])):
-        assert _exact([vec])
+        assert all(type(v) is int for v in vec.values())
         for row in rows:
             assert sum(row[c] * v for c, v in vec.items()) == 0
 
@@ -382,8 +385,8 @@ def test_normal_forms_reject_non_integer_entries():
             smith_normal_form([{0: bad}], 2)
     assert hermite_row_reduce([[Fraction(4, 2), 0]], 2) == [[2, 0]]
     assert smith_normal_form([{1: Fraction(4, 2)}], 2) == [2]
-    # the span and the rational reference accept fractions, but never
-    # truncate a float or read a bool as 1
+    # the span, its kernels and the rational reference accept fractions, but
+    # never truncate a float or read a bool as 1
     for bad in (True, False, 0.5, 2.7, 0.0):
         s = IncrementalSpan(2)
         with pytest.raises(ValueError):
@@ -402,12 +405,12 @@ def test_normal_forms_reject_non_integer_entries():
     assert kernel_basis([[Fraction(1, 2), 1]], 2) == [{1: 1, 0: -2}]
 
 
-# run in a fresh interpreter: exactlin loads without fractions, and its
-# checks must still know a Fraction made after that
+# run in a fresh interpreter: exactlin loads and finds kernels without
+# fractions, and its checks must still know a Fraction made after that
 DEFERRED_FRACTION_PROBE = """
 import sys
-from lietrace.exactlin import IncrementalSpan, _to_int_vec, kernel_basis, rref
-print("fractions" in sys.modules)
+from lietrace.exactlin import IncrementalSpan, _to_int_vec, kernel_basis
+print(kernel_basis([[2, 1], [4, 2]], 2), "fractions" in sys.modules)
 from fractions import Fraction
 print(_to_int_vec([Fraction(3, 1), 2], 2), _to_int_vec({0: Fraction(1, 2), 1: 1}, 2))
 print(_to_int_vec([Fraction(3, 1)], 1, integral=True))
@@ -426,9 +429,8 @@ for span in (IncrementalSpan(1).insert, IncrementalSpan(1).contains):
             print("accepted", repr(bad))
         except ValueError:
             print("refused")
-pivots, reduced = rref([[2, 1], [4, 3]], 2)
-print(pivots, reduced, kernel_basis([[2, 1]], 2))
-print({type(v).__name__ for row in reduced + kernel_basis([[2, 1]], 2) for v in row.values()})
+kb = kernel_basis([[Fraction(1, 2), Fraction(1, 4)]], 2)
+print(kb, {type(v).__name__ for vec in kb for v in vec.values()})
 """
 
 
@@ -439,13 +441,12 @@ def test_fraction_checks_exact_without_the_import():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert probe.stdout.splitlines() == [
-        "False",
+        "[{1: 2, 0: -1}] False",
         "{0: 3, 1: 2} {0: 1, 1: 2}",
         "{0: 3}",
         "True True True",
         *["refused"] * 9,
-        "[0, 1] [{0: Fraction(1, 1)}, {1: Fraction(1, 1)}] [{1: Fraction(1, 1), 0: Fraction(-1, 2)}]",
-        "{'Fraction'}",
+        "[{1: 2, 0: -1}] {'int'}",
     ]
 
 

@@ -182,20 +182,26 @@ def _tree_expand(tree, n):
 def test_coefficients_are_exact_not_truncated():
     from fractions import Fraction
 
+    from lietrace.cyclic import JElement, j_project
     from lietrace.freelie import TensorElement
 
-    e = normalize((1, 2), 3)
-    for scalar in (0.5, 2.7, Fraction(1, 2)):
-        with pytest.raises(ValueError):
-            scalar * e
-    with pytest.raises(TypeError):
-        "2" * e
+    # a Lie element, and an element of J (integer coordinates too)
+    for e in (normalize((1, 2), 3), j_project(4, 1, 2, 3, 4)):
+        for scalar in (0.5, 2.7, Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                scalar * e
+        with pytest.raises(TypeError):
+            "2" * e
+        # integral values of other numeric types are exact and accepted
+        assert 2.0 * e == Fraction(4, 2) * e == e + e
     with pytest.raises(ValueError):
         TensorElement(3, 2, {(1, 2): 1.7})
     with pytest.raises(ValueError):
         LieElement(3, 2, {(1, 2): Fraction(3, 2)})
-    # integral values of other numeric types are exact and accepted
-    assert 2.0 * e == Fraction(4, 2) * e == e + e
+    for scalar in (0.5, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            JElement(4, {0: scalar})
+    assert JElement(4, {0: 2.0}) == 2 * JElement(4, {0: 1})
     assert TensorElement(3, 2, {(1, 2): 3.0}).terms == {(1, 2): 3}
 
 

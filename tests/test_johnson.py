@@ -1,10 +1,15 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from _reference import rank, trace_image_dim_direct
 from lietrace import exactlin, freelie, johnson, tangent
 from lietrace._words import (
     InconsistencyError,
@@ -29,7 +34,6 @@ from lietrace.johnson import (
     johnson_image,
     section7_rows,
     trace_image_dim,
-    trace_image_dim_direct,
     trace_kernel_dim,
     trace_rank,
     verify_E_generators,
@@ -509,18 +513,35 @@ def test_t0530_second_route_visits_every_composition(n, kmax):
         assert seen == list(dims), (n, k)
 
 
-def test_kernel_check_and_cokernel_run_without_rref(monkeypatch):
-    # the trace kernels come from the fraction-free span (IncrementalSpan),
-    # so neither t0530 nor coker reaches the rational reduced echelon form
-    def refused(rows, ncols):
-        raise AssertionError("exactlin.rref reached")
+# run in a fresh interpreter: the trace kernels come from the fraction-free
+# span (IncrementalSpan) and J from its unit-pivot Hermite form, so neither
+# t0530, coker nor J loads fractions
+NO_FRACTIONS_PROBE = """
+import sys
+from lietrace import check_T0530, coker_structure, j_project, j_rank, tangential, trace_J
+rep = check_T0530(3, 6)
+print(rep.ok, len(rep.checked), sum(d for _, d in rep.checked))
+rep = check_T0530(4, 5)
+print(rep.ok, len(rep.checked), sum(d for _, d in rep.checked))
+print(coker_structure(5, 6))
+print(j_rank(7), trace_J(tangential(2, (1, (1, 2, 1, 2)))) == 5 * j_project(2, 1, 2, 1, 2))
+print("fractions" in sys.modules)
+"""
 
-    monkeypatch.setattr(exactlin, "rref", refused)
-    rep = check_T0530(3, 6)
-    assert rep.ok and (len(rep.checked), sum(d for _, d in rep.checked)) == (15, 162)
-    rep = check_T0530(4, 5)
-    assert rep.ok and (len(rep.checked), sum(d for _, d in rep.checked)) == (40, 540)
-    assert coker_structure(5, 6) == QuotientStructure(40, (6,) * 10 + (12,) * 10)
+
+def test_kernel_check_cokernel_and_j_run_without_fractions():
+    src = str(Path(johnson.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [sys.executable, "-c", NO_FRACTIONS_PROBE],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert probe.stdout.splitlines() == [
+        "True 15 162",
+        "True 40 540",
+        str(QuotientStructure(40, (6,) * 10 + (12,) * 10)),
+        "196 True",
+        "False",
+    ]
 
 
 def test_t0530_violations_are_kernel_vectors_of_each_composition(monkeypatch):
@@ -546,7 +567,7 @@ def test_t0530_violations_are_kernel_vectors_of_each_composition(monkeypatch):
                 add_scaled(image, rows[index[key]], c)
             assert not image, content
         columns = [{index[key]: c for key, c in vec.items()} for vec in vecs]
-        assert exactlin.rank(columns, len(keys)) == dim, content
+        assert rank(columns, len(keys)) == dim, content
 
 
 def test_absent_letter_generators_lie_in_image():

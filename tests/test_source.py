@@ -29,6 +29,25 @@ def test_no_bare_asserts_in_package():
     assert not found, found
 
 
+def test_no_fractions_in_package():
+    # one fraction-free elimination core: no module imports fractions, even
+    # lazily inside a function (Fraction input is still recognised by
+    # exactlin._is_fraction without the import)
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_no_exec_or_eval_in_package():
     # value classes are built from closures (_words.record); nothing compiles source
     found = []
@@ -51,8 +70,8 @@ print([m for m in {ALGEBRA!r} if "lietrace." + m not in sys.modules])
 
 def test_cold_cli_import_stays_light():
     # a fresh `import lietrace.cli` must not pay for dataclasses and its
-    # imports, nor for fractions and the decimal it loads (only the rational
-    # routines import it), and must load all six algebra modules: the
+    # imports, nor for fractions and the decimal it loads (no package module
+    # imports it), and must load all six algebra modules: the
     # benchmark tracer wraps only modules already in sys.modules after that import
     src = str(Path(lietrace.__file__).resolve().parent.parent)
     probe = subprocess.run(
