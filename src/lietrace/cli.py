@@ -176,7 +176,9 @@ def _content_rows(args, ks, alpha=None):
         keys = [(k, alpha) for k in ks]
     else:
         keys = [(k, a) for k in ks for a in partitions(k, min_part=2) if len(a) >= 2]
-    reports = _parallel_map(args.threads, lambda ka: johnson.c_alpha(*ka), keys)
+    if args.threads > 1:
+        _progress(f"--threads {args.threads} is ignored: the content blocks run in one thread")
+    reports = [johnson.c_alpha(k, a) for k, a in keys]
     return [[k, list(rep.alpha), rep.c_alpha, rep.r_alpha] for (k, _), rep in zip(keys, reports)]
 
 
@@ -293,17 +295,6 @@ def _cmd_abelianize(args):
     return _structure(args, f"abelianization, {args.group}", q)
 
 
-def _parallel_map(threads, fn, items):
-    """Map preserving order; worker pool only when threads > 1."""
-    items = list(items)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only pools pay its import
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _thread_count(spec):
     try:
         value = int(spec)
@@ -338,7 +329,13 @@ class _Parser(argparse.ArgumentParser):
 # the arguments of the subcommands, as (flag, add_argument keywords)
 _INT = {"type": int, "required": True}
 _RANGE = {"required": True}  # a range such as 3..6, read by _parse_range
-_THREADS = ("--threads", {"type": _thread_count, "default": 1})
+# accepted and validated, but ignored: the rank work holds the GIL, so the
+# content blocks run in one thread; the flag stays while command lines
+# (perfbench's cr_table) pass it
+_THREADS = (
+    "--threads",
+    {"type": _thread_count, "default": 1, "help": "ignored; the content blocks run in one thread"},
+)
 _OPTIONAL_N = ("--n", {"type": int, "default": None})
 _FILE = ("--file", {"default": None})
 

@@ -299,8 +299,8 @@ class _OrbitImage:
     bracket is linear.  A level keeps only its blocks, which johnson_image
     reads at any degree.  The n(n - 1) generator values [x_b, x_a] are
     expanded once.  extend() grows the store in place with no lock: no
-    caller in the package reaches it from more than one thread (the CLI's
-    pool runs c_alpha only).
+    caller in the package reaches it from more than one thread (the CLI
+    runs every command in one thread).
     """
 
     def __init__(self, n: int):
@@ -547,13 +547,14 @@ class _LetterAction:
         code = [0] * cols.ncols
         for w, col in cols.items():
             code[col] = w
+        words = [decode(w, base, k) for w in code]
         self._swaps = {}
         for start, size in runs:
             for t in range(start, start + size - 1):
                 swap = {t: t + 1, t + 1: t}
                 perm = []
-                for w in code:
-                    col = cols.get(encode([swap.get(x, x) for x in decode(w, base, k)], base))
+                for word in words:
+                    col = cols.get(encode([swap.get(x, x) for x in word], base))
                     if col is None:
                         raise InconsistencyError(
                             f"the block is not stable under swapping letters {t} and {t + 1}"

@@ -329,15 +329,6 @@ def p_coordinates(f: Derivation) -> dict:
     return out
 
 
-def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
-    """Inverse of p_coordinates: the values sum c [u, x_i] over {(i, u): c}."""
-    by_i: dict = {}
-    for (i, u), c in coords.items():
-        add_scaled(by_i.setdefault(i, {}), ad_enc(n, u, i), c)
-    values = {i: LieElement._from_enc(n, k + 1, enc) for i, enc in by_i.items() if enc}
-    return Derivation._unchecked(n, k, values)
-
-
 # ---------------------------------------------------------------------------
 # trace rows of basis elements, used by every rank computation downstream
 

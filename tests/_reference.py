@@ -3,7 +3,8 @@ fraction-free elimination (``exactlin.IncrementalSpan``).
 
 ``rref`` is a plain Gauss-Jordan elimination over ``Fraction``; ``rank`` reads
 its pivots, and ``trace_image_dim_direct`` ranks every content block on n
-letters with it, with no S_n orbits.
+letters with it, with no S_n orbits.  ``from_p_coordinates`` inverts
+``tangent.p_coordinates``: it builds a derivation from its labels.
 """
 
 from fractions import Fraction
@@ -11,7 +12,9 @@ from fractions import Fraction
 from lietrace._words import add_scaled, compositions
 from lietrace.cyclic import QuotientMode, mode_width
 from lietrace.exactlin import _to_int_vec
+from lietrace.freelie import LieElement, ad_enc
 from lietrace.johnson import _trace_block
+from lietrace.tangent import Derivation
 
 
 def rref(rows, ncols):
@@ -59,3 +62,12 @@ def trace_image_dim_direct(n: int, k: int) -> int:
             _, rows, cols = _trace_block(k, content)
             total += rank(rows, cols.ncols)
     return total
+
+
+def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
+    """Inverse of p_coordinates: the values sum c [u, x_i] over {(i, u): c}."""
+    by_i: dict = {}
+    for (i, u), c in coords.items():
+        add_scaled(by_i.setdefault(i, {}), ad_enc(n, u, i), c)
+    values = {i: LieElement._from_enc(n, k + 1, enc) for i, enc in by_i.items() if enc}
+    return Derivation._unchecked(n, k, values)

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -99,16 +103,47 @@ def test_rerun_byte_identical(capsys):
     assert first == second
 
 
-def test_threads_do_not_change_output(capsys):
-    # clear the block-rank cache so that the threaded run computes its blocks
-    # (the rank-deficient (2,2,2,2) block included) on the pool
+def test_threads_do_not_change_output(capsys, monkeypatch):
+    # --threads is accepted and ignored: the content blocks run in one thread,
+    # so no thread starts, and stderr says so.  Clear the block-rank cache so
+    # that each run computes its blocks (the rank-deficient (2,2,2,2) block
+    # included)
     johnson._block_trace_rank.cache_clear()
     base = run_cli(["table8", "--kmax", "8", "--format", "csv"], capsys)
+
+    def no_thread(thread):
+        raise AssertionError(f"a thread started: {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     johnson._block_trace_rank.cache_clear()
     threaded = run_cli(
         ["table8", "--kmax", "8", "--format", "csv", "--threads", "4"], capsys
     )
+    assert base[0] == threaded[0] == 0
     assert base[1] == threaded[1]
+    assert base[2] == ""
+    assert threaded[2] == "--threads 4 is ignored: the content blocks run in one thread\n"
+
+
+# run in a fresh interpreter: a --threads run loads no executor
+THREADS_PROBE = """
+import sys
+from lietrace.cli import main
+code = main(["table8", "--kmax", "6", "--threads", "2", "--format", "csv"])
+print(code, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_threads_flag_loads_no_pool():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [sys.executable, "-c", THREADS_PROBE],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert probe.stdout.splitlines() == [
+        "5,(3 2),2,0", "6,(4 2),2,0", "6,(3 3),3,0", "6,(2 2 2),15,1", "0 False",
+    ]
+    assert "--threads 2 is ignored" in probe.stderr
 
 
 def test_out_flag(tmp_path, capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from _reference import rank, trace_image_dim_direct
+from _reference import from_p_coordinates, rank, trace_image_dim_direct
 from lietrace import exactlin, freelie, johnson, tangent
 from lietrace._words import (
     InconsistencyError,
@@ -42,7 +42,6 @@ from lietrace.tangent import (
     AdSolver,
     NecklaceColumns,
     der_bracket,
-    from_p_coordinates,
     p_basis,
     p_coordinates,
     tangential,

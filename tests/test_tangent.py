@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _reference import from_p_coordinates
 from lietrace._words import InconsistencyError
 from lietrace.cyclic import Necklace, j_project
 from lietrace.exactlin import IncrementalSpan
@@ -11,7 +12,6 @@ from lietrace.tangent import (
     apply,
     contract,
     der_bracket,
-    from_p_coordinates,
     p_basis,
     p_coordinates,
     p_rank,
