@@ -165,15 +165,18 @@ class JModule:
                         if row:
                             rows.add(row)
         self._relations = sorted(rows)
-        # the Hermite form with every pivot 1 is the reduced echelon form over
-        # Q, and says that the relation lattice is saturated (J torsion free)
+        # +-1 pivots with no core left are a Z-basis of the relation lattice,
+        # so it is saturated (J torsion free); each pivot row, reduced against
+        # the later ones and scaled to pivot 1, holds no other pivot column
+        pivots, core = exactlin._unit_pivots([dict(r) for r in self._relations])
+        if core:
+            raise InconsistencyError(f"{len(core)} J relation rows have no unit pivot")
         self._pivot_rows = {}
-        for row in exactlin.hermite_row_reduce([dict(r) for r in self._relations], self.size):
-            row = {c: v for c, v in enumerate(row) if v}
-            col = next(iter(row))
-            if row[col] != 1:
-                raise InconsistencyError(f"J relation pivot {row[col]} at column {col} is not 1")
-            self._pivot_rows[col] = row
+        for col, row in reversed(pivots):
+            row = {c: v * row[col] for c, v in row.items()}
+            for c in [c for c in row if c in self._pivot_rows]:
+                add_scaled(row, self._pivot_rows[c], -row[c])
+            self._pivot_rows[col] = {c: row[c] for c in sorted(row)}
         self.rank = self.size - len(self._pivot_rows)
 
     def monomial(self, a, b, c, d) -> dict:

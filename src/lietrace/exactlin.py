@@ -5,19 +5,16 @@ structures of finitely generated abelian quotients.  Every elimination is
 fraction-free over ``int``, at arbitrary precision; no floating point is used
 anywhere, so every reported number is exact.
 
-Every entry point takes plain rows: {col: value} dicts or dense lists.  They
-are checked in one place, ``_to_int_vec``: columns must be ``int`` in
-0..ncols-1 and values ``int`` or ``Fraction``, so floats and bools raise
-``ValueError``.  The rational routines (``IncrementalSpan``,
-``incremental_rank``, ``kernel_basis``) clear denominators; the integer normal
-forms refuse them.
+Every entry point takes plain rows: {col: int} dicts or dense lists of
+``int``.  They are checked in one place, ``_to_int_vec``: columns and values
+must be ``int``, columns in 0..ncols-1, so a float, a bool or a ``Fraction``
+raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
-from math import gcd, lcm
+from math import gcd
 
 from ._words import InconsistencyError, exact_int, record
 
@@ -42,30 +39,22 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def _to_int_vec(vec, ncols, integral=False):
+def _to_int_vec(vec, ncols):
     """Check a {col: value} dict or dense list; return a plain {col: int} dict.
 
-    Every column must be an ``int`` in 0..ncols-1 and every value an ``int``
-    or a ``Fraction``; floats and bools raise ``ValueError``.  Zeros are dropped
-    and denominators cleared, unless ``integral`` is set: then a value that is
-    not an integer raises instead.
+    Every column must be an ``int`` in 0..ncols-1 and every value an ``int``;
+    a float, a bool or a ``Fraction`` raises ``ValueError``.  Zeros are dropped.
     """
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    pairs = []
-    den = 1
+    out = {}
     for col, val in items:
         if type(val) is not int:
-            if _is_fraction(val) and val.denominator != 1 and not integral:
-                den = lcm(den, val.denominator)
-            else:
-                val = _as_int(val)
+            val = _as_int(val)
         if type(col) is not int or col < 0 or col >= ncols:
             raise ValueError(f"index {col!r} out of range 0..{ncols - 1}")
         if val:
-            pairs.append((col, val))
-    if den == 1:
-        return dict(pairs)
-    return {col: int(val * den) for col, val in pairs}
+            out[col] = val
+    return out
 
 
 def _make_primitive(v):
@@ -229,6 +218,7 @@ def incremental_rank(rows, ncols, bound=None) -> int:
         if not row:
             continue
         if kernel is not None:
+            row = _to_int_vec(row, ncols)  # a skipped row is checked too
             if not any(_dot(row, x) for x in kernel):
                 continue
             kernel, rejected = None, 0
@@ -276,29 +266,16 @@ class QuotientStructure:
         return self.describe()
 
 
-def _is_fraction(v):
-    """isinstance(v, Fraction), without importing fractions: no Fraction
-    exists before its module is loaded."""
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(v, fractions.Fraction)
-
-
 def _as_int(v):
-    if type(v) is int:  # the common case; skips the slower Fraction ABC check
-        return v
-    if _is_fraction(v):
-        if v.denominator != 1:
-            raise ValueError(f"entry {v} is not an integer")
-        return v.numerator
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"entry {v!r} is not an integer")
     return v
 
 
 def _int_rows(rows, ncols=None):
-    """Zero-free {col: int} rows of {col: value} dicts or dense lists, checked
-    by _to_int_vec; returns (rows, ncols).  Without ncols the width is the
-    widest row.
+    """Zero-free {col: int} rows of {col: int} dicts or dense int lists,
+    checked by _to_int_vec; returns (rows, ncols).  Without ncols the width is
+    the widest row.
     """
     rows = list(rows)
     if ncols is None:
@@ -306,7 +283,7 @@ def _int_rows(rows, ncols=None):
             (max(r, default=-1) + 1 if isinstance(r, dict) else len(r) for r in rows),
             default=0,
         )
-    return [_to_int_vec(row, ncols, integral=True) for row in rows], ncols
+    return [_to_int_vec(row, ncols) for row in rows], ncols
 
 
 def _unit_pivots(rows):

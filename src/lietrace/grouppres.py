@@ -359,12 +359,9 @@ def cocycle_condition_matrix(p: Presentation, action: LatticeAction):
 
 def z1_basis(p: Presentation, action: LatticeAction):
     """Basis of the cocycles over Q, as primitive integer {col: int} vectors:
-    the verified kernel of the relator conditions' span."""
+    exactlin.kernel_basis of the relator conditions."""
     rows, ncols = cocycle_condition_matrix(p, action)
-    span = exactlin.IncrementalSpan(ncols)
-    for row in rows:
-        span.insert(row)
-    return span.kernel(range(ncols)), ncols
+    return exactlin.kernel_basis(rows, ncols), ncols
 
 
 def _coboundaries(p: Presentation, action: LatticeAction):

@@ -20,10 +20,10 @@ from lietrace.tangent import Derivation
 def rref(rows, ncols):
     """Reduced row echelon form over Q: (pivot columns, reduced rows).
 
-    Each row is checked and cleared of denominators by ``_to_int_vec``, so
-    elimination runs over ``Fraction`` whatever the input; scaling a row keeps
-    its row space, and the RREF of a row space is unique.  The reduced rows are
-    {col: Fraction} dicts with pivot entry 1, fully reduced against each other.
+    Each row is checked by ``_to_int_vec`` (``int`` entries only), then
+    eliminated over ``Fraction``; the RREF of a row space is unique.  The
+    reduced rows are {col: Fraction} dicts with pivot entry 1, fully reduced
+    against each other.
     Pivot rows are chosen by sparsity (fewest stored entries), ties broken by
     leading column and then input order.
     """

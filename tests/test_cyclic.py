@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from _reference import rref
 from lietrace import _words, cyclic, exactlin
 from lietrace._words import InconsistencyError
 from lietrace.cyclic import (
@@ -179,16 +180,26 @@ def test_j_relation_lattice_saturated():
         assert divisors == [1] * (mod.size - mod.rank), n
 
 
-def test_j_refuses_a_pivot_other_than_one(monkeypatch):
-    # a relation lattice that is not saturated has a Hermite pivot above 1
-    # and would make J's coordinates rational: JModule raises instead
-    hermite = exactlin.hermite_row_reduce
+def test_j_refuses_a_relation_without_a_unit_pivot(monkeypatch):
+    # a relation row left in the core could carry a Smith divisor above 1 and
+    # make J's coordinates rational: JModule raises instead
+    unit_pivots = exactlin._unit_pivots
 
-    def doubled(rows, ncols):
-        out = hermite(rows, ncols)
-        out[-1] = [2 * v for v in out[-1]]
-        return out
+    def one_core_row(rows):
+        pivots, core = unit_pivots(rows)
+        return pivots[:-1], [*core, pivots[-1][1]]
 
-    monkeypatch.setattr(cyclic.exactlin, "hermite_row_reduce", doubled)
-    with pytest.raises(InconsistencyError, match="pivot 2"):
+    monkeypatch.setattr(cyclic.exactlin, "_unit_pivots", one_core_row)
+    with pytest.raises(InconsistencyError, match="no unit pivot"):
         JModule(3)
+
+
+def test_j_pivot_rows_are_the_reference_rref():
+    # a second route to J's reduced relations that shares no elimination code
+    # with the unit pivots: the Fraction Gauss-Jordan of the tests
+    for n in range(2, 8):
+        mod = JModule.get(n)
+        pivots, reduced = rref([dict(r) for r in mod._relations], mod.size)
+        assert sorted(mod._pivot_rows) == pivots, n
+        assert [mod._pivot_rows[c] for c in pivots] == reduced, n
+        assert all(type(v) is int for row in mod._pivot_rows.values() for v in row.values())

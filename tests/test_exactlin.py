@@ -1,11 +1,7 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,8 +72,6 @@ def test_rational_reference_is_exact():
     assert reduced == [{0: 1, 2: Fraction(1, 3)}, {1: 1, 2: Fraction(2, 5)}]
     assert _exact(reduced)
     assert type(rank([[3, 1], [1, 2]], 2)) is int
-    # rows given with fractions have the same row space as their integer multiples
-    assert rref([{0: Fraction(1, 2), 1: 1}], 2) == rref([[1, 2]], 2)
     # the kernel is that of the reduced rows, scaled to primitive integers:
     # (-1/3, -2/5, 1) times 15
     kb = kernel_basis([{0: 3, 2: 1}, {1: 5, 2: 2}], 3)
@@ -219,13 +213,6 @@ def test_span_rows_are_a_basis_in_insertion_order(rows):
     again = IncrementalSpan(4)
     assert all(again.insert(dict(row)) for row in stored)
     assert all(again.contains({i: v for i, v in enumerate(r)}) for r in rows)
-
-
-def test_span_accepts_fractions():
-    s = IncrementalSpan(2)
-    assert s.insert({0: Fraction(1, 2), 1: Fraction(1, 3)})
-    assert s.contains({0: 3, 1: 2})
-    assert s.contains([Fraction(3, 4), Fraction(1, 2)])
 
 
 def _dot(a, b):
@@ -378,76 +365,26 @@ def test_smith_matches_minor_gcd_oracle(rows):
 
 
 def test_normal_forms_reject_non_integer_entries():
-    for bad in (True, 0.5, Fraction(1, 2)):
-        with pytest.raises(ValueError):
-            hermite_row_reduce([[bad, 1]], 2)
-        with pytest.raises(ValueError):
-            smith_normal_form([{0: bad}], 2)
-    assert hermite_row_reduce([[Fraction(4, 2), 0]], 2) == [[2, 0]]
-    assert smith_normal_form([{1: Fraction(4, 2)}], 2) == [2]
-    # the span, its kernels and the rational reference accept fractions, but
-    # never truncate a float or read a bool as 1
-    for bad in (True, False, 0.5, 2.7, 0.0):
-        s = IncrementalSpan(2)
-        with pytest.raises(ValueError):
-            s.insert({0: bad})
-        with pytest.raises(ValueError):
-            s.contains({1: bad})
-        with pytest.raises(ValueError):
-            rank([[bad, 1]], 2)
-        with pytest.raises(ValueError):
-            kernel_basis([{0: 1, 1: bad}], 2)
-        with pytest.raises(ValueError):
-            rref([{0: bad}], 2)
-    s = IncrementalSpan(2)
-    assert s.insert({0: Fraction(1, 2)}) and s.contains({0: 3})
-    assert rank([[Fraction(1, 2), 1]], 2) == 1
-    assert kernel_basis([[Fraction(1, 2), 1]], 2) == [{1: 1, 0: -2}]
-
-
-# run in a fresh interpreter: exactlin loads and finds kernels without
-# fractions, and its checks must still know a Fraction made after that
-DEFERRED_FRACTION_PROBE = """
-import sys
-from lietrace.exactlin import IncrementalSpan, _to_int_vec, kernel_basis
-print(kernel_basis([[2, 1], [4, 2]], 2), "fractions" in sys.modules)
-from fractions import Fraction
-print(_to_int_vec([Fraction(3, 1), 2], 2), _to_int_vec({0: Fraction(1, 2), 1: 1}, 2))
-print(_to_int_vec([Fraction(3, 1)], 1, integral=True))
-s = IncrementalSpan(2)
-print(s.insert({0: Fraction(3, 1)}), s.insert({1: Fraction(1, 2)}), s.contains({0: 1, 1: 1}))
-for bad, integral in ((Fraction(1, 2), True), (True, False), (True, True), (1.0, False), (1.0, True)):
-    try:
-        _to_int_vec([bad], 1, integral=integral)
-        print("accepted", repr(bad))
-    except ValueError:
-        print("refused")
-for span in (IncrementalSpan(1).insert, IncrementalSpan(1).contains):
-    for bad in (True, 1.0):
-        try:
-            span({0: bad})
-            print("accepted", repr(bad))
-        except ValueError:
-            print("refused")
-kb = kernel_basis([[Fraction(1, 2), Fraction(1, 4)]], 2)
-print(kb, {type(v).__name__ for vec in kb for v in vec.values()})
-"""
-
-
-def test_fraction_checks_exact_without_the_import():
-    src = str(Path(exactlin.__file__).resolve().parent.parent)
-    probe = subprocess.run(
-        [sys.executable, "-c", DEFERRED_FRACTION_PROBE],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    # every entry point takes int entries only: it never truncates a float,
+    # reads a bool as 1 or clears a Fraction's denominator, even Fraction(4, 2)
+    entry_points = (
+        lambda bad: IncrementalSpan(2).insert({0: bad}),
+        lambda bad: IncrementalSpan(2).contains({1: bad}),
+        lambda bad: incremental_rank([{0: 1, 1: bad}], 2),
+        # past the span kernel, where a row orthogonal to it is not inserted
+        lambda bad: incremental_rank([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 3, 1: 3}, {0: bad, 1: bad}], 2),
+        lambda bad: kernel_basis([{0: 1, 1: bad}], 2),
+        lambda bad: smith_normal_form([{0: bad}], 2),
+        lambda bad: hermite_row_reduce([[bad, 1]], 2),
+        lambda bad: quotient_structure(2, [[bad, 0]]),
+        lambda bad: rank([[bad, 1]], 2),
+        lambda bad: rref([{0: bad}], 2),
     )
-    assert probe.stdout.splitlines() == [
-        "[{1: 2, 0: -1}] False",
-        "{0: 3, 1: 2} {0: 1, 1: 2}",
-        "{0: 3}",
-        "True True True",
-        *["refused"] * 9,
-        "[{1: 2, 0: -1}] {'int'}",
-    ]
+    for bad in (True, False, 0.5, 2.7, 0.0, 2.0, Fraction(1, 2), Fraction(4, 2)):
+        for i, call in enumerate(entry_points):
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"entry point {i} accepted {bad!r}")
 
 
 def test_quotient_examples():

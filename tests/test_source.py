@@ -31,8 +31,7 @@ def test_no_bare_asserts_in_package():
 
 def test_no_fractions_in_package():
     # one fraction-free elimination core: no module imports fractions, even
-    # lazily inside a function (Fraction input is still recognised by
-    # exactlin._is_fraction without the import)
+    # lazily inside a function, or reads a Fraction or its denominator
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -41,9 +40,13 @@ def test_no_fractions_in_package():
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
             else:
                 continue
-            if any(name.split(".")[0] == "fractions" for name in names):
+            if any(name.split(".")[0] in ("fractions", "Fraction", "denominator") for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
