@@ -206,8 +206,8 @@ def incremental_rank(rows, ncols, bound=None) -> int:
     generator may make each one on demand), insertion stops once the span
     reaches bound, and the codimension is taken against all ncols columns.
     """
-    if bound is None:
-        rows = sorted((r for r in rows if r), key=len)
+    if bound is None:  # checked here, so the columns are those of {col: int} rows
+        rows = sorted(filter(None, (_to_int_vec(r, ncols) for r in rows)), key=len)
         cols = set().union(*rows)
         bound = len(cols)
     else:

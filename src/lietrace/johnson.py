@@ -28,13 +28,18 @@ process-wide expansion cache.
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
 the integral cokernel and the kernel checks all read it, and so does the
-rational second route of the tests.  It never expands a Lyndon word of the
-block: one pass over the pairs of words of its two standard factors'
+rational second route of the tests.  Every necklace of the block gets its
+column up front, from the Lyndon words of content/d, so the columns do not
+depend on which letters' rows are built.  It never expands a Lyndon word of
+the block: one pass over the pairs of words of its two standard factors'
 expansions, kept in a memo that goes with the block, gives the trace rows of
-every letter (``tangent.trace_row_enc``); a pair finds its necklace column by
-its integer code, each new necklace registering all its rotations at once.
-The bar/tilde quotient only decides which blocks count
-(``cyclic.mode_width``).  Relabelling letters permutes the trace blocks
+the letters asked for (``tangent.trace_row_enc``), visiting only the pairs
+that touch them; a pair finds its necklace column by its integer code.  The
+Smith forms and kernels read the rows of every letter.  The rank reads
+fewer: above degree 1 the rows (i, u) of one Lyndon word u sum to zero over
+i, since the cyclic projection of a Lie element vanishes, so the rows of
+one letter are never needed.  The bar/tilde quotient only decides which
+blocks count (``cyclic.mode_width``).  Relabelling letters permutes the trace blocks
 without changing their ranks or Smith divisors, so ``trace_rank`` and
 ``coker_structure`` compute one block per S_n orbit (``_orbits``), keyed by
 its partition alone: n only counts the copies; ``check_T0530`` builds one
@@ -48,15 +53,18 @@ piece by piece (``_split_rank``): rank W = sum over the irreducibles lam of
 G of dim lam * rank(e_lam W), with e_lam a Young symmetrizer acting through
 the block's own action on its columns (``_LetterAction``), and each piece's
 rank stops at the multiplicity of lam among the columns, from the
-Murnaghan-Nakayama rule.  Smaller blocks, and the Smith forms and kernels,
-read the plain rows.
+Murnaghan-Nakayama rule.  A piece whose every factor is trivial or sign
+needs the rows of one letter per run (``_split_letters``); any other piece
+reads those first and builds the other letters' rows only if it stops below
+its multiplicity.  Smaller blocks are ranked on the rows of every letter but
+the first; the Smith forms and kernels read the rows of every letter.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, gcd
 
 from . import exactlin, tangent
 from ._words import (
@@ -64,9 +72,11 @@ from ._words import (
     add_scaled,
     compositions,
     decode,
+    divisors,
     encode,
     exact_int,
     lyndon_words_of_content,
+    necklace_count,
     partitions,
     record,
     word_content,
@@ -389,55 +399,71 @@ def johnson_image(n: int, k: int) -> ImageBasis:
 # trace matrices by content block
 
 
-def _trace_block(k, content):
+def _trace_block(k, content, letters=None):
     """Trace matrix of one content block on its own letters: (keys, rows, cols).
 
     The block's letters are 1..len(content), at least two (one letter has no
     degree-1 basis); a zero entry is a letter the block's words do not use.
-    keys are the basis labels (i, u) of the block in global basis order, and
-    rows[j] is the full trace of keys[j] on block-local necklace columns,
-    numbered 0..cols.ncols-1 in the order the factor pairs first meet them;
-    cols is the NecklaceColumns map that numbered them, from every rotation
-    code of each necklace.  One pass over the pairs of words of the
-    expansions of u's standard factors gives the rows of every letter i
-    (trace_row_enc), and u itself is never expanded; above degree 1 the row
-    of a letter absent from u is zero.  The column map and the expansion
-    memo live for this one block: every closed word has the block's content,
-    and the memo holds only the expansions of the factors of the block's
-    words and of theirs.
+    keys are the basis labels (i, u) of the block in global basis order, i
+    in letters (every letter if None), and rows[j] is the full trace of
+    keys[j] on block-local necklace columns; cols is the NecklaceColumns map
+    that numbers them.  Every necklace of the block is a power v^d of a
+    Lyndon word v of content/d, d dividing the gcd of content, and each gets
+    its column up front, by d and then by v, so the columns do not depend on
+    letters.  One pass over the pairs of words of the expansions of u's
+    standard factors gives the rows of letters (trace_row_enc), and u itself
+    is never expanded; above degree 1 the row of a letter absent from u is
+    zero, and the rows (i, u) of one word u sum to zero over i.  The column
+    map and the expansion memo live for this one call: every closed word has
+    the block's content, and the memo holds only the expansions of the
+    factors of the block's words and of theirs.
     """
     n = max(len(content), 2)
     content = content + (0,) * (n - len(content))
+    base = n + 1
     words = lyndon_words_of_content(content)
     cols = NecklaceColumns()
+    for d in divisors(gcd(*content)) if words else ():  # one letter: no word, no column
+        for v in lyndon_words_of_content(tuple(c // d for c in content)) if d > 1 else words:
+            cols.add(encode(v * d, base), k, base)
+    letters = range(1, base) if letters is None else sorted(letters)
     memo: dict = {}
-    traces = {u: trace_row_enc(n, k, u, cols, memo) for u in words}
-    keys = basis_labels(n, words)
+    traces = {u: trace_row_enc(n, k, u, cols, memo, letters) for u in words}
+    keys = [(i, u) for i, u in basis_labels(n, words) if i in letters]
     return keys, [traces[u].get(i, {}) for i, u in keys], cols
 
 
-# The smallest block, in necklace columns, that is ranked by pieces: below it
-# the projections cost more than they save ((5,2,2) at 84 columns).
+# The smallest block, in necklace columns, that is ranked by pieces.  The
+# count does not decide which route is faster: below it (5,2,2) is faster by
+# pieces and (4,4,1) plain, above it (3,2,2,1) by pieces and (4,1,1,1,1)
+# plain (BENCH_rank_rows.json, size_rule).
 _SPLIT_COLUMNS = 100
 
 
 @lru_cache(maxsize=None)
 def _block_trace_rank(k, alpha):
-    """Rank of the trace matrix of one block.
+    """Rank of the trace matrix of one block, from the rows its rank reads.
 
     A block of at least _SPLIT_COLUMNS columns whose letters can be permuted
     (_letter_runs) is ranked by the pieces of its letter stabilizer
-    (_split_rank); any other block by exactlin.incremental_rank on its rows.
-    The block is built on its own letters (_trace_block), so one entry serves
-    every n.  It does not depend on the mode: a quotient keeps or kills a
-    content block whole, so the mode only decides which blocks count
+    (_split_rank), from the rows of _split_letters first and of the other
+    letters only if a piece needs them.  Any other block goes to
+    exactlin.incremental_rank on its rows, less those of letter 1 above
+    degree 1: the rows (i, u) of one word u sum to zero over i.  The block
+    is built on its own letters (_trace_block), so one entry serves every n.
+    It does not depend on the mode: a quotient keeps or kills a content
+    block whole, so the mode only decides which blocks count
     (cyclic.mode_width).
     """
-    keys, rows, cols = _trace_block(k, alpha)
+    n = max(len(alpha), 2)
     runs = _letter_runs(alpha)
-    if cols.ncols < _SPLIT_COLUMNS or not runs:
+    if necklace_count(alpha) < _SPLIT_COLUMNS or not runs:
+        _, rows, cols = _trace_block(k, alpha, range(2 if k > 1 else 1, n + 1))
         return exactlin.incremental_rank(rows, cols.ncols)
-    return _split_rank(max(len(alpha), 2), k, keys, rows, cols, runs)
+    letters = _split_letters(n, runs)
+    keys, rows, cols = _trace_block(k, alpha, letters)
+    rest = [t for t in range(1, n + 1) if t not in letters]
+    return _split_rank(n, k, keys, rows, cols, runs, lambda: _trace_block(k, alpha, rest)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +747,15 @@ def _signed_orbits(gens, ncols):
     return coord, ncoords
 
 
-def _split_rank(n, k, keys, rows, cols, runs):
+def _split_letters(n, runs):
+    """The letters whose rows a split reads first: the last letter of each run
+    and every letter of 1..n in no run, less the least of the latter."""
+    inside = {t for start, size in runs for t in range(start, start + size)}
+    alone = [t for t in range(1, n + 1) if t not in inside]
+    return sorted({start + size - 1 for start, size in runs}.union(alone[1:]))
+
+
+def _split_rank(n, k, keys, rows, cols, runs, more=None):
     """Rank of a trace block, as sum over the irreducibles lam of G of
     dim lam * rank(e_lam W).
 
@@ -731,21 +765,37 @@ def _split_rank(n, k, keys, rows, cols, runs):
     lam (Fulton-Harris, Representation Theory, Lecture 4), and rank(e_lam W)
     is at most m_lam, the multiplicity of lam among the columns
     (_multiplicities): each piece's exactlin.incremental_rank stops there.
-    A piece whose every factor is trivial or sign reads only the rows of the
-    first letter of each run and of the letters in no run: there
-    e_lam h = chi(h) e_lam for h in G, and h carries the rows of letter i
-    onto the span of those of h(i).  Every piece projects its rows lazily,
-    sparsest first (_LetterAction.symmetrizer).
+
+    keys and rows are the labels and rows of some of the block's letters,
+    and more(), if given, returns the rows of the others.  A piece whose
+    every factor is trivial or sign reads only the rows of _split_letters:
+    there e_lam h = chi(h) e_lam for h in G, and h carries the rows of
+    letter i onto the span of those of h(i), so one letter per run serves,
+    and above degree 1 the rows of the least letter in no run are minus the
+    sum of the others'.  Any other piece reads those rows first, and the
+    rest of rows and then more() only if it stops below m_lam; more() is
+    called at most once.  Every piece projects its rows lazily, sparsest
+    first (_LetterAction.symmetrizer).
     """
     action = _LetterAction(n, k, cols, runs)
     sizes = [size for _, size in runs]
-    later = {t for start, size in runs for t in range(start + 1, start + size)}
-    order = sorted(((row, i not in later) for (i, _), row in zip(keys, rows) if row),
-                   key=lambda e: len(e[0]))
+    chosen = set(_split_letters(n, runs))
+    first = sorted((row for (i, _), row in zip(keys, rows) if row and i in chosen), key=len)
     weight = [0] * cols.ncols  # how many rows touch each column
     for row in rows:
         for c in row:
             weight[c] += 1
+
+    @cache
+    def others():
+        got = [row for (i, _), row in zip(keys, rows) if row and i not in chosen]
+        return sorted(got + [row for row in (more() if more else ()) if row], key=len)
+
+    def read(one_dim):
+        yield from first
+        if not one_dim:
+            yield from others()
+
     total = 0
     for lam, (dim, mult) in _multiplicities(sizes, action.fixed_columns(), cols.ncols).items():
         if not mult:
@@ -760,8 +810,7 @@ def _split_rank(n, k, keys, rows, cols, runs):
             return {o: v for o, v in out.items() if v}
 
         one_dim = all(shape in ((m,), (1,) * m) for shape, m in zip(lam, sizes))
-        piece = (project(row) for row, first in order if first or not one_dim)
-        total += dim * exactlin.incremental_rank(piece, mult, bound=mult)
+        total += dim * exactlin.incremental_rank(map(project, read(one_dim)), mult, bound=mult)
     return total
 
 

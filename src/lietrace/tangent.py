@@ -355,8 +355,9 @@ class NecklaceColumns(dict):
         return col
 
 
-def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict) -> dict:
-    """Trace rows {i: {col: c}} of every x_i* (x) [u, x_i], from the factor pairs of u.
+def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict, letters=None) -> dict:
+    """Trace rows {i: {col: c}} of x_i* (x) [u, x_i] for each letter i of letters
+    (every letter if None), from the factor pairs of u.
 
     The contraction pairs x_i* with each word i.v of the expansion of u and
     closes the cycle as v.i, a rotation of i.v; the bracket part -x_i u dies
@@ -364,49 +365,66 @@ def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict) -> dict:
     every row.  Above degree 1, u expands as A(x)B - B(x)A over its standard
     factors (freelie.factor_enc), and wb.wa is a rotation of wa.wb, so each
     pair (wa, wb) of factor words adds ca*cb to the row of the first letter
-    of wa and subtracts it from the row of the first letter of wb, both at
-    the necklace of wa.wb: one pass over the pairs, and the expansion of u
-    itself is never formed.  cols sends each word to its necklace column,
-    and a word seen for the first time registers all its rotations there,
-    for every pair, so every word of the expansion of u finds its column;
-    memo holds the expansions of the factors of u and theirs
-    (freelie.iota_enc).  The caller decides how long both live.  Rows are
-    zero-free, and a letter whose row is zero is left out.
+    i of wa and subtracts it from the row of the first letter j of wb, both
+    at the necklace of wa.wb: one pass over the pairs, and the expansion of
+    u itself is never formed.  Only the pairs whose i or j is in letters are
+    visited, and a pair with i == j adds nothing.  cols sends each word to
+    its necklace column, and a word seen for the first time registers all
+    its rotations there; with letters None every pair registers its word, so
+    every word of the expansion of u finds its column.  memo holds the
+    expansions of the factors of u and theirs (freelie.iota_enc).  The
+    caller decides how long both live.  Rows are zero-free, and a letter
+    whose row is zero is left out.  Above degree 1 the rows of all the
+    letters sum to zero, the cyclic projection of u.
     """
     base = n + 1
+    everyone = letters is None
+    letters = range(1, base) if everyone else sorted(letters)
     if k == 1:
         col = cols.get(u[0])
         if col is None:
             col = cols.add(u[0], 1, base)
         # the row of u[0] is +(u) - (u)
-        return {i: {col: -1} for i in range(1, n + 1) if i != u[0]}
+        return {i: {col: -1} for i in letters if i != u[0]}
     A, la, B, lb = factor_enc(n, u, memo)
     shift_a = base ** (la - 1)
     shift_b = base ** (lb - 1)
     high = base**lb
-    out: dict = {}
+    sink: dict = {}  # the row of every letter outside letters; what it gathers is dropped
+    row_of = [sink] * base
+    for i in letters:
+        row_of[i] = {}
+    touching = None  # the (wb, cb, row) of the words of B that start in letters
     for wa, ca in A.items():
-        i = wa // shift_a
+        row_i = row_of[wa // shift_a]
         wa *= high
-        row_i = out.get(i)
-        if row_i is None:
-            row_i = out[i] = {}
+        if row_i is sink:
+            if touching is None:
+                touching = [(wb, cb, row_of[wb // shift_b]) for wb, cb in B.items()]
+                touching = [pair for pair in touching if pair[2] is not sink]
+            for wb, cb, row_j in touching:
+                w = wa + wb
+                col = cols.get(w)
+                if col is None:
+                    col = cols.add(w, k, base)
+                row_j[col] = row_j.get(col, 0) - ca * cb
+            continue
         for wb, cb in B.items():
             w = wa + wb
+            row_j = row_of[wb // shift_b]
+            if row_j is row_i:  # wa and wb start with one letter: nothing to add
+                if everyone and w not in cols:
+                    cols.add(w, k, base)
+                continue
             col = cols.get(w)
-            if col is None:  # registered for every pair, even one that adds nothing
+            if col is None:
                 col = cols.add(w, k, base)
-            j = wb // shift_b
-            if i != j:
-                row_j = out.get(j)
-                if row_j is None:
-                    row_j = out[j] = {}
-                c = ca * cb
-                row_i[col] = row_i.get(col, 0) + c
-                row_j[col] = row_j.get(col, 0) - c
+            c = ca * cb
+            row_i[col] = row_i.get(col, 0) + c
+            row_j[col] = row_j.get(col, 0) - c
     rows = {}
-    for i, row in out.items():
-        row = {col: c for col, c in row.items() if c}
+    for i in letters:
+        row = {col: c for col, c in row_of[i].items() if c}
         if row:
             rows[i] = row
     return rows

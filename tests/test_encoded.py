@@ -157,6 +157,38 @@ def test_trace_rows_from_factor_pairs_match_the_full_expansion(n, kmax):
     assert seen == sum(len(lyndon_words(n, k)) for k in range(1, kmax + 1))
 
 
+@pytest.mark.parametrize("n, kmax", [(3, 7), (4, 6), (5, 5)])
+def test_trace_rows_of_some_letters_match_the_full_expansion(n, kmax):
+    # second route for a call given letters: the rows of those letters from
+    # the full expansion.  Once a call with every letter has registered the
+    # block's columns, a restricted call finds them all and adds none
+    for k in range(1, kmax + 1):
+        for content in compositions(k, n):
+            cols, memo = NecklaceColumns(), {}
+            for u in lyndon_words_of_content(content):
+                trace_row_enc(n, k, u, cols, memo)
+                want = _rows_from_expansion(n, k, u, iota_enc(n, u, {}), cols)
+                ncols = cols.ncols
+                for letters in ([1], [n], range(2, n + 1), {n, 1}, []):
+                    got = trace_row_enc(n, k, u, cols, memo, letters)
+                    assert got == {i: row for i, row in want.items() if i in letters}, (u, letters)
+                    assert list(got) == sorted(got)
+                assert cols.ncols == ncols
+
+
+def test_trace_rows_of_some_letters_visit_only_their_pairs():
+    # 1123 = [1, 123] expands over the pairs of 1 with 123, 132, 231 and 321.
+    # Given letter 2, only the pair of 1 with 231 is visited: its closed word
+    # 1231 registers the one necklace 1123, and letter 2's row is +1 there
+    cols = NecklaceColumns()
+    assert trace_row_enc(3, 4, (1, 1, 2, 3), cols, {}, [2]) == {2: {0: 1}}
+    assert sorted(cols) == sorted(encode(w, 4) for w in [(1, 1, 2, 3), (1, 2, 3, 1),
+                                                          (2, 3, 1, 1), (3, 1, 1, 2)])
+    every = NecklaceColumns()
+    rows = trace_row_enc(3, 4, (1, 1, 2, 3), every, {})
+    assert every.ncols == 2 and rows[2] == {every[encode((1, 1, 2, 3), 4)]: 1}
+
+
 @pytest.mark.parametrize(
     "n, u", [(2, (1, 2)), (3, (1, 1, 3, 2)), (3, (1, 2, 1, 3, 3)), (4, (1, 3, 2, 4))]
 )

@@ -297,6 +297,17 @@ def test_incremental_rank_certificate_path(monkeypatch):
     assert calls == [2]
 
 
+def test_incremental_rank_takes_dense_rows():
+    # dense list rows are read as {col: int} dicts before their columns are
+    # taken: the columns of [1, 2] are 0 and 1, not its values 1 and 2, and
+    # the kernel skip reads the repeated rows as dicts
+    assert incremental_rank([[1, 2], [1, 2], [1, 2]], 2) == 1
+    assert incremental_rank([{0: 1, 1: 2}] * 3, 2) == 1
+    rows = [[1, 1, 1, 1], [1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6],
+            [4, 5, 6, 7], [5, 7, 9, 11], [6, 9, 12, 15], [1, 2, 3, 5], [0, 0, 0, 0]]
+    assert incremental_rank(rows, 4) == 3 == rank(rows, 4)
+
+
 @given(low_rank_rows())
 def test_incremental_rank_with_its_rank_as_bound(case):
     # given a bound, the rows are read lazily in their own order and reading

@@ -143,8 +143,10 @@ def _split_blocks():
 
 def test_split_rank_matches_the_plain_rank():
     # second route: the plain incremental_rank of the block's rows, on every
-    # block of _split_blocks that _block_trace_rank would rank by pieces
-    checked = []
+    # block of _split_blocks that _block_trace_rank would rank by pieces,
+    # against the split given every row and, through k = 8, against the
+    # split given the rows of _split_letters, with the others on demand
+    checked, restricted, more = [], [], []
     for k, content, runs in _split_blocks():
         keys, rows, cols = johnson._trace_block(k, content)
         if cols.ncols < johnson._SPLIT_COLUMNS or not runs:
@@ -153,8 +155,67 @@ def test_split_rank_matches_the_plain_rank():
         n = max(len(content), 2)
         assert johnson._split_rank(n, k, keys, rows, cols, runs) == plain, (content, runs)
         checked.append(content)
+        if k > 8:
+            continue
+        letters = johnson._split_letters(n, runs)
+        first = johnson._trace_block(k, content, letters)
+        others = [row for (i, _), row in zip(keys, rows) if i not in letters]
+        got = johnson._split_rank(n, k, *first, runs, lambda: more.append(content) or others)
+        assert got == plain, (content, runs)
+        restricted.append(content)
     assert len(checked) == 29
     assert {(2, 2, 2, 2), (3, 3, 3), (3, 2, 2, 2)} <= set(checked)  # the c/r blocks
+    assert len(restricted) == 18 and (2, 2, 2, 2) in restricted
+    assert not more  # the rows of _split_letters fill every piece here
+
+
+def test_split_letters_are_one_per_run_and_the_letters_alone_less_the_least():
+    assert johnson._split_letters(4, [(1, 4)]) == [4]
+    assert johnson._split_letters(5, [(1, 4)]) == [4]  # letter 5 is the least alone
+    assert johnson._split_letters(4, [(2, 2)]) == [3, 4]  # (3,2,2,1): letter 1 is left out
+    assert johnson._split_letters(6, [(2, 2), (4, 3)]) == [3, 6]
+    assert johnson._split_letters(5, [(2, 3)]) == [4, 5]  # (1,2,2,2,1)
+
+
+def test_split_reads_the_other_letters_when_a_piece_stops_short(monkeypatch):
+    # letter 1 alone gives the trivial and sign pieces of S_5 on (2,1,1,1,1,1)
+    # their ranks, but leaves a piece of dimension > 1 below its
+    # multiplicity: the split then builds the rows of letters 2..6, once,
+    # and still finds the plain rank of all rows
+    k, alpha = 7, (2, 1, 1, 1, 1, 1)
+    _, rows, cols = johnson._trace_block(k, alpha)
+    plain = exactlin.incremental_rank(rows, cols.ncols)
+    built = []
+    trace_block = johnson._trace_block
+    monkeypatch.setattr(johnson, "_split_letters", lambda n, runs: [1])
+    monkeypatch.setattr(
+        johnson,
+        "_trace_block",
+        lambda k, content, letters=None: built.append(list(letters)) or trace_block(k, content, letters),
+    )
+    _block_trace_rank.cache_clear()
+    try:
+        assert cols.ncols >= johnson._SPLIT_COLUMNS
+        assert _block_trace_rank(k, alpha) == plain == 360
+    finally:
+        _block_trace_rank.cache_clear()
+    assert built == [[1], [2, 3, 4, 5, 6]]
+
+
+def test_trace_rows_of_one_word_sum_to_zero():
+    # above degree 1 the rows (i, u) of one Lyndon word u sum to zero over
+    # i, the cyclic projection of u: so the plain rank leaves out letter 1,
+    # and the split the least letter in no run
+    words = 0
+    blocks = [(k, c) for k in range(2, 8) for c in compositions(k, 4)] + [(8, (2, 2, 2, 2))]
+    for k, content in blocks:
+        keys, rows, _ = johnson._trace_block(k, content)
+        total: dict = {}
+        for (_, u), row in zip(keys, rows):
+            add_scaled(total.setdefault(u, {}), row)
+        assert not any(total.values()), content
+        words += len(total)
+    assert words == sum(freelie.witt_rank(4, k) for k in range(2, 8)) + 312
 
 
 def test_characters_by_murnaghan_nakayama():
@@ -279,7 +340,7 @@ def test_coker_free_rank_is_bar_width_minus_image(n, kmax):
 def test_untouched_bar_necklaces_are_free(monkeypatch):
     # within the sizes above every bar necklace meets some trace row, so zero
     # every row: then each one is an untouched column and a free summand
-    monkeypatch.setattr(johnson, "trace_row_enc", lambda n, k, u, cols, memo: {})
+    monkeypatch.setattr(johnson, "trace_row_enc", lambda n, k, u, cols, memo, letters=None: {})
     for n, k in [(3, 3), (4, 4)]:
         assert coker_structure(n, k) == QuotientStructure(cyclic_rank(n, k, "bar"))
 
