@@ -137,7 +137,11 @@ class IncrementalSpan:
 
     def insert(self, vec) -> bool:
         """Insert a vector; True iff it was independent of the current span."""
-        v = self._reduce(_to_int_vec(vec, self.ncols))
+        return self._insert(_to_int_vec(vec, self.ncols))
+
+    def _insert(self, v) -> bool:
+        """insert for a checked {col: int} dict v, which it consumes."""
+        v = self._reduce(v)
         if not v:
             return False
         _make_primitive(v)
@@ -206,8 +210,11 @@ def incremental_rank(rows, ncols, bound=None) -> int:
     generator may make each one on demand), insertion stops once the span
     reaches bound, and the codimension is taken against all ncols columns.
     """
-    if bound is None:  # checked here, so the columns are those of {col: int} rows
-        rows = sorted(filter(None, (_to_int_vec(r, ncols) for r in rows)), key=len)
+    # each row is checked once, into a {col: int} dict of its own that the
+    # kernel skip reads and the span consumes
+    rows = (_to_int_vec(r, ncols) for r in rows)
+    if bound is None:
+        rows = sorted(filter(None, rows), key=len)
         cols = set().union(*rows)
         bound = len(cols)
     else:
@@ -218,13 +225,12 @@ def incremental_rank(rows, ncols, bound=None) -> int:
         if not row:
             continue
         if kernel is not None:
-            row = _to_int_vec(row, ncols)  # a skipped row is checked too
             if not any(_dot(row, x) for x in kernel):
                 continue
             kernel, rejected = None, 0
-            if not span.insert(row):
+            if not span._insert(row):
                 raise InconsistencyError("row off the span kernel reduced to zero")
-        elif span.insert(row):
+        elif span._insert(row):
             rejected = 0
         else:
             rejected += 1

@@ -29,8 +29,8 @@ One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
 the integral cokernel and the kernel checks all read it, and so does the
 rational second route of the tests.  Every necklace of the block gets its
-column up front, from the Lyndon words of content/d, so the columns do not
-depend on which letters' rows are built.  It never expands a Lyndon word of
+column up front (``tangent.NecklaceColumns.of_content``), so the columns do
+not depend on which letters' rows are built.  It never expands a Lyndon word of
 the block: one pass over the pairs of words of its two standard factors'
 expansions, kept in a memo that goes with the block, gives the trace rows of
 the letters asked for (``tangent.trace_row_enc``), visiting only the pairs
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import product
-from math import factorial, gcd
+from math import factorial
 
 from . import exactlin, tangent
 from ._words import (
@@ -72,7 +72,6 @@ from ._words import (
     add_scaled,
     compositions,
     decode,
-    divisors,
     encode,
     exact_int,
     lyndon_words_of_content,
@@ -406,11 +405,10 @@ def _trace_block(k, content, letters=None):
     degree-1 basis); a zero entry is a letter the block's words do not use.
     keys are the basis labels (i, u) of the block in global basis order, i
     in letters (every letter if None), and rows[j] is the full trace of
-    keys[j] on block-local necklace columns; cols is the NecklaceColumns map
-    that numbers them.  Every necklace of the block is a power v^d of a
-    Lyndon word v of content/d, d dividing the gcd of content, and each gets
-    its column up front, by d and then by v, so the columns do not depend on
-    letters.  One pass over the pairs of words of the expansions of u's
+    keys[j] on block-local necklace columns; cols is the map that numbers
+    them, one column per necklace of the block
+    (NecklaceColumns.of_content), so the columns do not depend on letters.
+    One pass over the pairs of words of the expansions of u's
     standard factors gives the rows of letters (trace_row_enc), and u itself
     is never expanded; above degree 1 the row of a letter absent from u is
     zero, and the rows (i, u) of one word u sum to zero over i.  The column
@@ -420,13 +418,9 @@ def _trace_block(k, content, letters=None):
     """
     n = max(len(content), 2)
     content = content + (0,) * (n - len(content))
-    base = n + 1
     words = lyndon_words_of_content(content)
-    cols = NecklaceColumns()
-    for d in divisors(gcd(*content)) if words else ():  # one letter: no word, no column
-        for v in lyndon_words_of_content(tuple(c // d for c in content)) if d > 1 else words:
-            cols.add(encode(v * d, base), k, base)
-    letters = range(1, base) if letters is None else sorted(letters)
+    cols = NecklaceColumns.of_content(content, words)
+    letters = range(1, n + 1) if letters is None else sorted(letters)
     memo: dict = {}
     traces = {u: trace_row_enc(n, k, u, cols, memo, letters) for u in words}
     keys = [(i, u) for i, u in basis_labels(n, words) if i in letters]

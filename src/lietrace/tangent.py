@@ -17,12 +17,15 @@ have content ``beta + e_i`` at key i never mixes with any other block.
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import cyclic, exactlin, freelie
 from ._words import (
     InconsistencyError,
     SparseCombination,
     add_scaled,
     decode,
+    divisors,
     exact_int,
     encode,
     lyndon_words,
@@ -336,13 +339,32 @@ def p_coordinates(f: Derivation) -> dict:
 class NecklaceColumns(dict):
     """Closed-word codes of one content block -> block-local necklace columns.
 
-    Columns are numbered 0..ncols-1 in the order their necklaces first
-    arrive, and every rotation of an arrived word maps to its column.
+    Columns are numbered 0..ncols-1 in the order their necklaces are added,
+    and every rotation of an added word maps to its column.
     """
 
     def __init__(self):
         super().__init__()
         self.ncols = 0
+
+    @classmethod
+    def of_content(cls, content, words=None):
+        """Every necklace of the words of content on letters 1..len(content).
+
+        Each is a power v^d of a Lyndon word v of content/d, for d dividing
+        the gcd of content; columns go by d and then by v, in the order of
+        lyndon_words_of_content.  words, if given, are the Lyndon words of
+        content, so a caller that has them need not make them again.  A
+        content with no Lyndon word has no trace row, and gets no column.
+        """
+        cols = cls()
+        if words is None:
+            words = lyndon_words_of_content(content)
+        base, k = len(content) + 1, sum(content)
+        for d in divisors(gcd(*content)) if words else ():
+            for v in lyndon_words_of_content(tuple(c // d for c in content)) if d > 1 else words:
+                cols.add(encode(v * d, base), k, base)
+        return cols
 
     def add(self, w, k, base):
         """Give the necklace of the length-k code w a new column; return it."""
@@ -368,24 +390,18 @@ def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict, letters=
     i of wa and subtracts it from the row of the first letter j of wb, both
     at the necklace of wa.wb: one pass over the pairs, and the expansion of
     u itself is never formed.  Only the pairs whose i or j is in letters are
-    visited, and a pair with i == j adds nothing.  cols sends each word to
-    its necklace column, and a word seen for the first time registers all
-    its rotations there; with letters None every pair registers its word, so
-    every word of the expansion of u finds its column.  memo holds the
-    expansions of the factors of u and theirs (freelie.iota_enc).  The
-    caller decides how long both live.  Rows are zero-free, and a letter
+    visited, and a pair with i == j adds nothing.  cols is the column map of
+    u's content (NecklaceColumns.of_content), which it only reads; memo
+    holds the expansions of the factors of u and theirs (freelie.iota_enc).
+    The caller decides how long both live.  Rows are zero-free, and a letter
     whose row is zero is left out.  Above degree 1 the rows of all the
     letters sum to zero, the cyclic projection of u.
     """
     base = n + 1
-    everyone = letters is None
-    letters = range(1, base) if everyone else sorted(letters)
+    letters = range(1, base) if letters is None else sorted(letters)
     if k == 1:
-        col = cols.get(u[0])
-        if col is None:
-            col = cols.add(u[0], 1, base)
         # the row of u[0] is +(u) - (u)
-        return {i: {col: -1} for i in letters if i != u[0]}
+        return {i: {cols[u[0]]: -1} for i in letters if i != u[0]}
     A, la, B, lb = factor_enc(n, u, memo)
     shift_a = base ** (la - 1)
     shift_b = base ** (lb - 1)
@@ -403,22 +419,14 @@ def trace_row_enc(n: int, k: int, u, cols: NecklaceColumns, memo: dict, letters=
                 touching = [(wb, cb, row_of[wb // shift_b]) for wb, cb in B.items()]
                 touching = [pair for pair in touching if pair[2] is not sink]
             for wb, cb, row_j in touching:
-                w = wa + wb
-                col = cols.get(w)
-                if col is None:
-                    col = cols.add(w, k, base)
+                col = cols[wa + wb]
                 row_j[col] = row_j.get(col, 0) - ca * cb
             continue
         for wb, cb in B.items():
-            w = wa + wb
             row_j = row_of[wb // shift_b]
             if row_j is row_i:  # wa and wb start with one letter: nothing to add
-                if everyone and w not in cols:
-                    cols.add(w, k, base)
                 continue
-            col = cols.get(w)
-            if col is None:
-                col = cols.add(w, k, base)
+            col = cols[wa + wb]
             c = ca * cb
             row_i[col] = row_i.get(col, 0) + c
             row_j[col] = row_j.get(col, 0) - c

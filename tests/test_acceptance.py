@@ -230,13 +230,8 @@ def test_criterion_3_cr_tables_k10_second_routes():
         got = exactlin.incremental_rank(_by_row_count(rows), cols.ncols)
         if got != TABLE_CR_10[alpha][0]:
             failures.append((alpha, got))
-    runs = [(1, 4)]
-    letters = johnson._split_letters(5, runs)
-    others = [t for t in range(1, 6) if t not in letters]
-    keys, rows, cols = johnson._trace_block(10, (2, 2, 2, 2, 2), letters)
-    got = johnson._split_rank(
-        5, 10, keys, rows, cols, runs, lambda: johnson._trace_block(10, (2, 2, 2, 2, 2), others)[1]
-    )
+    keys, rows, cols = johnson._trace_block(10, (2, 2, 2, 2, 2))
+    got = johnson._split_rank(5, 10, keys, rows, cols, [(1, 4)])
     if got != TABLE_CR_10[(2, 2, 2, 2, 2)][0]:
         failures.append(((2, 2, 2, 2, 2), got))
     _report(3, "c/r tables k=10, second routes", started, 1200, failures)

@@ -14,7 +14,10 @@ from lietrace._words import (
     encode,
     lyndon_words,
     lyndon_words_of_content,
+    min_rotation,
+    necklace_count,
     standard_factorization,
+    word_content,
 )
 from lietrace.cyclic import Necklace, project_cyclic
 from lietrace.freelie import (
@@ -95,11 +98,11 @@ def test_cyclic_projection_that_cancels_is_zero():
 def test_trace_rows_that_cancel_are_zero_free():
     # degree 1: the trace of [x1, x1] = 0, so letter 1 has no row, while
     # every other letter i keeps the -(1) of x_i* (x) [x1, x_i]
-    cols = NecklaceColumns()
+    cols = NecklaceColumns.of_content((1, 0, 0))
     got = trace_row_enc(3, 1, (1,), cols, {})
     assert got == {2: {cols[1]: -1}, 3: {cols[1]: -1}}
     # degree 4: two closed words of the expansion of 1132 meet one necklace and cancel
-    cols = NecklaceColumns()
+    cols = NecklaceColumns.of_content((2, 1, 1))
     rows = trace_row_enc(3, 4, (1, 1, 3, 2), cols, {})
     assert all(row and _zero_free(row) for row in rows.values())
     got = rows[1]
@@ -137,7 +140,15 @@ def test_trace_rows_from_factor_pairs_match_the_full_expansion(n, kmax):
     for k in range(1, kmax + 1):
         shift = (n + 1) ** (k - 1)
         for content in compositions(k, n):
-            cols, memo = NecklaceColumns(), {}
+            cols, memo = NecklaceColumns.of_content(content), {}
+            # one column per necklace of the content, each word on its necklace's
+            necklaces: dict = {}
+            for w, col in cols.items():
+                necklaces.setdefault(col, set()).add(min_rotation(decode(w, n + 1, k)))
+            assert sorted(necklaces) == list(range(cols.ncols))
+            assert all(len(necks) == 1 for necks in necklaces.values())
+            if lyndon_words_of_content(content):
+                assert cols.ncols == necklace_count(content)
             for u in lyndon_words_of_content(content):
                 full = iota_enc(n, u, {})
                 got = trace_row_enc(n, k, u, cols, memo)
@@ -149,10 +160,9 @@ def test_trace_rows_from_factor_pairs_match_the_full_expansion(n, kmax):
                 if k == 1:  # u closes on its own necklace in every other row
                     kept = {cols[u[0]]}
                 assert touched == kept, (k, u)
-                # on columns of its own, u registers the necklace of every
-                # word of its expansion, those whose totals cancel too
-                own = NecklaceColumns()
-                assert trace_row_enc(n, k, u, own, memo) == _rows_from_expansion(n, k, u, full, own)
+                # every word of the expansion finds its column, those whose
+                # totals cancel too
+                assert all(w in cols for w in full), (k, u)
                 seen += 1
     assert seen == sum(len(lyndon_words(n, k)) for k in range(1, kmax + 1))
 
@@ -160,33 +170,39 @@ def test_trace_rows_from_factor_pairs_match_the_full_expansion(n, kmax):
 @pytest.mark.parametrize("n, kmax", [(3, 7), (4, 6), (5, 5)])
 def test_trace_rows_of_some_letters_match_the_full_expansion(n, kmax):
     # second route for a call given letters: the rows of those letters from
-    # the full expansion.  Once a call with every letter has registered the
-    # block's columns, a restricted call finds them all and adds none
+    # the full expansion
     for k in range(1, kmax + 1):
         for content in compositions(k, n):
-            cols, memo = NecklaceColumns(), {}
+            cols, memo = NecklaceColumns.of_content(content), {}
             for u in lyndon_words_of_content(content):
-                trace_row_enc(n, k, u, cols, memo)
                 want = _rows_from_expansion(n, k, u, iota_enc(n, u, {}), cols)
-                ncols = cols.ncols
                 for letters in ([1], [n], range(2, n + 1), {n, 1}, []):
                     got = trace_row_enc(n, k, u, cols, memo, letters)
                     assert got == {i: row for i, row in want.items() if i in letters}, (u, letters)
                     assert list(got) == sorted(got)
-                assert cols.ncols == ncols
 
 
 def test_trace_rows_of_some_letters_visit_only_their_pairs():
     # 1123 = [1, 123] expands over the pairs of 1 with 123, 132, 231 and 321.
-    # Given letter 2, only the pair of 1 with 231 is visited: its closed word
-    # 1231 registers the one necklace 1123, and letter 2's row is +1 there
-    cols = NecklaceColumns()
-    assert trace_row_enc(3, 4, (1, 1, 2, 3), cols, {}, [2]) == {2: {0: 1}}
-    assert sorted(cols) == sorted(encode(w, 4) for w in [(1, 1, 2, 3), (1, 2, 3, 1),
-                                                          (2, 3, 1, 1), (3, 1, 1, 2)])
-    every = NecklaceColumns()
-    rows = trace_row_enc(3, 4, (1, 1, 2, 3), every, {})
-    assert every.ncols == 2 and rows[2] == {every[encode((1, 1, 2, 3), 4)]: 1}
+    # Given letter 2, only the pair of 1 with 231 is visited: it looks up
+    # the column of its closed word 1231, and letter 2's row is +1 there.
+    # Given every letter, the pairs of 1 with 123 and 132 add nothing and
+    # are passed over unread
+    looked = []
+
+    class Columns(NecklaceColumns):
+        def __getitem__(self, w):
+            looked.append(decode(w, 4, 4))
+            return super().__getitem__(w)
+
+    cols = Columns.of_content((2, 1, 1))
+    col = cols[encode((1, 1, 2, 3), 4)]
+    looked.clear()
+    assert trace_row_enc(3, 4, (1, 1, 2, 3), cols, {}, [2]) == {2: {col: 1}}
+    assert looked == [(1, 2, 3, 1)]
+    looked.clear()
+    trace_row_enc(3, 4, (1, 1, 2, 3), cols, {})
+    assert looked == [(1, 2, 3, 1), (1, 3, 2, 1)]
 
 
 @pytest.mark.parametrize(
@@ -196,7 +212,8 @@ def test_lead_check_guards_both_expansion_routes(n, u):
     # a clean memo: the trace rows read the factor expansions and never
     # store the expansion of u itself
     memo = {}
-    trace_row_enc(n, len(u), u, NecklaceColumns(), memo)
+    cols = NecklaceColumns.of_content(word_content(u, n))
+    trace_row_enc(n, len(u), u, cols, memo)
     a, b = standard_factorization(u)
     assert (n, a) in memo and (n, b) in memo
     assert (n, u) not in memo
@@ -209,6 +226,6 @@ def test_lead_check_guards_both_expansion_routes(n, u):
         enc[min(enc)] = 2
         bad[(n, factor)] = enc
         with pytest.raises(InconsistencyError):
-            trace_row_enc(n, len(u), u, NecklaceColumns(), dict(bad))
+            trace_row_enc(n, len(u), u, cols, dict(bad))
         with pytest.raises(InconsistencyError):
             iota_enc(n, u, dict(bad))

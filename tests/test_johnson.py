@@ -17,6 +17,7 @@ from lietrace._words import (
     compositions,
     decode,
     encode,
+    lyndon_words_of_content,
     partitions,
     word_content,
 )
@@ -299,17 +300,20 @@ def test_trace_rows_match_public_trace(n, k):
         label: trace(from_p_coordinates(n, k, {label: 1}), "full").terms
         for label in p_basis(n, k)
     }
-    cols, memo = NecklaceColumns(), {}
-    traces = {u: trace_row_enc(n, k, u, cols, memo) for u in sorted({u for _, u in expected})}
-    necklace = {}  # column -> the least code registered under it
-    for w, col in cols.items():
-        necklace[col] = min(w, necklace.get(col, w))
-    assert sorted(necklace) == list(range(cols.ncols))
-    for u, rows_of_u in traces.items():
+    traces, necklace = {}, {}  # necklace: (content, column) -> its least code
+    for content in compositions(k, n):
+        cols, memo = NecklaceColumns.of_content(content), {}
+        for w, col in cols.items():
+            necklace[content, col] = min(w, necklace.get((content, col), w))
+        for u in lyndon_words_of_content(content):
+            traces[u] = content, trace_row_enc(n, k, u, cols, memo)
+    assert sorted(traces) == sorted({u for _, u in expected})
+    for u, (_, rows_of_u) in traces.items():
         assert all((i, u) in expected for i in rows_of_u), u  # rows of labels only
     for (i, u), terms in expected.items():
-        row = traces[u].get(i, {})
-        got = {Necklace(decode(necklace[col], n + 1, k)): c for col, c in row.items()}
+        content, rows_of_u = traces[u]
+        row = rows_of_u.get(i, {})
+        got = {Necklace(decode(necklace[content, col], n + 1, k)): c for col, c in row.items()}
         assert got == terms, (i, u)
     # the builder's block matrix is the same up to a permutation of columns
     order = {key: j for j, key in enumerate(expected)}
