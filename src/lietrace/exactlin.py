@@ -137,11 +137,7 @@ class IncrementalSpan:
 
     def insert(self, vec) -> bool:
         """Insert a vector; True iff it was independent of the current span."""
-        return self._insert(_to_int_vec(vec, self.ncols))
-
-    def _insert(self, v) -> bool:
-        """insert for a checked {col: int} dict v, which it consumes."""
-        v = self._reduce(v)
+        v = self._reduce(_to_int_vec(vec, self.ncols))
         if not v:
             return False
         _make_primitive(v)
@@ -210,10 +206,10 @@ def incremental_rank(rows, ncols, bound=None) -> int:
     generator may make each one on demand), insertion stops once the span
     reaches bound, and the codimension is taken against all ncols columns.
     """
-    # each row is checked once, into a {col: int} dict of its own that the
-    # kernel skip reads and the span consumes
-    rows = (_to_int_vec(r, ncols) for r in rows)
     if bound is None:
+        # a dense row is read into a {col: int} dict here, so its columns are
+        # its indices; a dict row is checked where the loop first reads it
+        rows = [r if isinstance(r, dict) else _to_int_vec(r, ncols) for r in rows]
         rows = sorted(filter(None, rows), key=len)
         cols = set().union(*rows)
         bound = len(cols)
@@ -225,12 +221,13 @@ def incremental_rank(rows, ncols, bound=None) -> int:
         if not row:
             continue
         if kernel is not None:
+            row = _to_int_vec(row, ncols)  # a skipped row is checked too
             if not any(_dot(row, x) for x in kernel):
                 continue
             kernel, rejected = None, 0
-            if not span._insert(row):
+            if not span.insert(row):
                 raise InconsistencyError("row off the span kernel reduced to zero")
-        elif span._insert(row):
+        elif span.insert(row):
             rejected = 0
         else:
             rejected += 1

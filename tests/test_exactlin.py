@@ -308,6 +308,27 @@ def test_incremental_rank_takes_dense_rows():
     assert incremental_rank(rows, 4) == 3 == rank(rows, 4)
 
 
+def test_incremental_rank_inserts_through_the_span(monkeypatch):
+    # every row reaches the span through IncrementalSpan.insert, which
+    # checks it (perfbench times the span's inserts there), and a dict row
+    # with a value that is not an int is refused, skipped by the kernel or not
+    calls = []
+    insert = IncrementalSpan.insert
+
+    def spy(self, vec):
+        calls.append(dict(vec))
+        return insert(self, vec)
+
+    monkeypatch.setattr(IncrementalSpan, "insert", spy)
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 3, 1: 6}, {0: 1, 1: 3}]
+    assert incremental_rank(rows, 2) == 2
+    assert calls == rows
+    bad = {0: 2, 1: 4.0}
+    for given in ([rows[0], bad], rows[:3] + [bad]):  # inserted, then past the kernel
+        with pytest.raises(ValueError):
+            incremental_rank(given, 2)
+
+
 @given(low_rank_rows())
 def test_incremental_rank_with_its_rank_as_bound(case):
     # given a bound, the rows are read lazily in their own order and reading
