@@ -13,17 +13,21 @@ to n letters, on block-local columns.  The generators D_ab form one
 S_n-stable set, so the image in the block of sigma(alpha) is sigma applied
 to that of alpha: ``ImageBasis.dim`` is the orbit sum, and ``contains``
 relabels each content part of a vector onto its representative
-(``_relabel``, through ``project_lyndon_enc``).  Level m + 1 of alpha is
-built from the rows that the spans of the representatives one letter below
-store, relabelled, bracketing each basis label (i, u) with each generator
-D_ab once per letter and combining the results linearly; a level is its
-span and nothing else.  A label's bracket is a closed form by the Jacobi
-identity (``_label_bracket``): it needs D_ab(u), one Leibniz pass in degree
-m, and [u, x_b], whose Lyndon coordinates (one verified ad-block solve each)
-every label (i, u) shares.  Each level owns its degree-(m+1) ad blocks and
-one expansion memo (``tangent.AdSolver``) and drops them when it is done: no
-later level solves in that degree again, and the image never fills the
-process-wide expansion cache.
+(``_relabel``).  Level m + 1 of alpha is built from the rows that the spans
+of the representatives one letter below store, relabelled, bracketing each
+basis label (i, u) with each generator D_ab once per letter and combining
+the results linearly; a level is its span and nothing else.  A label's
+bracket is a closed form by the Jacobi identity (``_label_bracket``): it
+needs D_ab(u), one Leibniz pass in degree m, and [u, x_b], whose Lyndon
+coordinates every label (i, u) shares.  Every Lyndon coordinate in the
+image, of a relabelled basis element or of a bracket, is one verified
+forward substitution on the identity block of its content
+(``_lie_coordinates``, ``tangent._AdBlock`` with i = 0), read off the Lie
+element itself.  Each level owns the identity blocks of its degree-m
+relabellings and degree-(m+1) brackets and one expansion memo (one
+``tangent.AdSolver``) and drops them when it is done: no later level solves
+in those contents again, and the image never fills the process-wide
+expansion cache.
 
 One builder, ``_trace_block``, makes the trace matrix of a content block on
 the block's own letters and on block-local necklace columns; the block rank,
@@ -82,7 +86,7 @@ from ._words import (
 )
 from .cyclic import QuotientMode, cyclic_rank, mode_width
 from .exactlin import IncrementalSpan, QuotientStructure
-from .freelie import _commutator, ad_enc, iota_enc, multidegree_rank, project_lyndon_enc
+from .freelie import ad_enc, iota_enc, multidegree_rank
 from .tangent import AdSolver, NecklaceColumns, basis_labels, p_basis, p_rank, trace_row_enc
 
 
@@ -100,7 +104,7 @@ class ImageBasis:
         self.n = n
         self.k = k
         self.blocks = blocks
-        self._relabelled = {}  # _relabel memo of contains(): relabellings, expansions
+        self._solver = AdSolver(n)  # the identity blocks and expansions of contains()
 
     def __repr__(self):
         return f"ImageBasis(n={self.n!r}, k={self.k!r})"
@@ -140,7 +144,7 @@ class ImageBasis:
             if got is None:
                 return False
             inverse = tuple(perm.index(x) + 1 for x in range(1, self.n + 1))
-            moved = _relabel(self.n, inverse, part, self._relabelled)
+            moved = _relabel(self._solver, inverse, part)
             if not got.span.contains({got.index[key]: c for key, c in moved.items()}):
                 return False
         return True
@@ -187,16 +191,14 @@ def _p_index(n, k):
 
 
 def _lie_coordinates(solver, enc, content):
-    """Lyndon coordinates of a Lie element L of degree solver.k, given encoded.
+    """Lyndon coordinates of a Lie element L of content content, given encoded.
 
-    Solves [L, x_1] = L x_1 - x_1 L on the (1, content) block, content being
-    L's own.  ad x_1 is injective above degree 1 (the centralizer of x_1 is
-    Z x_1), so the solve's re-multiply check on [L, x_1] certifies L itself.
+    One forward substitution on the identity block (0, content) of solver
+    reads them off L at the codes of the Lyndon words of content; the
+    solve's re-multiply check on L itself raises ArithmeticError if L is
+    off the Lie subspace.
     """
-    if not enc:
-        return {}
-    tdict = _commutator(enc, solver.k, {1: 1}, 1, solver.n + 1)
-    return solver.block(1, content).solve(tdict)
+    return solver.block(0, content).solve(enc) if enc else {}
 
 
 def _label_bracket(solver, label, a, b, dab, memo):
@@ -208,10 +210,11 @@ def _label_bracket(solver, label, a, b, dab, memo):
     gaining -[u, x_b] (i = a) or [u, x_b] (i = b).  So the
     degree-(m+1) tensor of [u, x_i] is never formed: D_ab(u) is one Leibniz
     pass over the length-m expansion of u.  The Lyndon coordinates of D_ab(u)
-    and of [u, x_b] come from solver, the AdSolver of degree m + 1, and are
-    memoized in memo under (u, a, b) and (u, b), which every label (i, u)
-    shares; the expansions go to solver.memo.  The caller decides how long
-    solver and memo live.
+    and of [u, x_b] are read off each of them, with no bracket with a further
+    letter, on the identity block of their content (_lie_coordinates) of
+    solver, an AdSolver, and are memoized in memo under (u, a, b) and (u, b),
+    which every label (i, u) shares; the expansions go to solver.memo.  The
+    caller decides how long solver and memo live.
     """
     i, u = label
     n = solver.n
@@ -252,18 +255,21 @@ def _representative(content):
     return tuple(content[x] for x in order), tuple(x + 1 for x in order)
 
 
-def _relabel(n, perm, vec, memo):
+def _relabel(solver, perm, vec):
     """vec {(i, u): c} with every letter x made perm[x - 1], on Lyndon labels.
 
     The label (i, u) goes to perm(i) and to the Lyndon coordinates of the
-    relabelled basis element of u (project_lyndon_enc), memoized in memo
-    under (perm, u).  memo is an expansion memo too (freelie.iota_enc, keys
-    (n, word)): the expansions of u and of the relabelled words go there.
-    The caller decides how long memo lives.
+    relabelled basis element of u, solved on the identity block of its
+    content (_lie_coordinates) of solver, an AdSolver.  They are memoized
+    in solver.memo under (perm, u), next to the expansions of u
+    (freelie.iota_enc, keys (n, word)).  The caller decides how long solver
+    lives.
     """
+    n = solver.n
     if perm == tuple(range(1, n + 1)):
         return vec
     base = n + 1
+    memo = solver.memo
     out: dict = {}
     for (i, u), c in vec.items():
         coords = memo.get((perm, u))
@@ -273,7 +279,8 @@ def _relabel(n, perm, vec, memo):
                 encode([perm[x - 1] for x in decode(w, base, k)], base): d
                 for w, d in iota_enc(n, u, memo).items()
             }
-            coords = memo[(perm, u)] = project_lyndon_enc(n, k, moved, memo)
+            content = word_content([perm[x - 1] for x in u], n)
+            coords = memo[(perm, u)] = _lie_coordinates(solver, moved, content)
         j = perm[i - 1]
         add_scaled(out, {(j, w): d for w, d in coords.items()}, c)
     return out
@@ -335,7 +342,7 @@ class _OrbitImage:
         n = self.n
         m = len(self.levels)  # degree of the current top level
         below = self.levels[-1]
-        solver = AdSolver(n, m + 1)  # the ad blocks and expansions of this level alone
+        solver = AdSolver(n)  # the identity blocks and expansions of this level alone
         level = {}
         for part in partitions(m + 1, max_parts=n):
             alpha = part + (0,) * (n - len(part))
@@ -358,15 +365,16 @@ class _OrbitImage:
         (_label_bracket, by the Jacobi identity) and every candidate is the
         integer combination of those images.  The coordinate memos live for
         this one pair (alpha, b): the relabelled labels have content
-        alpha - e_b, which no other pair brackets.  The relabellings and every
-        expansion go to solver.memo, which lives for the level.
+        alpha - e_b, which no other pair brackets.  The relabellings, solved
+        on the degree-m identity blocks of solver (_relabel), and every
+        expansion go to solver.memo; solver lives for the level.
         """
         n = self.n
         labels = source.labels
         memo: dict = {}  # shared by the labels (i, u), see _label_bracket
         images: dict = {}  # (label, a) -> block columns of [label, D_ab]
         for row in source.span.rows():
-            moved = _relabel(n, perm, {labels[j]: c for j, c in row.items()}, solver.memo)
+            moved = _relabel(solver, perm, {labels[j]: c for j, c in row.items()})
             for a in range(1, n + 1):
                 if a == b:
                     continue
@@ -919,7 +927,7 @@ def check_T0530(n: int, k: int) -> T0530Report:
         raise ValueError("need k >= 1")
     image = johnson_image(n, k)
     kernels: dict = {}  # representative -> (kernel dim, kernel vectors outside the image)
-    memo: dict = {}  # _relabel memo of the violations
+    solver = AdSolver(n)  # the identity blocks of _relabel for the violations
     checked, skipped, violations = [], [], []
     for content in compositions(k, n):
         if not multidegree_rank(n, k, content):
@@ -934,7 +942,7 @@ def check_T0530(n: int, k: int) -> T0530Report:
         dim, outside = kernels[alpha]
         checked.append((content, dim))
         for vec in outside:
-            violations.append((content, tuple(sorted(_relabel(n, perm, vec, memo).items()))))
+            violations.append((content, tuple(sorted(_relabel(solver, perm, vec).items()))))
     return T0530Report(n, k, tuple(checked), tuple(skipped), tuple(violations))
 
 

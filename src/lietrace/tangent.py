@@ -5,7 +5,10 @@ degree-(k+1) Lie element.  The tangential subalgebra is spanned by the
 elements sending x_i to [u, x_i] (u a Lyndon word of length k) and all other
 generators to zero, named by the p_basis labels (i, u) that key p_coordinates:
 a basis, certified by an explicit rank check per (i, content) block solved on.
-Blocks belong to the AdSolver of their caller (one image level, or one
+The identity block (0, content) of the same solver reads the Lyndon
+coordinates of a Lie element of that content off the element itself; the
+image engine solves on identity blocks only.  Blocks belong to the AdSolver
+of their caller (one image level, one ImageBasis, one check_T0530 or one
 p_coordinates call) and go with it, and so does the one expansion memo that
 the solver owns: its blocks expand their words there, and an image level
 passes it to every expansion it makes.
@@ -225,39 +228,48 @@ def trace_J(f: Derivation) -> JElement:
 
 
 class _AdBlock:
-    """One (i, content) block of the basis [u, x_i], ready to solve against.
+    """One (i, content) block of the basis [u, x_i], ready to solve against;
+    with i = 0, the identity block of content, on the basis u itself.
 
-    T = [l, x_i] = l.x_i - x_i.l gives l[w] = T[w.i] + l[rot(w)] for a word w
-    that starts with i, where rot(i.v) = v.i, and l[w] = T[w.i] otherwise; so
-    l is read off T at each Lyndon word u of the block as a sum over the
-    rotation chain of u.  Its coordinates then follow by forward substitution
-    through the unitriangular iota_enc matrix of the block's Lyndon words.
-    The expansions go to memo, the solver's (see AdSolver).
+    The block's Lyndon words u have content content, of degree k =
+    sum(content).  An identity block solves a Lie element l of that content
+    and reads l at u's own code.  Otherwise the block solves T = [l, x_i] =
+    l.x_i - x_i.l, which gives l[w] = T[w.i] + l[rot(w)] for a word w that
+    starts with i, where rot(i.v) = v.i, and l[w] = T[w.i] otherwise; so l
+    is read off T at each u as a sum over the rotation chain of u.  Either
+    way the coordinates then follow by forward substitution through the
+    unitriangular iota_enc matrix of the block's Lyndon words (the least word
+    of the expansion of u is u, with coefficient 1: freelie.factor_enc).
+    The rows (the expansions of [u, x_i], or of u) are certified independent
+    by an IncrementalSpan, and every solve re-multiplies them.  The
+    expansions go to memo, the solver's (see AdSolver).
     """
 
-    __slots__ = ("n", "i", "k", "us", "rows", "reads", "lower")
+    __slots__ = ("us", "rows", "reads", "lower")
 
-    def __init__(self, n, k, i, content, memo):
-        self.n = n
-        self.i = i
-        self.k = k
+    def __init__(self, n, i, content, memo):
+        k = sum(content)
         # [x_i, x_i] = 0
         self.us = us = tuple(u for u in lyndon_words_of_content(content) if u != (i,))
-        self.rows = [ad_enc(n, u, i, memo) for u in self.us]
-        span = exactlin.IncrementalSpan((n + 1) ** (k + 1))
+        base = n + 1
+        codes = [encode(u, base) for u in us]
+        if i:
+            self.rows = [ad_enc(n, u, i, memo) for u in us]
+            shift = base ** (k - 1)
+            self.reads = []
+            for w in codes:
+                keys = [w * base + i]
+                while w // shift == i:  # terminates: no block word is i^k
+                    w = (w - i * shift) * base + i
+                    keys.append(w * base + i)
+                self.reads.append(keys)
+        else:
+            self.rows = [iota_enc(n, u, memo) for u in us]
+            self.reads = [[w] for w in codes]
+        span = exactlin.IncrementalSpan(base ** (k + 1 if i else k))
         for row in self.rows:
             if not span.insert(dict(row)):
-                raise InconsistencyError("ad rows unexpectedly dependent")
-        base = n + 1
-        shift = base ** (k - 1)
-        codes = [encode(u, base) for u in us]
-        self.reads = []
-        for w in codes:
-            keys = [w * base + i]
-            while w // shift == i:  # terminates: no block word is i^k
-                w = (w - i * shift) * base + i
-                keys.append(w * base + i)
-            self.reads.append(keys)
+                raise InconsistencyError("block rows unexpectedly dependent")
         col_of = {w: col for col, w in enumerate(codes)}
         self.lower = [[] for _ in codes]
         for j, u in enumerate(us):
@@ -267,7 +279,8 @@ class _AdBlock:
                     self.lower[col].append((j, m))
 
     def solve(self, tdict):
-        """Integer coordinates c with sum c_u [u, x_i] equal to tdict, verified."""
+        """Integer coordinates c with sum c_u [u, x_i] (sum c_u u if i = 0)
+        equal to tdict, verified; ArithmeticError if there are none."""
         if not tdict:
             return {}
         coeffs = []
@@ -281,21 +294,22 @@ class _AdBlock:
         for c, row in zip(coeffs, self.rows):
             add_scaled(check, row, c)
         if check != tdict:
-            raise ArithmeticError("component is outside the tangential block")
+            raise ArithmeticError("input is outside the span of the block's rows")
         return {u: c for u, c in zip(self.us, coeffs) if c}
 
 
 class AdSolver:
-    """The _AdBlocks of one degree k, built lazily per (i, content).
+    """The _AdBlocks of one caller, built lazily per (i, content).
 
-    Its blocks and its expansion memo (memo, see freelie.iota_enc) live as
-    long as the solver: the caller that solves on degree k makes one and
-    drops it when it is done.
+    A block reads its degree off its content, so one solver serves every
+    degree: an image level solves its relabellings (degree m) and its
+    brackets (degree m + 1) on identity blocks of one solver.  Its blocks
+    and its expansion memo (memo, see freelie.iota_enc) live as long as the
+    solver: the caller makes one and drops it when it is done.
     """
 
-    def __init__(self, n, k):
+    def __init__(self, n):
         self.n = n
-        self.k = k
         self.blocks: dict = {}
         self.memo: dict = {}
 
@@ -303,7 +317,7 @@ class AdSolver:
         key = (i, content)
         got = self.blocks.get(key)
         if got is None:
-            got = _AdBlock(self.n, self.k, i, content, self.memo)
+            got = _AdBlock(self.n, i, content, self.memo)
             self.blocks[key] = got
         return got
 
@@ -316,7 +330,7 @@ def p_coordinates(f: Derivation) -> dict:
     so this doubles as the membership check for the tangential subalgebra.
     """
     n, k = f.n, f.degree
-    solver = AdSolver(n, k)
+    solver = AdSolver(n)
     out = {}
     for i, elt in f.values.items():
         by_content: dict = {}

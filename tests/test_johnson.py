@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from lietrace._words import (
 from lietrace.cli import main
 from lietrace.cyclic import Necklace, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
-from lietrace.freelie import HallMonomial, ad_enc, multidegree_rank
+from lietrace.freelie import HallMonomial, ad_enc, multidegree_rank, project_lyndon_enc
 from lietrace.grouppres import Presentation, builtin, principal_cocycle, trivial_action
 from lietrace.johnson import (
     _block_trace_rank,
@@ -824,7 +825,7 @@ def test_label_bracket_matches_der_bracket(n, mmax):
     # one solver and one memo per degree, shared by every label as in the engine
     cases = Counter()
     for m in range(1, mmax + 1):
-        solver = AdSolver(n, m + 1)
+        solver = AdSolver(n)
         memo: dict = {}
         for label in p_basis(n, m):
             f = from_p_coordinates(n, m, {label: 1})
@@ -863,9 +864,41 @@ def test_image_leaves_the_shared_expansion_cache_alone():
 
 
 def test_ad_blocks_live_only_as_long_as_their_solver():
-    # each image level and each p_coordinates call owns its ad blocks, so
-    # none of them outlives the call that built it
+    # each image level, each p_coordinates call, each ImageBasis and each
+    # check_T0530 owns its ad blocks, so none of them outlives its owner
     johnson_image(3, 6)
     p_coordinates(der_bracket(tau1_generator(3, 1, 2), tau1_generator(3, 2, 3)))
+    # content (1, 0, 1) is relabelled onto its representative (1, 1, 0)
+    vec = p_coordinates(der_bracket(tau1_generator(3, 2, 3), tau1_generator(3, 3, 1)))
+    assert {word_content(u, 3) for _, u in vec} == {(1, 0, 1)}
+    image = johnson_image(3, 2)
+    assert image.contains(vec) and image._solver.blocks
+    assert check_T0530(3, 5).ok
+    del image
     gc.collect()
     assert not [obj for obj in gc.get_objects() if isinstance(obj, tangent._AdBlock)]
+
+
+def test_relabel_through_a_solver_matches_projection():
+    # _relabel solves each relabelled expansion on an identity block; the
+    # lead-by-lead projection is a second route, for every permutation of
+    # the letters on every label with k <= 5 at n = 3 and k <= 4 at n = 4
+    for n, kmax in ((3, 5), (4, 4)):
+        base = n + 1
+        for perm in permutations(range(1, n + 1)):
+            solver = tangent.AdSolver(n)
+            memo: dict = {}  # the projection route's expansions
+            for k in range(1, kmax + 1):
+                total: dict = {}
+                want_total: dict = {}
+                for c, (i, u) in enumerate(p_basis(n, k), 1):
+                    moved = {
+                        encode([perm[x - 1] for x in decode(w, base, k)], base): d
+                        for w, d in freelie.iota_enc(n, u, memo).items()
+                    }
+                    coords = project_lyndon_enc(n, k, moved, memo)
+                    want = {(perm[i - 1], w): d for w, d in coords.items()}
+                    assert johnson._relabel(solver, perm, {(i, u): 1}) == want, (perm, i, u)
+                    add_scaled(total, {(i, u): c})
+                    add_scaled(want_total, want, c)
+                assert johnson._relabel(solver, perm, total) == want_total, (perm, k)

@@ -263,5 +263,5 @@ def test_image_basis_is_a_plain_mutable_object():
     # compared and hashed by identity
     assert x == x and x != johnson.ImageBasis(3, 2, blocks)
     assert hash(x) == object.__hash__(x)
-    assert x._relabelled == {} and x._relabelled is not johnson.ImageBasis(3, 2, {})._relabelled
+    assert not x._solver.blocks and x._solver is not johnson.ImageBasis(3, 2, {})._solver
     assert x.dim == 0 and x.block_dim((1, 1, 0)) == 0

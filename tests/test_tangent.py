@@ -3,11 +3,18 @@ import random
 import pytest
 
 from _reference import from_p_coordinates
-from lietrace._words import InconsistencyError
+from lietrace._words import (
+    InconsistencyError,
+    add_scaled,
+    compositions,
+    encode,
+    lyndon_words_of_content,
+)
 from lietrace.cyclic import Necklace, j_project
 from lietrace.exactlin import IncrementalSpan
-from lietrace.freelie import LieElement, embed_tensor, normalize
+from lietrace.freelie import LieElement, embed_tensor, iota_enc, normalize, project_lyndon_enc
 from lietrace.tangent import (
+    AdSolver,
     Derivation,
     apply,
     contract,
@@ -107,6 +114,46 @@ def test_dependent_ad_rows_are_an_inconsistency(monkeypatch):
     monkeypatch.setattr(IncrementalSpan, "insert", lambda self, vec: False)
     with pytest.raises(InconsistencyError, match="unexpectedly dependent"):
         p_coordinates(tau1_generator(3, 1, 2))
+
+
+def test_identity_block_matches_projection():
+    # the identity block's forward substitution against project_lyndon_enc,
+    # the lead-by-lead route, on random integer combinations of the Lyndon
+    # expansions of every content at n <= 4, k <= 6
+    rng = random.Random(35)
+    for n in range(1, 5):
+        solver = AdSolver(n)
+        memo: dict = {}  # the projection route's expansions
+        for k in range(1, 7):
+            for content in compositions(k, n):
+                words = lyndon_words_of_content(content)
+                if not words:
+                    continue
+                block = solver.block(0, content)
+                assert block.us == words
+                for _ in range(3):
+                    coords = {u: rng.randint(-9, 9) for u in rng.sample(words, min(len(words), 4))}
+                    enc: dict = {}
+                    for u, c in coords.items():
+                        add_scaled(enc, iota_enc(n, u, solver.memo), c)
+                    want = project_lyndon_enc(n, k, enc, memo)
+                    assert block.solve(enc) == want == {u: c for u, c in coords.items() if c}
+
+
+def test_identity_block_refuses_tensors_off_the_lie_subspace():
+    # the re-multiply check raises ArithmeticError, with no assert: a Lie
+    # element plus one stray word of its content, and a Lyndon word's code
+    n = 3
+    solver = AdSolver(n)
+    base = n + 1
+    for u in [(1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3, 2)]:
+        block = solver.block(0, tuple(u.count(x) for x in range(1, n + 1)))
+        rot = encode(u[1:] + u[:1], base)  # a rotation: no Lyndon word
+        stray = add_scaled(dict(iota_enc(n, u, solver.memo)), {rot: 1})
+        with pytest.raises(ArithmeticError):
+            block.solve(stray)
+        with pytest.raises(ArithmeticError):
+            block.solve({encode(u, base): 1})
 
 
 def test_derivation_coefficients_are_exact():
