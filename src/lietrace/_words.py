@@ -4,11 +4,10 @@ Words are tuples of generator indices in ``1..n``.  Hot loops elsewhere pack
 words into single integers (most-significant letter first, base ``n + 1``) so
 that lexicographic order on words of equal length coincides with integer
 order.  Each word rule is written once, by its definition: Lyndon words of a
-degree come from one Duval generator (listed by ``lyndon_words``, counted by
-``lyndon_count``), those of one content from the FKM recursion restricted to
-that content (``lyndon_words_of_content``), a necklace is the least rotation
-of its words, and the
-necklace and Lyndon-word counts of a content are one divisor sum,
+degree come from one Duval generator (``lyndon_words``), those of one content
+from the FKM recursion restricted to that content
+(``lyndon_words_of_content``), a necklace is the least rotation of its words,
+and the necklace and Lyndon-word counts of a content are one divisor sum,
 ``content_divisor_sum``, under Euler's phi and Moebius's mu.  Nothing here
 caches a word list.  The sparse-dict arithmetic every algebra module uses
 (``add_scaled`` and the element base ``SparseCombination``) lives here too,
@@ -305,11 +304,6 @@ def lyndon_words(n: int, k: int) -> tuple:
     return tuple(_duval(n, k))
 
 
-def lyndon_count(n: int, k: int) -> int:
-    """Number of Lyndon words of length k, counted without building the list."""
-    return sum(1 for _ in _duval(n, k))
-
-
 def standard_factorization(word) -> tuple:
     """Split a Lyndon word w = uv at its lexicographically least proper suffix.
 
@@ -337,11 +331,6 @@ def min_rotation(word) -> tuple:
         raise ValueError("empty word")
     s += s
     return min(s[i : i + k] for i in range(k))
-
-
-def rotations(word):
-    w = tuple(word)
-    return [w[i:] + w[:i] for i in range(len(w))]
 
 
 def multiset_permutations(counts):

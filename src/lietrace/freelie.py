@@ -229,10 +229,6 @@ class TensorElement(SparseCombination):
         terms = {decode(w, base, degree): c for w, c in enc_terms.items() if c}
         return cls._unchecked(n, degree, terms)
 
-    def _enc_terms(self):
-        base = self.n + 1
-        return {encode(w, base): c for w, c in self.terms.items()}
-
 
 class LieElement(SparseCombination):
     """Integer combination of degree-k basis monomials, keyed by Lyndon word."""

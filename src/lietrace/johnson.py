@@ -22,8 +22,8 @@ needs D_ab(u), one Leibniz pass in degree m, and [u, x_b], whose Lyndon
 coordinates every label (i, u) shares.  Every Lyndon coordinate in the
 image, of a relabelled basis element or of a bracket, is one verified
 forward substitution on the identity block of its content
-(``_lie_coordinates``, ``tangent._AdBlock`` with i = 0), read off the Lie
-element itself.  Each level owns the identity blocks of its degree-m
+(``_lie_coordinates``, ``tangent._AdBlock``), read off the Lie element
+itself.  Each level owns the identity blocks of its degree-m
 relabellings and degree-(m+1) brackets and one expansion memo (one
 ``tangent.AdSolver``) and drops them when it is done: no later level solves
 in those contents again, and the image never fills the process-wide
@@ -193,12 +193,12 @@ def _p_index(n, k):
 def _lie_coordinates(solver, enc, content):
     """Lyndon coordinates of a Lie element L of content content, given encoded.
 
-    One forward substitution on the identity block (0, content) of solver
+    One forward substitution on the identity block of content of solver
     reads them off L at the codes of the Lyndon words of content; the
     solve's re-multiply check on L itself raises ArithmeticError if L is
     off the Lie subspace.
     """
-    return solver.block(0, content).solve(enc) if enc else {}
+    return solver.block(content).solve(enc) if enc else {}
 
 
 def _label_bracket(solver, label, a, b, dab, memo):

@@ -3,15 +3,17 @@
 A degree-k derivation is stored by the images of the generators, each a
 degree-(k+1) Lie element.  The tangential subalgebra is spanned by the
 elements sending x_i to [u, x_i] (u a Lyndon word of length k) and all other
-generators to zero, named by the p_basis labels (i, u) that key p_coordinates:
-a basis, certified by an explicit rank check per (i, content) block solved on.
-The identity block (0, content) of the same solver reads the Lyndon
-coordinates of a Lie element of that content off the element itself; the
-image engine solves on identity blocks only.  Blocks belong to the AdSolver
-of their caller (one image level, one ImageBasis, one check_T0530 or one
-p_coordinates call) and go with it, and so does the one expansion memo that
-the solver owns: its blocks expand their words there, and an image level
-passes it to every expansion it makes.
+generators to zero, named by the p_basis labels (i, u) that key p_coordinates.
+They are a basis: l -> [l, x_i] kills only the multiples of x_i, and the
+Lyndon words u of each content are certified independent by the rank check
+of its identity block.  An identity block reads the Lyndon coordinates of a
+Lie element of its content off the element itself; p_coordinates reads l off
+[l, x_i] first and solves l there, and the image engine solves its own
+elements there.  Blocks belong to the AdSolver of their caller (one image
+level, one ImageBasis, one check_T0530 or one p_coordinates call) and go
+with it, and so does the one expansion memo that the solver owns: its
+blocks expand their words there, and an image level passes it to every
+expansion it makes.
 
 Degree and multidegree are both respected by every operation here, which lets
 all of the heavy linear algebra run block by block: a derivation whose values
@@ -39,7 +41,6 @@ from .cyclic import CyclicElement, JElement, QuotientMode
 from .freelie import (
     LieElement,
     TensorElement,
-    ad_enc,
     factor_enc,
     iota_enc,
     witt_rank,
@@ -228,64 +229,45 @@ def trace_J(f: Derivation) -> JElement:
 
 
 class _AdBlock:
-    """One (i, content) block of the basis [u, x_i], ready to solve against;
-    with i = 0, the identity block of content, on the basis u itself.
+    """The identity block of one content: the Lyndon basis u of its Lie elements.
 
     The block's Lyndon words u have content content, of degree k =
-    sum(content).  An identity block solves a Lie element l of that content
-    and reads l at u's own code.  Otherwise the block solves T = [l, x_i] =
-    l.x_i - x_i.l, which gives l[w] = T[w.i] + l[rot(w)] for a word w that
-    starts with i, where rot(i.v) = v.i, and l[w] = T[w.i] otherwise; so l
-    is read off T at each u as a sum over the rotation chain of u.  Either
-    way the coordinates then follow by forward substitution through the
-    unitriangular iota_enc matrix of the block's Lyndon words (the least word
-    of the expansion of u is u, with coefficient 1: freelie.factor_enc).
-    The rows (the expansions of [u, x_i], or of u) are certified independent
-    by an IncrementalSpan, and every solve re-multiplies them.  The
-    expansions go to memo, the solver's (see AdSolver).
+    sum(content), and its rows are their expansions.  A Lie element l of that
+    content is read at u's own code, and the coordinates follow by forward
+    substitution through the unitriangular matrix of the rows (the least
+    word of the expansion of u is u, with coefficient 1: freelie.factor_enc).
+    The rows are certified independent by an IncrementalSpan, and every
+    solve re-multiplies them.  The expansions go to memo, the solver's (see
+    AdSolver).
     """
 
-    __slots__ = ("us", "rows", "reads", "lower")
+    __slots__ = ("us", "codes", "rows", "lower")
 
-    def __init__(self, n, i, content, memo):
-        k = sum(content)
-        # [x_i, x_i] = 0
-        self.us = us = tuple(u for u in lyndon_words_of_content(content) if u != (i,))
+    def __init__(self, n, content, memo):
         base = n + 1
-        codes = [encode(u, base) for u in us]
-        if i:
-            self.rows = [ad_enc(n, u, i, memo) for u in us]
-            shift = base ** (k - 1)
-            self.reads = []
-            for w in codes:
-                keys = [w * base + i]
-                while w // shift == i:  # terminates: no block word is i^k
-                    w = (w - i * shift) * base + i
-                    keys.append(w * base + i)
-                self.reads.append(keys)
-        else:
-            self.rows = [iota_enc(n, u, memo) for u in us]
-            self.reads = [[w] for w in codes]
-        span = exactlin.IncrementalSpan(base ** (k + 1 if i else k))
+        self.us = us = lyndon_words_of_content(content)
+        self.codes = codes = [encode(u, base) for u in us]
+        self.rows = [iota_enc(n, u, memo) for u in us]
+        span = exactlin.IncrementalSpan(base ** sum(content))
         for row in self.rows:
             if not span.insert(dict(row)):
                 raise InconsistencyError("block rows unexpectedly dependent")
         col_of = {w: col for col, w in enumerate(codes)}
         self.lower = [[] for _ in codes]
-        for j, u in enumerate(us):
-            for w, m in iota_enc(n, u, memo).items():
+        for j, row in enumerate(self.rows):
+            for w, m in row.items():
                 col = col_of.get(w)
                 if col is not None and col > j:
                     self.lower[col].append((j, m))
 
     def solve(self, tdict):
-        """Integer coordinates c with sum c_u [u, x_i] (sum c_u u if i = 0)
-        equal to tdict, verified; ArithmeticError if there are none."""
+        """Integer coordinates c with sum c_u u equal to tdict, verified;
+        ArithmeticError if there are none."""
         if not tdict:
             return {}
         coeffs = []
-        for keys, lower in zip(self.reads, self.lower):
-            c = sum(tdict.get(w, 0) for w in keys)
+        for w, lower in zip(self.codes, self.lower):
+            c = tdict.get(w, 0)
             for j, m in lower:
                 c -= m * coeffs[j]
             coeffs.append(c)
@@ -299,13 +281,13 @@ class _AdBlock:
 
 
 class AdSolver:
-    """The _AdBlocks of one caller, built lazily per (i, content).
+    """The identity blocks (_AdBlock) of one caller, built lazily per content.
 
     A block reads its degree off its content, so one solver serves every
     degree: an image level solves its relabellings (degree m) and its
-    brackets (degree m + 1) on identity blocks of one solver.  Its blocks
-    and its expansion memo (memo, see freelie.iota_enc) live as long as the
-    solver: the caller makes one and drops it when it is done.
+    brackets (degree m + 1) on blocks of one solver.  Its blocks and its
+    expansion memo (memo, see freelie.iota_enc) live as long as the solver:
+    the caller makes one and drops it when it is done.
     """
 
     def __init__(self, n):
@@ -313,35 +295,55 @@ class AdSolver:
         self.blocks: dict = {}
         self.memo: dict = {}
 
-    def block(self, i, content) -> _AdBlock:
-        key = (i, content)
-        got = self.blocks.get(key)
+    def block(self, content) -> _AdBlock:
+        got = self.blocks.get(content)
         if got is None:
-            got = _AdBlock(self.n, i, content, self.memo)
-            self.blocks[key] = got
+            got = self.blocks[content] = _AdBlock(self.n, content, self.memo)
         return got
 
 
 def p_coordinates(f: Derivation) -> dict:
     """Coordinates {(i, u): c} of a tangential derivation, keyed by p_basis labels.
 
-    Each value is split by content and solved on its (i, content) block.
-    Raises ArithmeticError when f is not an integer combination of the basis,
-    so this doubles as the membership check for the tangential subalgebra.
+    Each value at x_i is split by content, and each part T is [l, x_i] =
+    l.x_i - x_i.l for one tensor l, read off T: the coefficient of v.i in T
+    is l[v] - l[v'.i] when v = i.v', and l[v] otherwise.  One check that
+    [l, x_i] is T, and l's solve on the identity block of its content, which
+    verifies that l is Lie, give the coordinates of l, those of T at the
+    labels (i, u).  Raises ArithmeticError when f is not an integer
+    combination of the basis, so this doubles as the membership check for
+    the tangential subalgebra.
     """
     n, k = f.n, f.degree
+    base = n + 1
+    shift = base ** (k - 1)
     solver = AdSolver(n)
     out = {}
     for i, elt in f.values.items():
         by_content: dict = {}
         for w, c in elt._enc_tensor().items():
-            by_content.setdefault(word_content(decode(w, n + 1, k + 1), n), {})[w] = c
-        for content, chunk in by_content.items():
+            by_content.setdefault(word_content(decode(w, base, k + 1), n), {})[w] = c
+        for content, T in by_content.items():
             if content[i - 1] == 0:
                 raise ArithmeticError("component missing its own generator letter")
-            ucontent = list(content)
-            ucontent[i - 1] -= 1
-            for u, c in solver.block(i, tuple(ucontent)).solve(chunk).items():
+            # T[v.i] adds to l[v] and, while v = v'.i ends in i, to l[i.v'].  The
+            # chain ends: l's content has a letter other than i, as no Lie
+            # element has content m e_i for m >= 2.
+            l: dict = {}
+            for w, c in T.items():
+                v, last = divmod(w, base)
+                if last != i:
+                    continue
+                l[v] = l.get(v, 0) + c
+                while v % base == i:
+                    v = i * shift + v // base
+                    l[v] = l.get(v, 0) + c
+            l = {v: c for v, c in l.items() if c}
+            if freelie._commutator(l, k, {i: 1}, 1, base) != T:
+                raise ArithmeticError("value is not a bracket with its own generator")
+            lcontent = list(content)
+            lcontent[i - 1] -= 1
+            for u, c in solver.block(tuple(lcontent)).solve(l).items():
                 out[(i, u)] = c
     return out
 

@@ -4,7 +4,8 @@ fraction-free elimination (``exactlin.IncrementalSpan``).
 ``rref`` is a plain Gauss-Jordan elimination over ``Fraction``; ``rank`` reads
 its pivots, and ``trace_image_dim_direct`` ranks every content block on n
 letters with it, with no S_n orbits.  ``from_p_coordinates`` inverts
-``tangent.p_coordinates``: it builds a derivation from its labels.
+``tangent.p_coordinates``: it builds a derivation from its labels, and
+``rotations`` lists every rotation of a word, against ``_words.min_rotation``.
 """
 
 from fractions import Fraction
@@ -62,6 +63,12 @@ def trace_image_dim_direct(n: int, k: int) -> int:
             _, rows, cols = _trace_block(k, content)
             total += rank(rows, cols.ncols)
     return total
+
+
+def rotations(word):
+    """Every rotation of word, the brute-force route to _words.min_rotation."""
+    w = tuple(word)
+    return [w[i:] + w[:i] for i in range(len(w))]
 
 
 def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:

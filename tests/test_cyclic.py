@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from _reference import rref
+from _reference import rotations, rref
 from lietrace import _words, cyclic, exactlin
 from lietrace._words import InconsistencyError
 from lietrace.cyclic import (
@@ -33,7 +33,7 @@ def test_canonicalize_examples():
 def test_canonicalize_rotation_invariant(letters):
     w = tuple(letters)
     canon = necklace_canonicalize(w)
-    for rot in _words.rotations(w):
+    for rot in rotations(w):
         assert necklace_canonicalize(rot) == canon
     # idempotent
     assert necklace_canonicalize(canon.word) == canon

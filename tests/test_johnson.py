@@ -865,7 +865,7 @@ def test_image_leaves_the_shared_expansion_cache_alone():
 
 def test_ad_blocks_live_only_as_long_as_their_solver():
     # each image level, each p_coordinates call, each ImageBasis and each
-    # check_T0530 owns its ad blocks, so none of them outlives its owner
+    # check_T0530 owns its identity blocks, so none of them outlives its owner
     johnson_image(3, 6)
     p_coordinates(der_bracket(tau1_generator(3, 1, 2), tau1_generator(3, 2, 3)))
     # content (1, 0, 1) is relabelled onto its representative (1, 1, 0)

@@ -101,9 +101,30 @@ def test_tangential_closure_in_basis_coordinates():
         assert from_p_coordinates(n, ka + kb, coords) == br
 
 
+def test_p_coordinates_round_trip_on_every_label():
+    # each basis element alone reads back as its own label: 637 labels, whose
+    # words u end in up to k - 1 copies of i, so T = [u, x_i] is read off
+    # along rotation chains of every length
+    seen, longest = 0, {}
+    for n, kmax in ((2, 6), (3, 5), (4, 4)):
+        for k in range(1, kmax + 1):
+            for label in p_basis(n, k):
+                assert p_coordinates(from_p_coordinates(n, k, {label: 1})) == {label: 1}, label
+                i, u = label
+                tail = next(t for t in range(len(u)) if u[-1 - t] != i)  # u has a letter other than i
+                longest[k] = max(longest.get(k, 0), tail)
+                seen += 1
+    assert seen == 637
+    assert longest == {k: k - 1 for k in range(1, 7)}
+
+
 def test_p_coordinates_rejects_non_tangential():
     # [[x1,x2],x3] at x2 has the block content of [[x2,x3],x1] but is no multiple of it
     f = Derivation(3, 2, {1: normalize(((1, 2), 3), 3)})
+    with pytest.raises(ArithmeticError):
+        p_coordinates(f)
+    # a value at x_1 with no letter 1 is no [l, x_1]
+    f = Derivation(3, 1, {1: normalize((2, 3), 3)})
     with pytest.raises(ArithmeticError):
         p_coordinates(f)
 
@@ -129,7 +150,7 @@ def test_identity_block_matches_projection():
                 words = lyndon_words_of_content(content)
                 if not words:
                     continue
-                block = solver.block(0, content)
+                block = solver.block(content)
                 assert block.us == words
                 for _ in range(3):
                     coords = {u: rng.randint(-9, 9) for u in rng.sample(words, min(len(words), 4))}
@@ -147,7 +168,7 @@ def test_identity_block_refuses_tensors_off_the_lie_subspace():
     solver = AdSolver(n)
     base = n + 1
     for u in [(1, 2), (1, 1, 2), (1, 2, 3), (1, 1, 2, 3, 2)]:
-        block = solver.block(0, tuple(u.count(x) for x in range(1, n + 1)))
+        block = solver.block(tuple(u.count(x) for x in range(1, n + 1)))
         rot = encode(u[1:] + u[:1], base)  # a rotation: no Lyndon word
         stray = add_scaled(dict(iota_enc(n, u, solver.memo)), {rot: 1})
         with pytest.raises(ArithmeticError):
