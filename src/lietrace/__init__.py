@@ -3,12 +3,10 @@ their trace maps, and presentation-based twisted cohomology."""
 
 from .cyclic import (
     CyclicElement,
-    Necklace,
     QuotientMode,
     cyclic_rank,
     j_project,
     j_rank,
-    necklace_canonicalize,
     project_cyclic,
 )
 from .exactlin import (
@@ -19,7 +17,6 @@ from .exactlin import (
     smith_normal_form,
 )
 from .freelie import (
-    HallMonomial,
     LieElement,
     TensorElement,
     bracket,

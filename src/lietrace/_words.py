@@ -13,13 +13,15 @@ caches a word list.  The sparse-dict arithmetic every algebra module uses
 (``add_scaled`` and the element base ``SparseCombination``) lives here too,
 below them all.  No sparse dict a caller sees holds a zero: ``add_scaled``
 never stores one, and a local accumulator drops its zeros once, on return.
-``record``, the decorator of every value class in the package
-(``Necklace``, ``HallMonomial``, ``QuotientStructure``, the reports, ...),
-lives here as well.  It builds ``__init__``, ``__repr__``, ``__eq__``,
-``__hash__`` and the comparisons from closures over the field names, where
-``dataclasses`` would import ``inspect``, ``ast`` and ``dis`` and ``exec``
-generated source for each class, which was more than half of what a
-fresh CLI process spends importing the package.
+Basis elements are named by plain tuples: a Lie element's keys are Lyndon
+words and a cyclic element's are least rotations, checked by the elements'
+``_key`` hooks.  ``record``, the decorator of every value class in the
+package (``QuotientStructure``, ``Presentation``, the reports, ...), lives
+here as well.  It builds ``__init__``, ``__repr__``, ``__eq__`` and
+``__hash__`` from closures over the field names, where ``dataclasses``
+would import ``inspect``, ``ast`` and ``dis`` and ``exec`` generated source
+for each class, which was more than half of what a fresh CLI process spends
+importing the package.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, gcd
 from numbers import Number
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 
 
 class InconsistencyError(RuntimeError):
@@ -55,7 +57,10 @@ def add_scaled(into: dict, src: dict, c=1) -> dict:
 
 
 def exact_int(x) -> int:
-    """x as an int: TypeError for a non-number, ValueError rather than truncation."""
+    """x as an int: TypeError for a non-number, ValueError for a bool or a
+    non-integral value rather than truncation."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not an integer")
     if isinstance(x, int):
         return int(x)
     if not isinstance(x, Number):
@@ -66,21 +71,18 @@ def exact_int(x) -> int:
     return v
 
 
-def record(cls=None, *, frozen=True, order=False):
-    """Class decorator for a value class whose fields are its annotations.
+def record(cls):
+    """Class decorator for a frozen value class whose fields are its annotations.
 
-    It gives what ``dataclasses.dataclass(frozen=frozen, order=order)`` gives
-    these classes: ``__init__`` taking the fields positionally or by keyword
-    (a class attribute is the field's default), then ``__post_init__`` if the
-    class has one; ``__repr__`` as ``Name(f1=..., f2=...)``; ``__eq__`` on the
-    field tuple, within one class only; if frozen, ``hash`` of the field tuple
-    and ``AttributeError`` on every assignment or deletion (``__post_init__``
-    stores with ``object.__setattr__``), else no hash; if order, the four
-    comparisons on the field tuple.  Every method is a closure over the field
-    names; nothing is compiled from source.
+    It gives what ``dataclasses.dataclass(frozen=True)`` gives these classes:
+    ``__init__`` taking the fields positionally or by keyword (a class
+    attribute is the field's default), then ``__post_init__`` if the class
+    has one; ``__repr__`` as ``Name(f1=..., f2=...)``; ``__eq__`` on the
+    field tuple, within one class only; ``hash`` of the field tuple; and
+    ``AttributeError`` on every assignment or deletion (``__post_init__``
+    stores with ``object.__setattr__``).  Every method is a closure over the
+    field names; nothing is compiled from source.
     """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen, order=order)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     title = cls.__name__
@@ -128,30 +130,15 @@ def record(cls=None, *, frozen=True, order=False):
     def __hash__(self):
         return hash(fields(self))
 
-    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    cls.__hash__ = __hash__ if frozen else None
-    if frozen:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-        def __setattr__(self, name, value):
-            raise AttributeError(f"cannot assign to field {name!r}")
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
-        def __delattr__(self, name):
-            raise AttributeError(f"cannot delete field {name!r}")
-
-        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-    if order:
-        for op in (lt, le, gt, ge):
-            setattr(cls, f"__{op.__name__}__", _field_order(op, fields))
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = __init__, __repr__, __eq__, __hash__
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     return cls
-
-
-def _field_order(op, fields):
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            return op(fields(self), fields(other))
-        return NotImplemented
-
-    return compare
 
 
 class SparseCombination:

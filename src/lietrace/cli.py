@@ -21,12 +21,12 @@ class UsageError(Exception):
     pass
 
 
-@record(frozen=False)
+@record
 class TableDocument:
     title: str
     columns: list
     rows: list
-    provenance: str = ""  # the command line; main fills it in
+    provenance: str = ""  # the command line; main builds the document again with it
 
     def to_json_obj(self):
         return {
@@ -410,8 +410,8 @@ def main(argv=None) -> int:
         result = args.fn(args)
         doc, ok = result if isinstance(result, tuple) else (result, True)
         if isinstance(doc, TableDocument):  # else the json text of a structure
-            doc.provenance = " ".join([args.command] + argv[1:])
-            doc = _render(doc, args.format)
+            provenance = " ".join([args.command] + argv[1:])
+            doc = _render(TableDocument(doc.title, doc.columns, doc.rows, provenance), args.format)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(doc)
@@ -421,7 +421,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InconsistencyError as exc:
+    except (InconsistencyError, ArithmeticError) as exc:
+        # no user input reaches a failed internal check: the package disagrees with itself
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -1,9 +1,9 @@
 """Cyclic words (necklaces) and their quotients, plus the degree-4 module J.
 
 The degree-k cyclic space has the necklaces of length k over ``1..n`` as a
-basis.  Two quotients show up downstream: ``bar`` kills the power necklaces
-x_i^k, and ``tilde`` kills every necklace in which each occurring letter
-repeats.  Both killed sets are unions of basis necklaces, so reduction is a
+basis, each named by its least rotation, a plain tuple (``min_rotation``).
+Two quotients show up downstream: ``bar`` kills the power necklaces x_i^k,
+and ``tilde`` kills every necklace in which each occurring letter repeats.  Both killed sets are unions of basis necklaces, so reduction is a
 coordinate projection.
 """
 
@@ -19,7 +19,6 @@ from ._words import (
     add_scaled,
     exact_int,
     min_rotation,
-    record,
     word_content,
 )
 from .freelie import TensorElement
@@ -37,52 +36,28 @@ class QuotientMode(enum.Enum):
         return cls(str(mode).lower())
 
 
-@record(order=True)
-class Necklace:
-    """Canonical rotation representative of a cyclic word."""
-
-    word: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(exact_int(c) for c in self.word))
-        if not self.word:
-            raise ValueError("empty necklace")
-        if self.word != min_rotation(self.word):
-            raise ValueError(f"{self.word!r} is not a minimal rotation")
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def __str__(self):
-        return "(" + ",".join(map(str, self.word)) + ")"
-
-
-def necklace_canonicalize(word) -> Necklace:
-    """Minimal rotation of a word; idempotent on canonical input."""
-    return Necklace(min_rotation(word))
-
-
 class CyclicElement(SparseCombination):
-    """Integer combination of length-k necklaces."""
+    """Integer combination of length-k necklaces, keyed by least rotation."""
 
     __slots__ = ()
 
-    def _key(self, neck):
-        if not isinstance(neck, Necklace):
-            neck = necklace_canonicalize(neck)
-        if neck.length != self.degree:
+    def _key(self, word):
+        word = tuple(exact_int(c) for c in word)
+        if len(word) != self.degree:
             raise ValueError("necklace length does not match degree")
-        if not all(1 <= c <= self.n for c in neck.word):
+        if not all(1 <= c <= self.n for c in word):
             raise ValueError("letters out of range")
-        return neck
+        return min_rotation(word)
+
+    def _label(self, word):
+        return "(" + ",".join(map(str, word)) + ")"
 
 
 def project_cyclic(t: TensorElement) -> CyclicElement:
     """Send each tensor word to its necklace; linear, kills every bracket."""
     acc: dict = {}
     for word, coeff in t.terms.items():
-        neck = Necklace(min_rotation(word))
+        neck = min_rotation(word)
         acc[neck] = acc.get(neck, 0) + coeff
     return CyclicElement._unchecked(t.n, t.degree, {k: c for k, c in acc.items() if c})
 
@@ -103,7 +78,7 @@ def reduce(e: CyclicElement, mode) -> CyclicElement:
     mode = QuotientMode.coerce(mode)
     if mode is QuotientMode.FULL:
         return e
-    terms = {k: c for k, c in e.terms.items() if _keeps(word_content(k.word, e.n), mode)}
+    terms = {k: c for k, c in e.terms.items() if _keeps(word_content(k, e.n), mode)}
     return CyclicElement._unchecked(e.n, e.degree, terms)
 
 

@@ -1,10 +1,11 @@
 """Free Lie algebra on n generators over Z.
 
 The basis of the degree-k part is indexed by Lyndon words of length k over
-``1..n``; each word is bracketed through its standard factorization.  Elements
-are sparse integer combinations of basis monomials; the tensor-algebra
-embedding expands brackets as ``u (x) v - v (x) u`` and is the workhorse used
-for normalization, bracketing and all trace computations downstream.  Encoded
+``1..n``, plain tuples; each word is bracketed through its standard
+factorization.  Elements are sparse integer combinations of basis monomials,
+keyed by their words; the tensor-algebra embedding expands brackets as
+``u (x) v - v (x) u`` and is the workhorse used for normalization,
+bracketing and all trace computations downstream.  Encoded
 words are multiplied (``_cat``) and bracketed (``_commutator``) here, and
 ``factor_enc`` hands out the checked factor expansions of a Lyndon word for
 ``tangent.trace_row_enc``, which pairs their words itself without forming the
@@ -25,9 +26,7 @@ from ._words import (
     exact_int,
     is_lyndon,
     lyndon_words,
-    record,
     standard_factorization,
-    word_content,
 )
 
 
@@ -59,52 +58,17 @@ def multidegree_rank(n: int, k: int, alpha) -> int:
     return _words.content_divisor_sum(counts, _words.mobius)
 
 
-def _bracket_tree(word):
+def _bracketed(word) -> str:
+    """The standard bracketing of a Lyndon word, e.g. [x1,[x1,x2]] for 112."""
     if len(word) == 1:
-        return word[0]
+        return f"x{word[0]}"
     u, v = standard_factorization(word)
-    return (_bracket_tree(u), _bracket_tree(v))
+    return f"[{_bracketed(u)},{_bracketed(v)}]"
 
 
-def _tree_str(tree):
-    if isinstance(tree, int):
-        return f"x{tree}"
-    return f"[{_tree_str(tree[0])},{_tree_str(tree[1])}]"
-
-
-@record(order=True)
-class HallMonomial:
-    """Basis monomial: a Lyndon word with its standard bracketing."""
-
-    n: int
-    word: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(exact_int(c) for c in self.word))
-        if not self.word or min(self.word) < 1 or max(self.word) > self.n:
-            raise ValueError("letters out of range")
-        if not is_lyndon(self.word):
-            raise ValueError(f"{self.word!r} is not a basis word")
-
-    @property
-    def degree(self) -> int:
-        return len(self.word)
-
-    @property
-    def multidegree(self) -> tuple:
-        return word_content(self.word, self.n)
-
-    @property
-    def tree(self):
-        return _bracket_tree(self.word)
-
-    def __str__(self):
-        return _tree_str(self.tree)
-
-
-def hall_basis(n: int, k: int):
-    """The degree-k basis monomials, ordered lexicographically by word."""
-    return tuple(HallMonomial(n, w) for w in lyndon_words(n, k))
+def hall_basis(n: int, k: int) -> tuple:
+    """The degree-k basis: its Lyndon words, in lexicographic order."""
+    return lyndon_words(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +200,17 @@ class LieElement(SparseCombination):
     __slots__ = ()
 
     def _key(self, word):
-        mono = word if isinstance(word, HallMonomial) else HallMonomial(self.n, word)
-        if mono.degree != self.degree or mono.n != self.n:
+        word = tuple(exact_int(c) for c in word)
+        if not word or min(word) < 1 or max(word) > self.n:
+            raise ValueError("letters out of range")
+        if not is_lyndon(word):
+            raise ValueError(f"{word!r} is not a basis word")
+        if len(word) != self.degree:
             raise ValueError("monomial does not match element degree")
-        return mono.word
+        return word
 
     def _label(self, word):
-        return _tree_str(_bracket_tree(word))
+        return _bracketed(word)
 
     @classmethod
     def generator(cls, n: int, i: int):

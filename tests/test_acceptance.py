@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from lietrace import _words, cyclic, exactlin, grouppres, johnson
-from lietrace.cyclic import cyclic_rank, j_rank, j_project, Necklace
+from lietrace.cyclic import cyclic_rank, j_rank, j_project
 from lietrace.exactlin import QuotientStructure
 from lietrace.freelie import witt_rank
 from lietrace.grouppres import (
@@ -342,7 +342,7 @@ def test_criterion_7_unit_identities():
     failures = []
     f = tangential(2, (1, (1, 2, 1, 2)))
     bar = trace(f, "bar")
-    if bar.terms != {Necklace((1, 2, 1, 2)): 2, Necklace((1, 1, 2, 2)): -1}:
+    if bar.terms != {(1, 2, 1, 2): 2, (1, 1, 2, 2): -1}:
         failures.append(("bar", bar.terms))
     if not trace(f, "tilde").is_zero():
         failures.append(("tilde", trace(f, "tilde")))

@@ -287,6 +287,24 @@ def test_inconsistency_exits_2(monkeypatch, capsys):
             assert (code, out, err) == (2, "", "inconsistency: injected\n"), args
 
 
+def test_failed_identity_block_check_exits_2(monkeypatch, capsys):
+    # the identity block's re-multiply check raises ArithmeticError; no user
+    # input reaches it under n3gap, so a raise is an inconsistency, exit 2
+    from lietrace import tangent
+
+    def fail(self, tdict):
+        raise ArithmeticError("input is outside the span of the block's rows")
+
+    monkeypatch.setattr(tangent._AdBlock, "solve", fail)
+    johnson._orbit_image.cache_clear()  # so the levels are solved here
+    try:
+        code, out, err = run_cli(["n3gap", "--kmax", "3"], capsys)
+    finally:
+        johnson._orbit_image.cache_clear()  # drop the store the failed run left
+    assert (code, out) == (2, "")
+    assert err == "inconsistency: input is outside the span of the block's rows\n"
+
+
 def test_failed_check_writes_its_table_and_exits_2(monkeypatch, capsys, tmp_path):
     # a t0530 violation or a failed egens count still writes the whole table
     # to stdout or --out; only the exit code (and t0530's stderr line) differ

@@ -10,13 +10,11 @@ from lietrace.cyclic import (
     CyclicElement,
     JElement,
     JModule,
-    Necklace,
     QuotientMode,
     cyclic_rank,
     j_project,
     j_rank,
     mode_width,
-    necklace_canonicalize,
     project_cyclic,
     reduce,
 )
@@ -25,34 +23,35 @@ from lietrace.freelie import LieElement, embed_tensor, hall_basis
 
 
 def test_canonicalize_examples():
-    assert necklace_canonicalize((2, 1)).word == (1, 2)
-    assert necklace_canonicalize((1, 2, 1, 2)).word == (1, 2, 1, 2)
+    assert CyclicElement(2, 2, {(2, 1): 1}).terms == {(1, 2): 1}
+    assert CyclicElement(2, 4, {(1, 2, 1, 2): 1}).terms == {(1, 2, 1, 2): 1}
 
 
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=7))
 def test_canonicalize_rotation_invariant(letters):
     w = tuple(letters)
-    canon = necklace_canonicalize(w)
+    canon = _words.min_rotation(w)
     for rot in rotations(w):
-        assert necklace_canonicalize(rot) == canon
+        assert _words.min_rotation(rot) == canon
+        assert CyclicElement(3, len(w), {rot: 1}).terms == {canon: 1}
     # idempotent
-    assert necklace_canonicalize(canon.word) == canon
+    assert _words.min_rotation(canon) == canon
 
 
-def test_necklace_rejects_noncanonical():
-    with pytest.raises(ValueError):
-        Necklace((2, 1))
+def test_necklace_keys_are_least_rotations():
+    assert repr(CyclicElement(2, 3, {(2, 1, 2): 1})) == "1*(1,2,2)"
+    assert repr(CyclicElement(2, 3, {(2, 1, 1): 2, (2, 2, 1): -1})) == "2*(1,1,2) - 1*(1,2,2)"
 
 
 def test_elements_refuse_keys_off_the_alphabet():
     # a letter outside 1..n, or a J column outside 0..size-1, is refused
     # rather than carried along (and, for J, failing only when printed)
     with pytest.raises(ValueError, match="letters out of range"):
-        CyclicElement(2, 3, {Necklace((1, 2, 5)): 1, (0, 0, 3): 2})
+        CyclicElement(2, 3, {(1, 2, 5): 1, (0, 0, 3): 2})
     for word in ((1, 2, 5), (0, 0, 3), (3, 1, 1)):
         with pytest.raises(ValueError, match="letters out of range"):
             CyclicElement(2, 3, {word: 1})
-    assert CyclicElement(2, 3, {(2, 1, 2): 1}).terms == {Necklace((1, 2, 2)): 1}
+    assert CyclicElement(2, 3, {(2, 1, 2): 1}).terms == {(1, 2, 2): 1}
     size = JModule.get(3).size
     for col in (999, size, -1):
         with pytest.raises(ValueError, match="column out of range"):
@@ -63,7 +62,7 @@ def test_elements_refuse_keys_off_the_alphabet():
 
 def test_rotations_of_one_necklace_add_up():
     e = CyclicElement(3, 2, {(1, 2): 1, (2, 1): 1})
-    assert e.terms == {Necklace((1, 2)): 2}
+    assert e.terms == {(1, 2): 2}
     assert CyclicElement(3, 2, [((1, 2), 1), ((2, 1), -1)]).is_zero()
 
 
@@ -73,14 +72,14 @@ def test_project_examples():
     from lietrace.freelie import TensorElement
 
     t = TensorElement(2, 2, {(2, 1): 1})
-    assert project_cyclic(t).terms == {Necklace((1, 2)): 1}
+    assert project_cyclic(t).terms == {(1, 2): 1}
 
 
 @pytest.mark.parametrize("n,kmax", [(2, 6), (3, 6)])
 def test_projection_kills_all_basis_monomials(n, kmax):
     for k in range(2, kmax + 1):
-        for mono in hall_basis(n, k):
-            e = LieElement(n, k, {mono: 1})
+        for word in hall_basis(n, k):
+            e = LieElement(n, k, {word: 1})
             assert project_cyclic(embed_tensor(e)).is_zero()
 
 
@@ -106,11 +105,11 @@ def test_cyclic_rank_vs_enumeration(n):
 
 
 def test_reduce_examples():
-    power = CyclicElement(2, 4, {Necklace((1, 1, 1, 1)): 1})
+    power = CyclicElement(2, 4, {(1, 1, 1, 1): 1})
     assert reduce(power, "bar").is_zero()
-    killed = CyclicElement(2, 4, {Necklace((1, 2, 1, 2)): 1, Necklace((1, 1, 2, 2)): 2})
+    killed = CyclicElement(2, 4, {(1, 2, 1, 2): 1, (1, 1, 2, 2): 2})
     assert reduce(killed, "tilde").is_zero()
-    survivor = CyclicElement(3, 3, {Necklace((1, 2, 3)): 1})
+    survivor = CyclicElement(3, 3, {(1, 2, 3): 1})
     assert reduce(survivor, "tilde") == survivor
     assert reduce(survivor, QuotientMode.FULL) == survivor
 
@@ -121,14 +120,14 @@ def test_reduce_keeps_the_classes_mode_width_counts(n):
     # positive mode_width, and the necklaces kept number cyclic_rank
     for k in range(1, 7):
         necks = {
-            Necklace(_words.min_rotation(w))
+            _words.min_rotation(w)
             for w in itertools.product(range(1, n + 1), repeat=k)
         }
         full = CyclicElement(n, k, {neck: 1 for neck in necks})
         for mode in QuotientMode:
             kept = reduce(full, mode).terms
             for neck in necks:
-                width = mode_width(_words.word_content(neck.word, n), mode)
+                width = mode_width(_words.word_content(neck, n), mode)
                 assert (neck in kept) == (width > 0), (n, k, mode, neck)
             assert len(kept) == cyclic_rank(n, k, mode), (n, k, mode)
 

@@ -5,7 +5,6 @@ from _reference import rotations
 from lietrace import _words
 from lietrace.exactlin import IncrementalSpan
 from lietrace.freelie import (
-    HallMonomial,
     LieElement,
     bracket,
     embed_tensor,
@@ -81,8 +80,7 @@ def test_multidegree_three_way_oracle(n, kmax):
             assert len(words) == expected
             span = IncrementalSpan((n + 1) ** k)
             for w in words:
-                mono = HallMonomial(n, w)
-                elt = LieElement(n, k, {mono: 1})
+                elt = LieElement(n, k, {w: 1})
                 enc = {_words.encode(t, n + 1): c for t, c in embed_tensor(elt).terms.items()}
                 assert span.insert(enc)
             assert span.dim == expected
@@ -144,8 +142,8 @@ def test_embedded_basis_independent():
     for n in (2, 3):
         for k in range(1, 8 if n == 2 else 7):
             span = IncrementalSpan((n + 1) ** k)
-            for mono in hall_basis(n, k):
-                elt = LieElement(n, k, {mono: 1})
+            for word in hall_basis(n, k):
+                elt = LieElement(n, k, {word: 1})
                 enc = {_words.encode(t, n + 1): c for t, c in embed_tensor(elt).terms.items()}
                 assert span.insert(enc)
             assert span.dim == witt_rank(n, k)
@@ -265,15 +263,17 @@ def test_lie_elements_are_keyed_by_lyndon_word():
         "1*[x1,[[[x1,x3],x2],x2]] - 2*[x1,[[x1,x3],[x2,x3]]]"
         " - 1*[[x1,x2],[x1,[x2,x3]]] - 2*[[x1,[x2,x3]],[x1,x3]]"
     )
-    # a HallMonomial key is still accepted, and names the same basis element
-    by_mono = LieElement(3, 5, {HallMonomial(3, w): c for w, c in e.terms.items()})
-    assert by_mono == e and by_mono.terms == e.terms
+    # a word given as a list names the same basis element, stored as a tuple
+    by_list = LieElement(3, 5, [(list(w), c) for w, c in e.terms.items()])
+    assert by_list == e and by_list.terms == e.terms
     assert LieElement(3, 5, {w: c for w, c in e.terms.items()}) == e
-    for bad in [(2, 1, 1, 1, 3), (1, 1, 3, 2, 4), (1, 2, 3)]:
-        with pytest.raises(ValueError):
+    for bad, message in [
+        ((2, 1, 1, 1, 3), "not a basis word"),
+        ((1, 1, 3, 2, 4), "letters out of range"),  # a word of another alphabet
+        ((1, 2, 3), "does not match element degree"),
+    ]:
+        with pytest.raises(ValueError, match=message):
             LieElement(3, 5, {bad: 1})
-    with pytest.raises(ValueError):
-        LieElement(3, 5, {HallMonomial(4, (1, 1, 3, 2, 2)): 1})  # another alphabet
 
 
 small_elt = st.builds(
@@ -322,13 +322,11 @@ def test_concurrent_basis_reads_are_consistent():
 
 
 def test_monomial_bracket_structure():
-    mono = HallMonomial(3, (1, 1, 2))
-    assert mono.degree == 3
-    assert mono.multidegree == (2, 1, 0)
-    assert mono.tree == (1, (1, 2))
-    assert str(mono) == "[x1,[x1,x2]]"
-    with pytest.raises(ValueError):
-        HallMonomial(3, (2, 1))
+    mono = LieElement(3, 3, {(1, 1, 2): 1})
+    assert mono.degree == 3 and mono.terms == {(1, 1, 2): 1}
+    assert repr(mono) == "1*[x1,[x1,x2]]"
+    with pytest.raises(ValueError, match="not a basis word"):
+        LieElement(3, 2, {(2, 1): 1})
 
 
 def test_booth_matches_bruteforce():

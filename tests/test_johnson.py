@@ -23,9 +23,9 @@ from lietrace._words import (
     word_content,
 )
 from lietrace.cli import main
-from lietrace.cyclic import Necklace, cyclic_rank
+from lietrace.cyclic import CyclicElement, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
-from lietrace.freelie import HallMonomial, ad_enc, multidegree_rank, project_lyndon_enc
+from lietrace.freelie import LieElement, ad_enc, multidegree_rank, project_lyndon_enc
 from lietrace.grouppres import Presentation, builtin, principal_cocycle, trivial_action
 from lietrace.johnson import (
     _block_trace_rank,
@@ -314,7 +314,7 @@ def test_trace_rows_match_public_trace(n, k):
     for (i, u), terms in expected.items():
         content, rows_of_u = traces[u]
         row = rows_of_u.get(i, {})
-        got = {Necklace(decode(necklace[content, col], n + 1, k)): c for col, c in row.items()}
+        got = {decode(necklace[content, col], n + 1, k): c for col, c in row.items()}
         assert got == terms, (i, u)
     # the builder's block matrix is the same up to a permutation of columns
     order = {key: j for j, key in enumerate(expected)}
@@ -369,8 +369,12 @@ def test_full_trace_rank():
     [
         lambda: c_alpha(4, (2.7, 2.2)),
         lambda: c_alpha(4.9, (2, 2)),
-        lambda: HallMonomial(3, (1.5, 2)),
-        lambda: Necklace((1.9, 2)),
+        lambda: LieElement(3, 2, {(1.5, 2): 1}),
+        lambda: CyclicElement(3, 2, {(1.9, 2): 1}),
+        lambda: c_alpha(4, (True, 3)),
+        lambda: LieElement(2, 2, {(True, 2): 1}),
+        lambda: CyclicElement(2, 2, {(1, True): 1}),
+        lambda: QuotientStructure(True),
         lambda: tangential(3, (1, (2.5,))),
         lambda: QuotientStructure(1, (2.5,)),
         lambda: QuotientStructure(1.5),
@@ -382,8 +386,12 @@ def test_full_trace_rank():
     ids=[
         "c_alpha-parts",
         "c_alpha-k",
-        "HallMonomial",
-        "Necklace",
+        "LieElement-key",
+        "CyclicElement-key",
+        "c_alpha-bool",
+        "LieElement-bool",
+        "CyclicElement-bool",
+        "QuotientStructure-bool",
         "tangential",
         "QuotientStructure-torsion",
         "QuotientStructure-free",
@@ -399,7 +407,13 @@ def test_non_integral_inputs_raise(build):
 def test_integral_valued_inputs_still_accepted():
     assert c_alpha(4.0, (2.0, 2)) == c_alpha(4, (2, 2))
     assert QuotientStructure(1.0, (2.0,)) == QuotientStructure(1, (2,))
-    assert str(Necklace((1.0, 2))) == "(1,2)"
+    # an integral float letter is stored as an int
+    cyc = CyclicElement(2, 2, {(2.0, 1): 1})
+    assert repr(cyc) == "1*(1,2)"
+    lie = LieElement(2, 2, {(1.0, 2): 1})
+    assert lie == LieElement(2, 2, {(1, 2): 1})
+    for e in (cyc, lie):
+        assert [type(c) for key in e.terms for c in key] == [int, int]
 
 
 def test_orbit_sum_matches_direct_rank_n4_k6():
