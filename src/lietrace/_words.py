@@ -233,8 +233,8 @@ class SparseCombination:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = [self._term(k, self.terms[k]) for k in sorted(self.terms)]
-        return " ".join(bits).lstrip("+ ")
+        text = " ".join(self._term(k, self.terms[k]) for k in sorted(self.terms))
+        return text[2:] if text[0] == "+" else "-" + text[2:]  # each term opens with "+ " or "- "
 
 
 def encode(word, base: int) -> int:

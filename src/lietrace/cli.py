@@ -430,5 +430,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None):
+    """The process entry point: main's code as the exit status, with no
+    interpreter teardown (the final garbage collection and module cleanup).
+    main closes --out itself and nothing registers an atexit handler, so the
+    two flushes are all the output the teardown would write.  A flush that
+    fails (a closed pipe) leaves the exit to sys.exit, which reports it; an
+    exception or SystemExit out of main (-h) never reaches os._exit."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

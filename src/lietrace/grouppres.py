@@ -292,16 +292,6 @@ def evaluate_cocycle(f: CrossedHom, action: LatticeAction, word) -> tuple:
     return total
 
 
-def principal_cocycle(action: LatticeAction, p: Presentation, v) -> CrossedHom:
-    """The coboundary g -> g.v - v."""
-    v = tuple(exact_int(x) for x in v)
-    images = {
-        g: tuple(a - b for a, b in zip(_mat_vec(action.matrix(g), v), v))
-        for g in p.generators
-    }
-    return CrossedHom(images)
-
-
 def _sparse_mul(a, b):
     """Product of two matrices held as tuples of sparse rows."""
     out = []

@@ -6,14 +6,17 @@ its pivots, and ``trace_image_dim_direct`` ranks every content block on n
 letters with it, with no S_n orbits.  ``from_p_coordinates`` inverts
 ``tangent.p_coordinates``: it builds a derivation from its labels, and
 ``rotations`` lists every rotation of a word, against ``_words.min_rotation``.
+``principal_cocycle`` multiplies each action matrix by a vector, where
+``grouppres._coboundaries`` reads the coboundaries off the matrix columns.
 """
 
 from fractions import Fraction
 
-from lietrace._words import add_scaled, compositions
+from lietrace._words import add_scaled, compositions, exact_int
 from lietrace.cyclic import QuotientMode, mode_width
 from lietrace.exactlin import _to_int_vec
 from lietrace.freelie import LieElement, ad_enc
+from lietrace.grouppres import CrossedHom
 from lietrace.johnson import _trace_block
 from lietrace.tangent import Derivation
 
@@ -78,3 +81,13 @@ def from_p_coordinates(n: int, k: int, coords: dict) -> Derivation:
         add_scaled(by_i.setdefault(i, {}), ad_enc(n, u, i), c)
     values = {i: LieElement._from_enc(n, k + 1, enc) for i, enc in by_i.items() if enc}
     return Derivation._unchecked(n, k, values)
+
+
+def principal_cocycle(action, p, v) -> CrossedHom:
+    """The coboundary g -> g.v - v."""
+    v = tuple(exact_int(x) for x in v)
+    images = {}
+    for g in p.generators:
+        gv = tuple(sum(a * x for a, x in zip(row, v)) for row in action.matrix(g))
+        images[g] = tuple(a - b for a, b in zip(gv, v))
+    return CrossedHom(images)

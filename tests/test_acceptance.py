@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+from _reference import principal_cocycle
 from lietrace import _words, cyclic, exactlin, grouppres, johnson
 from lietrace.cyclic import cyclic_rank, j_rank, j_project
 from lietrace.exactlin import QuotientStructure
@@ -25,7 +26,6 @@ from lietrace.grouppres import (
     evaluate_cocycle,
     h1_twisted,
     h2_psigma_rank,
-    principal_cocycle,
     standard_action,
 )
 from lietrace.johnson import (

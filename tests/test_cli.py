@@ -287,6 +287,72 @@ def test_inconsistency_exits_2(monkeypatch, capsys):
             assert (code, out, err) == (2, "", "inconsistency: injected\n"), args
 
 
+def _fresh(args, stdout=subprocess.PIPE):
+    """python with args in a fresh interpreter on this checkout, with stdout
+    block-buffered (no PYTHONUNBUFFERED), so the exit path does the flushing."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+# a json document larger than a 64 KiB pipe buffer
+BIG_DOCUMENT = ["witt", "--n", "9", "--k", "1..400", "--format", "json"]
+
+
+def test_fresh_process_exit_writes_the_whole_output(tmp_path, capsys):
+    # cli.run ends the process with os._exit after flushing stdout and stderr:
+    # a short document waits in the stdout buffer for that flush, and a long
+    # one passes more than a pipe buffer before the child exits
+    for argv in (["witt", "--n", "2", "--k", "1..4", "--format", "csv"], BIG_DOCUMENT):
+        _, want, _ = run_cli(argv, capsys)
+        got = _fresh(["-m", "lietrace.cli", *argv])
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.encode(), b""), argv
+    assert len(want.encode()) > 65536
+    # with --out stdout stays empty and the file is whole
+    path = tmp_path / "witt.json"
+    argv = BIG_DOCUMENT + ["--out", str(path)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    want_file = path.read_bytes()
+    path.unlink()
+    got = _fresh(["-m", "lietrace.cli", *argv])
+    assert (got.returncode, got.stdout, got.stderr) == (0, b"", b"")
+    assert path.read_bytes() == want_file
+    # a usage error exits 1 with its message on stderr
+    got = _fresh(["-m", "lietrace.cli", "calpha", "--k", "6", "--alpha", ""])
+    assert (got.returncode, got.stdout) == (1, b"")
+    assert got.stderr == b"usage error: --alpha is empty; give a comma list, e.g. 3,2,2\n"
+
+
+INCONSISTENCY_PROBE = """
+from lietrace import cli, johnson
+from lietrace._words import InconsistencyError
+
+def fail(*args):
+    raise InconsistencyError("injected")
+
+johnson.coker_structure = fail
+cli.run(["coker", "--n", "3", "--k", "4"])
+"""
+
+
+def test_fresh_process_inconsistency_exits_2():
+    got = _fresh(["-c", INCONSISTENCY_PROBE])
+    assert (got.returncode, got.stdout, got.stderr) == (2, b"", b"inconsistency: injected\n")
+
+
+def test_closed_stdout_is_reported_by_the_interpreter():
+    # a flush that fails leaves the exit to sys.exit: the interpreter's own
+    # message and its exit code 120, never a silent os._exit(0)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = _fresh(["-m", "lietrace.cli", "witt", "--n", "2", "--k", "1..4"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert got.returncode == 120
+    assert got.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
 def test_failed_identity_block_check_exits_2(monkeypatch, capsys):
     # the identity block's re-multiply check raises ArithmeticError; no user
     # input reaches it under n3gap, so a raise is an inconsistency, exit 2

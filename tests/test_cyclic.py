@@ -39,8 +39,12 @@ def test_canonicalize_rotation_invariant(letters):
 
 
 def test_necklace_keys_are_least_rotations():
-    assert repr(CyclicElement(2, 3, {(2, 1, 2): 1})) == "1*(1,2,2)"
-    assert repr(CyclicElement(2, 3, {(2, 1, 1): 2, (2, 2, 1): -1})) == "2*(1,1,2) - 1*(1,2,2)"
+    for degree, terms, text in [
+        (3, {(2, 1, 2): 1}, "1*(1,2,2)"),
+        (3, {(2, 1, 1): 2, (2, 2, 1): -1}, "2*(1,1,2) - 1*(1,2,2)"),
+        (2, {(2, 1): -3}, "-3*(1,2)"),  # a leading negative term keeps its sign on the coefficient
+    ]:
+        assert repr(CyclicElement(2, degree, terms)) == text
 
 
 def test_elements_refuse_keys_off_the_alphabet():

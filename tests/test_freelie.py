@@ -248,7 +248,11 @@ def test_element_operators_share_one_meaning():
         assert elt + elt == 2 * elt == -(-2 * elt)
         assert hash(elt + elt) == hash(2 * elt)
         assert (0 * elt).is_zero() and repr(0 * elt) == "0"
-    assert repr(TensorElement(3, 2, {(2, 1): -2, (1, 2): 1})) == "1*12 - 2*21"
+    for terms, text in [
+        ({(2, 1): -2, (1, 2): 1}, "1*12 - 2*21"),
+        ({(2, 1): 1, (1, 2): -2}, "-2*12 + 1*21"),
+    ]:
+        assert repr(TensorElement(3, 2, terms)) == text
 
 
 def test_lie_elements_are_keyed_by_lyndon_word():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _reference import principal_cocycle
 from lietrace.exactlin import QuotientStructure, quotient_structure
 from lietrace.grouppres import (
     InconsistencyError,
@@ -16,7 +17,6 @@ from lietrace.grouppres import (
     h1_twisted,
     h2_psigma_rank,
     parse_presentation,
-    principal_cocycle,
     standard_action,
     trivial_action,
     z1_basis,
@@ -123,7 +123,7 @@ def test_principal_cocycles_satisfy_relators():
 
 @pytest.mark.parametrize("kind", ["bp", "braid", "symmetric"])
 def test_coboundaries_read_off_the_action_columns(kind):
-    # h1_twisted reads each coboundary off the action matrices; the public
+    # h1_twisted reads each coboundary off the action matrices; the reference
     # principal_cocycle multiplies them by the basis vector instead
     n = 5
     p, act = builtin(kind, n), standard_action(kind, n)

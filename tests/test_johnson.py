@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from _reference import from_p_coordinates, rank, trace_image_dim_direct
+from _reference import from_p_coordinates, principal_cocycle, rank, trace_image_dim_direct
 from lietrace import exactlin, freelie, johnson, tangent
 from lietrace._words import (
     InconsistencyError,
@@ -26,7 +26,7 @@ from lietrace.cli import main
 from lietrace.cyclic import CyclicElement, cyclic_rank
 from lietrace.exactlin import IncrementalSpan, QuotientStructure, smith_normal_form
 from lietrace.freelie import LieElement, ad_enc, multidegree_rank, project_lyndon_enc
-from lietrace.grouppres import Presentation, builtin, principal_cocycle, trivial_action
+from lietrace.grouppres import Presentation, builtin, trivial_action
 from lietrace.johnson import (
     _block_trace_rank,
     _p_index,

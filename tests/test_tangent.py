@@ -191,7 +191,7 @@ def test_derivation_coefficients_are_exact():
     with pytest.raises(TypeError):
         f + normalize((2, 1), n)
     assert repr(f - 2 * tau1_generator(n, 2, 1)) == (
-        "x1* (x) (- 1*[x1,x2]) + x2* (x) (- 2*[x1,x2])"
+        "x1* (x) (-1*[x1,x2]) + x2* (x) (-2*[x1,x2])"
     )
 
 
